@@ -7,8 +7,8 @@
 //!
 //! - `lexical` — phase 1, the per-file token-stream lints (v1 scope),
 //! - `syntax` — phase 2, lex + parse + call-graph model + the
-//!   `lock-order-cycle` / `blocking-under-lock` / `wire-registry-drift`
-//!   analyses,
+//!   `lock-order-cycle` / `blocking-under-lock` analyses over the
+//!   `crh-serve` library sources,
 //! - `full` — both phases plus sorting, i.e. what one `crh-lint`
 //!   invocation costs after I/O.
 //!

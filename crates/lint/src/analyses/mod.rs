@@ -1,15 +1,12 @@
 //! The syntax-aware analyses: rules that need the parser and call
 //! graph rather than a single token stream.
 //!
-//! Three rules live here, all scoped to `crates/serve`:
+//! Two rules live here, both scoped to `crates/serve`:
 //!
 //! - [`lock_order`] — `lock-order-cycle`: inconsistent mutex/RwLock
 //!   acquisition order anywhere in the (transitive) call graph,
 //! - [`blocking`] — `blocking-under-lock`: fsync/socket/sleep calls
-//!   made while a lock guard is live,
-//! - [`wire`] — `wire-registry-drift`: the `proto.rs` tag registry,
-//!   `error.rs::code` wire codes, encode/decode arm parity, and
-//!   proto_fuzz corpus coverage.
+//!   made while a lock guard is live.
 //!
 //! Findings carry the same suppression contract as the lexical lints:
 //! a justified `// crh-lint: allow(<id>) — why` pragma on (or above)
@@ -19,43 +16,22 @@
 
 pub mod blocking;
 pub mod lock_order;
-pub mod wire;
 
 use crate::callgraph::Model;
-use crate::lexer::Token;
 use crate::lints::Finding;
 use crate::parse::Ast;
 
-/// One file prepared for analysis.
-pub struct FileInput {
-    /// Workspace-relative path.
-    pub rel: String,
-    /// The lexed token stream (the wire rule scans the fuzz corpus at
-    /// token level).
-    pub toks: Vec<Token>,
-    /// The parsed item tree.
-    pub ast: Ast,
-}
-
-/// Whether a path is `crh-serve` library code, the scope of the lock
-/// analyses.
-fn in_serve_lib(rel: &str) -> bool {
+/// Whether a path is `crh-serve` library code, the scope of the
+/// syntax-aware rules.
+pub fn in_scope(rel: &str) -> bool {
     rel.contains("crates/serve/src/")
 }
 
-/// Run every syntax-aware analysis over the prepared files and return
-/// unsuppressed findings (the caller applies pragma filtering).
-pub fn run(files: &[FileInput]) -> Vec<Finding> {
-    let serve: Vec<(&str, &Ast)> = files
-        .iter()
-        .filter(|f| in_serve_lib(&f.rel))
-        .map(|f| (f.rel.as_str(), &f.ast))
-        .collect();
-    let model = Model::build(&serve);
-
-    let mut findings = Vec::new();
-    findings.extend(lock_order::run(&model));
+/// Run every syntax-aware analysis over the parsed in-scope files and
+/// return unsuppressed findings (the caller applies pragma filtering).
+pub fn run(files: &[(&str, &Ast)]) -> Vec<Finding> {
+    let model = Model::build(files);
+    let mut findings = lock_order::run(&model);
     findings.extend(blocking::run(&model));
-    findings.extend(wire::run(files));
     findings
 }

@@ -473,7 +473,6 @@ fn collect_items(
             Item::Impl(i) => collect_items(&i.items, file, Some(&i.ty), cfg_test, out),
             Item::Mod(m) => collect_items(&m.items, file, qual, cfg_test || m.cfg_test, out),
             Item::Trait(t) => collect_items(&t.items, file, Some(&t.name), cfg_test, out),
-            _ => {}
         }
     }
 }

@@ -171,55 +171,6 @@ fn parse_pragma(comment: &str, line: u32, out: &mut Pragmas) {
     out.record(Pragma { ids, line });
 }
 
-/// Recover the value of an integer literal from its lexed text.
-///
-/// Handles `0x`/`0o`/`0b` radix prefixes, `_` digit separators, and
-/// trailing type suffixes (`255u8`, `0xC1A5u16`). Returns `None` for
-/// floats and malformed text — callers treat those as "not a constant
-/// we can check" rather than an error.
-pub fn parse_int(text: &str) -> Option<u64> {
-    let (radix, digits) = match text.as_bytes() {
-        [b'0', b'x' | b'X', ..] => (16, &text[2..]),
-        [b'0', b'o' | b'O', ..] => (8, &text[2..]),
-        [b'0', b'b' | b'B', ..] => (2, &text[2..]),
-        _ => (10, text),
-    };
-    let mut value: u64 = 0;
-    let mut seen = false;
-    let mut rest = digits.chars().peekable();
-    while let Some(c) = rest.peek().copied() {
-        if c == '_' {
-            rest.next();
-            continue;
-        }
-        let Some(d) = c.to_digit(radix) else { break };
-        value = value
-            .checked_mul(u64::from(radix))?
-            .checked_add(u64::from(d))?;
-        seen = true;
-        rest.next();
-    }
-    // Whatever remains must be a type suffix (`u8`, `i64`, `usize`);
-    // a decimal point or exponent means this was a float.
-    let suffix: String = rest.collect();
-    let ok_suffix = suffix.is_empty()
-        || matches!(
-            suffix.as_str(),
-            "u8" | "u16"
-                | "u32"
-                | "u64"
-                | "u128"
-                | "usize"
-                | "i8"
-                | "i16"
-                | "i32"
-                | "i64"
-                | "i128"
-                | "isize"
-        );
-    (seen && ok_suffix).then_some(value)
-}
-
 /// Lex `src` into a token stream and its pragma table.
 pub fn lex(src: &str) -> (Vec<Token>, Pragmas) {
     let chars: Vec<char> = src.chars().collect();
@@ -579,20 +530,6 @@ mod tests {
             })
             .collect();
         assert_eq!(nums, vec!["0xC1", "1_000u64", "2.5"]);
-    }
-
-    #[test]
-    fn parse_int_handles_radix_separators_and_suffixes() {
-        assert_eq!(parse_int("255"), Some(255));
-        assert_eq!(parse_int("0xC1A5"), Some(0xC1A5));
-        assert_eq!(parse_int("0b1010"), Some(10));
-        assert_eq!(parse_int("0o17"), Some(15));
-        assert_eq!(parse_int("1_000_000"), Some(1_000_000));
-        assert_eq!(parse_int("255u8"), Some(255));
-        assert_eq!(parse_int("0xFFu16"), Some(255));
-        assert_eq!(parse_int("2.5"), None);
-        assert_eq!(parse_int("1e9"), None);
-        assert_eq!(parse_int("0x"), None);
     }
 
     #[test]

@@ -93,28 +93,24 @@ pub fn lint_lexical(files: &[SourceFile]) -> Vec<Finding> {
     findings
 }
 
-/// Phase 2: the syntax-aware analyses — parse every file, build the
-/// call-graph model, run the `lock-order-cycle`, `blocking-under-lock`
-/// and `wire-registry-drift` rules, then drop findings suppressed by a
+/// Phase 2: the syntax-aware analyses — parse every `crh-serve` library
+/// file, build the call-graph model, run the `lock-order-cycle` and
+/// `blocking-under-lock` rules, then drop findings suppressed by a
 /// pragma in their own file (unsorted).
 pub fn lint_syntax(files: &[SourceFile]) -> Vec<Finding> {
-    let mut inputs = Vec::new();
+    let mut parsed = Vec::new();
     let mut pragmas = std::collections::BTreeMap::new();
-    for f in files {
+    for f in files.iter().filter(|f| analyses::in_scope(&f.rel)) {
         let (toks, prag) = lexer::lex(&f.src);
-        let ast = parse::parse_tokens(&toks);
-        pragmas.insert(f.rel.clone(), prag);
-        inputs.push(analyses::FileInput {
-            rel: f.rel.clone(),
-            toks,
-            ast,
-        });
+        pragmas.insert(f.rel.as_str(), prag);
+        parsed.push((f.rel.as_str(), parse::parse_tokens(&toks)));
     }
-    analyses::run(&inputs)
+    let asts: Vec<(&str, &parse::Ast)> = parsed.iter().map(|(rel, ast)| (*rel, ast)).collect();
+    analyses::run(&asts)
         .into_iter()
         .filter(|f| {
             pragmas
-                .get(&f.file)
+                .get(f.file.as_str())
                 .is_none_or(|p| !p.allows(f.lint, f.line))
         })
         .collect()

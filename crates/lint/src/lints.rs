@@ -92,12 +92,6 @@ pub const LINTS: &[(&str, &str)] = &[
         "an fsync/socket/sleep blocking call (directly or through callees) runs while \
          a lock guard is live; a slow disk or peer stalls every thread behind the lock",
     ),
-    (
-        "wire-registry-drift",
-        "the wire-protocol registry drifted: duplicate request/response tags or error \
-         wire codes, an encode/decode arm mismatch, or a frame type missing from the \
-         proto_fuzz corpus",
-    ),
 ];
 
 /// Is `id` a known lint id?
@@ -139,18 +133,6 @@ const EXPLAIN: &[(&str, &str)] = &[
          `drop(g)`; an unbound temporary dies at its statement's end. Where \
          fsync-under-lock IS the durability contract (the WAL owns the mutex), \
          suppress with a pragma saying exactly that.",
-    ),
-    (
-        "wire-registry-drift",
-        "The wire protocol has three registration sites that must agree: the tag \
-         constants (`REQ_*`/`RESP_*` in proto.rs), the `encode` match arms writing \
-         them, and the `decode` match arms dispatching on them — plus the error wire \
-         codes in `error.rs::code` and the proto_fuzz corpus. crh-lint parses all of \
-         them and reports: duplicate tag values within a family, duplicate error wire \
-         codes, a Request/Response variant with no encode arm, no decode arm, or \
-         mismatched encode/decode tags, orphan tag constants, and any frame type the \
-         proto_fuzz corpus never constructs. Every finding anchors at the drifted \
-         declaration so the fix is local.",
     ),
 ];
 

@@ -2,11 +2,12 @@
 //! stream.
 //!
 //! This is not a Rust front end. It recovers just enough structure for
-//! the syntax-aware analyses: the item tree (fns, impls, mods, enums,
-//! consts, traits), statement lists with `let` bindings, postfix call
-//! chains (`self.core.lock().unwrap()`), `match` arms with their
-//! pattern paths, and closures/macros with their argument expressions
-//! scanned for nested calls. Everything it cannot understand degrades
+//! the syntax-aware analyses: the item tree (fns, impls, mods, traits;
+//! structs, enums, consts and statics are skipped), statement lists
+//! with `let` bindings, postfix call chains
+//! (`self.core.lock().unwrap()`), `match` arms with their guards and
+//! bodies, and closures/macros with their argument expressions scanned
+//! for nested calls. Everything it cannot understand degrades
 //! to an opaque literal instead of failing: the parser is **total** —
 //! it never panics, always terminates (every loop is forced to make
 //! progress), and bounds its recursion depth.
@@ -38,10 +39,6 @@ pub enum Item {
     Impl(ImplItem),
     /// An inline module.
     Mod(ModItem),
-    /// An enum definition with its variant names.
-    Enum(EnumItem),
-    /// A `const` or `static` with an optionally-recovered integer value.
-    Const(ConstItem),
     /// A trait definition (default method bodies are parsed).
     Trait(TraitItem),
 }
@@ -75,7 +72,7 @@ pub struct ImplItem {
     pub ty: String,
     /// 1-based line of the `impl` keyword.
     pub line: u32,
-    /// Items inside the impl (fns, consts).
+    /// Items inside the impl (fns).
     pub items: Vec<Item>,
 }
 
@@ -90,37 +87,6 @@ pub struct ModItem {
     pub cfg_test: bool,
     /// Items inside the module.
     pub items: Vec<Item>,
-}
-
-/// An enum definition.
-#[derive(Debug)]
-pub struct EnumItem {
-    /// Enum name.
-    pub name: String,
-    /// 1-based line.
-    pub line: u32,
-    /// The variants, in declaration order.
-    pub variants: Vec<Variant>,
-}
-
-/// One enum variant.
-#[derive(Debug)]
-pub struct Variant {
-    /// Variant name.
-    pub name: String,
-    /// 1-based line of the variant.
-    pub line: u32,
-}
-
-/// A `const`/`static` item.
-#[derive(Debug)]
-pub struct ConstItem {
-    /// Constant name.
-    pub name: String,
-    /// 1-based line.
-    pub line: u32,
-    /// The value, when the initializer is a single integer literal.
-    pub value: Option<u64>,
 }
 
 /// A trait definition.
@@ -276,10 +242,6 @@ pub struct MatchExpr {
 /// One match arm.
 #[derive(Debug)]
 pub struct Arm {
-    /// The leading path of each `|`-alternative in the pattern:
-    /// `Self::Ingest(c)` → `["Self", "Ingest"]`, `REQ_TRUTH` →
-    /// `["REQ_TRUTH"]`. Empty for tuple/literal/wildcard patterns.
-    pub pat_paths: Vec<Vec<String>>,
     /// The `if` guard, when present.
     pub guard: Option<Expr>,
     /// The arm body.
@@ -568,24 +530,20 @@ impl Parser<'_> {
                 let cfg_test = std::mem::take(attrs).is_test();
                 self.mod_item(cfg_test)
             }
-            Some("enum") => {
-                std::mem::take(attrs);
-                Some(self.enum_item())
-            }
-            Some("const" | "static") => {
-                std::mem::take(attrs);
-                self.const_item()
-            }
             Some("trait") => {
                 std::mem::take(attrs);
                 Some(self.trait_item())
             }
-            Some("struct" | "union") => {
+            Some("struct" | "union" | "enum") => {
                 std::mem::take(attrs);
                 self.bump();
-                self.take_ident();
-                if self.punct('<') {
-                    self.skip_angles();
+                // name, generics and where-clause up to the body
+                while !self.eof() && !self.punct('(') && !self.punct('{') && !self.punct(';') {
+                    if self.punct('<') {
+                        self.skip_angles();
+                    } else {
+                        self.bump();
+                    }
                 }
                 // tuple struct `(…);`, unit `;`, or braced body
                 if self.punct('(') {
@@ -598,7 +556,7 @@ impl Parser<'_> {
                 }
                 None
             }
-            Some("use" | "type") => {
+            Some("use" | "type" | "const" | "static") => {
                 std::mem::take(attrs);
                 self.bump();
                 self.skip_to_semi();
@@ -772,102 +730,6 @@ impl Parser<'_> {
             cfg_test,
             items,
         }))
-    }
-
-    fn enum_item(&mut self) -> Item {
-        let line = self.line();
-        self.bump(); // `enum`
-        let name = self.take_ident().unwrap_or_default();
-        if self.punct('<') {
-            self.skip_angles();
-        }
-        let mut variants = Vec::new();
-        if !self.punct('{') {
-            return Item::Enum(EnumItem {
-                name,
-                line,
-                variants,
-            });
-        }
-        self.bump();
-        let mut attrs = Attrs::default();
-        while !self.eof() && !self.punct('}') {
-            let start = self.i;
-            if self.punct('#') {
-                self.attr(&mut attrs);
-                continue;
-            }
-            if let Some(vname) = self.take_ident() {
-                let vline = self.t[self.i - 1].line;
-                variants.push(Variant {
-                    name: vname,
-                    line: vline,
-                });
-                attrs = Attrs::default();
-                // payload / discriminant
-                if self.punct('(') || self.punct('{') {
-                    self.skip_group();
-                }
-                if self.punct('=') {
-                    self.bump();
-                    while !self.eof() && !self.punct(',') && !self.punct('}') {
-                        if self.punct('(') || self.punct('[') || self.punct('{') {
-                            self.skip_group();
-                        } else {
-                            self.bump();
-                        }
-                    }
-                }
-            }
-            if self.punct(',') {
-                self.bump();
-            }
-            if self.i == start {
-                self.bump();
-            }
-        }
-        if self.punct('}') {
-            self.bump();
-        }
-        Item::Enum(EnumItem {
-            name,
-            line,
-            variants,
-        })
-    }
-
-    fn const_item(&mut self) -> Option<Item> {
-        let line = self.line();
-        self.bump(); // `const` / `static`
-        if self.ident() == Some("mut") {
-            self.bump();
-        }
-        let name = self.take_ident()?;
-        // skip the type annotation up to `=` (or `;` for decls)
-        let mut value = None;
-        while !self.eof() {
-            match self.kind() {
-                Some(Tok::Punct('=')) => {
-                    self.bump();
-                    // Single integer literal initializer?
-                    if let Some(Tok::Num(text)) = self.kind() {
-                        if matches!(self.kind_at(1), Some(Tok::Punct(';'))) {
-                            value = lexer::parse_int(text);
-                        }
-                    }
-                    self.skip_to_semi();
-                    break;
-                }
-                Some(Tok::Punct(';')) => {
-                    self.bump();
-                    break;
-                }
-                Some(Tok::Punct('(' | '[' | '{')) => self.skip_group(),
-                Some(Tok::Punct('<')) => self.skip_angles(),
-                _ => self.bump(),
-            }
-        }
-        Some(Item::Const(ConstItem { name, line, value }))
     }
 
     fn trait_item(&mut self) -> Item {
@@ -1545,22 +1407,13 @@ impl Parser<'_> {
 
     fn arm(&mut self) -> Arm {
         let line = self.line();
-        // Collect the pattern up to `=>`, splitting alternatives on
-        // top-level `|` and stopping for an `if` guard.
-        let mut pat_paths = Vec::new();
-        let mut alt: Vec<Token> = Vec::new();
+        // Skip the pattern up to `=>`, stopping for an `if` guard.
         let mut guard = None;
         let mut depth = 0i32;
         while !self.eof() {
             if depth == 0 {
                 if self.fat_arrow() {
                     break;
-                }
-                if self.punct('|') {
-                    pat_paths.push(Self::leading_path(&alt));
-                    alt.clear();
-                    self.bump();
-                    continue;
                 }
                 if self.ident() == Some("if") {
                     self.bump();
@@ -1576,55 +1429,14 @@ impl Parser<'_> {
                 Some(Tok::Punct(')' | ']' | '}')) => depth -= 1,
                 _ => {}
             }
-            if let Some(t) = self.t.get(self.i) {
-                alt.push(t.clone());
-            }
             self.bump();
         }
-        pat_paths.push(Self::leading_path(&alt));
         if self.fat_arrow() {
             self.bump();
             self.bump();
         }
         let body = self.expr(true);
-        Arm {
-            pat_paths,
-            guard,
-            body,
-            line,
-        }
-    }
-
-    /// The leading `A::B::C` path of a pattern alternative.
-    fn leading_path(toks: &[Token]) -> Vec<String> {
-        let mut path = Vec::new();
-        let mut i = 0usize;
-        // skip leading `&`, `mut`, `ref`, `box`
-        while i < toks.len() {
-            match &toks[i].kind {
-                Tok::Punct('&') => i += 1,
-                Tok::Ident(w) if w == "mut" || w == "ref" || w == "box" => i += 1,
-                _ => break,
-            }
-        }
-        while i < toks.len() {
-            match &toks[i].kind {
-                Tok::Ident(w) => {
-                    path.push(w.clone());
-                    i += 1;
-                    if i + 1 < toks.len()
-                        && toks[i].kind == Tok::Punct(':')
-                        && toks[i + 1].kind == Tok::Punct(':')
-                    {
-                        i += 2;
-                    } else {
-                        break;
-                    }
-                }
-                _ => break,
-            }
-        }
-        path
+        Arm { guard, body, line }
     }
 }
 
@@ -1644,7 +1456,6 @@ mod tests {
                     Item::Impl(i) => walk(&i.items, out),
                     Item::Mod(m) => walk(&m.items, out),
                     Item::Trait(t) => walk(&t.items, out),
-                    _ => {}
                 }
             }
         }
@@ -1701,37 +1512,24 @@ mod tests {
     }
 
     #[test]
-    fn enum_variants_and_consts() {
+    fn type_and_const_items_are_skipped_without_desync() {
+        // bodies, discriminants, where-clauses and braced initializers
+        // are skipped whole, so the fn after them is still found
         let ast = parse(
-            "pub enum Request { Ingest(Vec<Claim>), Status, WithDeadline { budget_ms: u64 } }\n\
-             pub const REQ_INGEST: u8 = 0;\n\
+            "pub enum Request { Ingest(Vec<Claim>), Status = 3, Deadline { budget_ms: u64 } }\n\
+             enum Wrap<T> where T: Clone { A(T) }\n\
+             struct Pair<T> where T: Copy { a: T }\n\
              pub const TAG: u8 = 0xC1;\n\
-             pub const SHIFTED: usize = 16 << 20;",
+             static TABLE: [u8; 2] = { let x = [1, 2]; x };\n\
+             fn after() { g(); }",
         );
-        let Item::Enum(e) = &ast.items[0] else {
-            panic!()
-        };
-        let v: Vec<&str> = e.variants.iter().map(|v| v.name.as_str()).collect();
-        assert_eq!(v, vec!["Ingest", "Status", "WithDeadline"]);
-        let consts: Vec<(&str, Option<u64>)> = ast.items[1..]
-            .iter()
-            .map(|i| match i {
-                Item::Const(c) => (c.name.as_str(), c.value),
-                _ => panic!(),
-            })
-            .collect();
-        assert_eq!(
-            consts,
-            vec![
-                ("REQ_INGEST", Some(0)),
-                ("TAG", Some(0xC1)),
-                ("SHIFTED", None)
-            ]
-        );
+        let names: Vec<&str> = fns(&ast).iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, vec!["after"]);
+        assert_eq!(ast.items.len(), 1);
     }
 
     #[test]
-    fn match_arms_capture_pattern_paths() {
+    fn match_arms_skip_patterns_up_to_the_arrow() {
         let src = "fn f(&self) { match self { Self::Ingest(c) => e.u8(REQ_INGEST), \
                    Self::A | Self::B => x(), tag => fallback(tag), } }";
         let ast = parse(src);
@@ -1744,12 +1542,9 @@ mod tests {
             panic!()
         };
         assert_eq!(m.arms.len(), 3);
-        assert_eq!(m.arms[0].pat_paths, vec![vec!["Self", "Ingest"]]);
-        assert_eq!(
-            m.arms[1].pat_paths,
-            vec![vec!["Self", "A"], vec!["Self", "B"]]
-        );
-        assert_eq!(m.arms[2].pat_paths, vec![vec!["tag"]]);
+        assert!(m.arms.iter().all(|a| a.guard.is_none()));
+        assert!(matches!(&m.arms[1].body, Expr::Chain(c)
+            if matches!(&c.base, Base::Call { segs, .. } if segs == &["x"])));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Fixture-driven end-to-end tests for the syntax-aware rules
-//! (`lock-order-cycle`, `blocking-under-lock`, `wire-registry-drift`).
+//! (`lock-order-cycle`, `blocking-under-lock`).
 //!
 //! Unlike the unit tests inside each analysis, these go through
 //! [`crh_lint::lint_files`] — the same engine the CLI uses — so path
@@ -81,81 +81,5 @@ fn fsync_under_guard_direct_and_transitive_fire_but_suppressed_and_dropped_do_no
     assert!(
         blocking[1].1.contains("append") && blocking[1].1.contains("sync_data"),
         "transitive finding should name the call and its root: {blocking:#?}"
-    );
-}
-
-#[test]
-fn wire_registry_drift_fixture_reports_each_kind_of_drift() {
-    let found = lint_files(&[
-        sf(
-            "crates/serve/src/proto.rs",
-            include_str!("fixtures/wire_proto_drift.rs"),
-        ),
-        sf(
-            "crates/serve/tests/proto_fuzz.rs",
-            include_str!("fixtures/wire_fuzz_corpus.rs"),
-        ),
-    ]);
-    let wire = hits(&found, "wire-registry-drift");
-    // line 10 (`Gone`): missing decode arm + missing fuzz coverage;
-    // line 15 (`REQ_DUP`): duplicate tag value + orphan constant.
-    // The pragma'd `RESP_DUP` duplicate stays silent.
-    assert_eq!(
-        wire.iter().map(|(l, _)| *l).collect::<Vec<_>>(),
-        vec![10, 10, 15, 15],
-        "{wire:#?}"
-    );
-    assert!(wire.iter().any(|(_, m)| m.contains("no decode arm")));
-    assert!(wire.iter().any(|(_, m)| m.contains("proto_fuzz corpus")));
-    assert!(wire
-        .iter()
-        .any(|(_, m)| m.contains("duplicate request tag 0")));
-    assert!(wire.iter().any(|(_, m)| m.contains("not used by any")));
-    assert!(
-        !wire.iter().any(|(_, m)| m.contains("RESP_DUP")),
-        "suppressed duplicate leaked: {wire:#?}"
-    );
-}
-
-#[test]
-fn real_wire_registry_and_error_codes_are_clean() {
-    // The rule must hold against the actual protocol sources, fuzz
-    // corpus included — this is the live drift gate, not a simulation.
-    let found = lint_files(&[
-        sf(
-            "crates/serve/src/proto.rs",
-            include_str!("../../serve/src/proto.rs"),
-        ),
-        sf(
-            "crates/serve/src/error.rs",
-            include_str!("../../serve/src/error.rs"),
-        ),
-        sf(
-            "crates/serve/tests/proto_fuzz.rs",
-            include_str!("../../serve/tests/proto_fuzz.rs"),
-        ),
-    ]);
-    let wire = hits(&found, "wire-registry-drift");
-    assert!(wire.is_empty(), "registry drifted: {wire:#?}");
-}
-
-#[test]
-fn removing_a_decode_arm_from_the_real_registry_is_caught() {
-    // Simulate the classic protocol edit mistake: drop one decode arm
-    // from the real proto.rs and the gate must trip.
-    let proto = include_str!("../../serve/src/proto.rs");
-    let broken = proto.replacen("REQ_WEIGHTS => Self::Weights,", "", 1);
-    assert_ne!(proto, broken, "fixture drift: decode arm pattern not found");
-    let found = lint_files(&[
-        sf("crates/serve/src/proto.rs", &broken),
-        sf(
-            "crates/serve/tests/proto_fuzz.rs",
-            include_str!("../../serve/tests/proto_fuzz.rs"),
-        ),
-    ]);
-    let wire = hits(&found, "wire-registry-drift");
-    assert!(
-        wire.iter().any(|(_, m)| m.contains("no decode arm")),
-        "{wire:#?}"
     );
 }

@@ -93,7 +93,7 @@ impl Client {
             hint,
         } = resp
         {
-            return Err(map_wire_error(c, message, hint));
+            return Err(ServeError::from_wire(c, message, hint));
         }
         Ok(resp)
     }
@@ -200,22 +200,11 @@ fn unwrap_read(resp: Response) -> Result<(Response, u64), ServeError> {
                 hint,
             } = inner
             {
-                return Err(map_wire_error(c, message, hint));
+                return Err(ServeError::from_wire(c, message, hint));
             }
             Ok((inner, lag))
         }
         resp => Ok((resp, 0)),
-    }
-}
-
-fn map_wire_error(c: u8, message: String, hint: Option<u32>) -> ServeError {
-    match c {
-        code::OVERLOADED => ServeError::Overloaded { capacity: 0 },
-        code::DEADLINE => ServeError::DeadlineExceeded,
-        code::SHUTTING_DOWN => ServeError::ShuttingDown,
-        code::NOT_PRIMARY => ServeError::NotPrimary { hint },
-        code::DISK_DEGRADED => ServeError::DiskDegraded { op: "remote disk" },
-        _ => ServeError::Remote { code: c, message },
     }
 }
 
@@ -485,7 +474,7 @@ impl ClusterClient {
                 goto: Goto::Next,
                 class: "error",
             },
-            _ => Outcome::Fatal(map_wire_error(c, message, hint)),
+            _ => Outcome::Fatal(ServeError::from_wire(c, message, hint)),
         }
     }
 
@@ -629,7 +618,7 @@ impl ClusterClient {
                 code: c,
                 message,
                 hint,
-            } => Err(map_wire_error(c, message, hint)),
+            } => Err(ServeError::from_wire(c, message, hint)),
             resp => {
                 self.last_served = Some(node_id);
                 Ok(resp)
@@ -800,7 +789,7 @@ mod tests {
             panic!("expected an error response");
         };
         assert_eq!(hint, Some(2));
-        let mapped = map_wire_error(c, message, hint);
+        let mapped = ServeError::from_wire(c, message, hint);
         assert!(
             matches!(mapped, ServeError::NotPrimary { hint: Some(2) }),
             "{mapped}"

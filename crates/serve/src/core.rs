@@ -50,6 +50,7 @@ use crh_stream::{ICrh, ICrhCheckpoint, ICrhState};
 use crate::breaker::{BreakerConfig, SourceBreakers};
 use crate::error::ServeError;
 use crate::faults::{ServeFate, ServeFaultInjector, ServePoint};
+use crate::proto::{decode_exact, enc_list, Wire};
 use crate::vfs::Vfs;
 use crate::wal::{Wal, WalRecovery};
 
@@ -901,40 +902,19 @@ pub fn claims_from_csv(schema: &Schema, text: &str) -> Result<Vec<ChunkClaim>, S
     Ok(claims)
 }
 
-/// Encode a WAL chunk record: `seq`, claim count, then each claim.
+/// Encode a WAL chunk record: `seq`, then the claim list.
 pub(crate) fn encode_chunk(seq: u64, claims: &[ChunkClaim]) -> Vec<u8> {
     let mut e = Enc::new();
-    e.u64(seq);
-    e.u32(claims.len() as u32);
-    for c in claims {
-        e.u32(c.object);
-        e.u32(c.property);
-        e.u32(c.source);
-        e.value(&c.value);
-    }
+    seq.enc(&mut e);
+    enc_list(claims, &mut e);
     e.into_bytes()
 }
 
 /// Decode a WAL chunk record.
 pub(crate) fn decode_chunk(bytes: &[u8]) -> Result<(u64, Vec<ChunkClaim>), ServeError> {
-    let mut d = Dec::new(bytes);
-    let seq = d.u64()?;
-    let n = d.u32()? as usize;
-    let mut claims = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        claims.push(ChunkClaim {
-            object: d.u32()?,
-            property: d.u32()?,
-            source: d.u32()?,
-            value: d.value()?,
-        });
-    }
-    if !d.is_exhausted() {
-        return Err(ServeError::Protocol(
-            "trailing bytes after chunk record".into(),
-        ));
-    }
-    Ok((seq, claims))
+    decode_exact(bytes, "chunk record", |d| {
+        Ok((Wire::dec(d)?, Wire::dec(d)?))
+    })
 }
 
 fn snapshot_payload(ckpt: &ICrhCheckpoint, cache: &TruthCache) -> Vec<u8> {

@@ -283,39 +283,55 @@ impl From<std::io::Error> for ServeError {
     }
 }
 
-/// Wire error codes (stable across versions; used by
-/// [`Response::Error`](crate::proto::Response)).
-pub mod code {
+/// Declares the wire error codes once. Each row becomes a `u8` const in
+/// [`code`] and a discriminant of a private `#[repr(u8)]` enum, so two
+/// rows sharing a value fail the build (E0081).
+macro_rules! wire_codes {
+    ($($(#[$doc:meta])* $name:ident = $value:literal,)*) => {
+        /// Wire error codes (stable across versions; used by
+        /// [`Response::Error`](crate::proto::Response)).
+        pub mod code {
+            #[allow(non_camel_case_types, clippy::upper_case_acronyms)]
+            #[repr(u8)]
+            enum Unique {
+                $($name = $value,)*
+            }
+            $($(#[$doc])* pub const $name: u8 = Unique::$name as u8;)*
+        }
+    };
+}
+
+wire_codes! {
     /// Queue full.
-    pub const OVERLOADED: u8 = 1;
+    OVERLOADED = 1,
     /// Source quarantined.
-    pub const QUARANTINED: u8 = 2;
+    QUARANTINED = 2,
     /// Deadline exceeded.
-    pub const DEADLINE: u8 = 3;
+    DEADLINE = 3,
     /// Chunk failed validation.
-    pub const INVALID_CHUNK: u8 = 4;
+    INVALID_CHUNK = 4,
     /// Malformed frame or request.
-    pub const PROTOCOL: u8 = 5;
+    PROTOCOL = 5,
     /// Daemon shutting down.
-    pub const SHUTTING_DOWN: u8 = 6;
+    SHUTTING_DOWN = 6,
     /// Anything else (durability, solver internals).
-    pub const INTERNAL: u8 = 7;
+    INTERNAL = 7,
     /// This node is a follower; writes must go to the primary.
-    pub const NOT_PRIMARY: u8 = 8;
+    NOT_PRIMARY = 8,
     /// Durable locally but the replication quorum was not reached.
-    pub const NOT_REPLICATED: u8 = 9;
+    NOT_REPLICATED = 9,
     /// Replication message from a deposed epoch.
-    pub const STALE_EPOCH: u8 = 10;
+    STALE_EPOCH = 10,
     /// Replication frame carried the wrong cluster key.
-    pub const UNAUTHENTICATED: u8 = 11;
+    UNAUTHENTICATED = 11,
     /// Scatter-gather read missing one or more shard groups.
-    pub const DEGRADED: u8 = 12;
+    DEGRADED = 12,
     /// Shard-routed frame delivered to a member of a different shard.
-    pub const WRONG_SHARD: u8 = 13;
+    WRONG_SHARD = 13,
     /// Shard-routed frame carried a pre-cutover shard-map version.
-    pub const STALE_SHARD_MAP: u8 = 14;
+    STALE_SHARD_MAP = 14,
     /// The node's disk is sticky-failed; it cannot accept writes.
-    pub const DISK_DEGRADED: u8 = 15;
+    DISK_DEGRADED = 15,
 }
 
 impl ServeError {
@@ -371,6 +387,21 @@ impl ServeError {
             Self::DiskDegraded { .. } => code::DISK_DEGRADED,
             Self::Remote { code, .. } => *code,
             _ => code::INTERNAL,
+        }
+    }
+
+    /// The typed error a client raises for a daemon's
+    /// [`Response::Error`](crate::proto::Response): the inverse of
+    /// [`wire_code`](Self::wire_code) for the codes a client acts on,
+    /// [`ServeError::Remote`] for the rest.
+    pub fn from_wire(c: u8, message: String, hint: Option<u32>) -> Self {
+        match c {
+            code::OVERLOADED => Self::Overloaded { capacity: 0 },
+            code::DEADLINE => Self::DeadlineExceeded,
+            code::SHUTTING_DOWN => Self::ShuttingDown,
+            code::NOT_PRIMARY => Self::NotPrimary { hint },
+            code::DISK_DEGRADED => Self::DiskDegraded { op: "remote disk" },
+            _ => Self::Remote { code: c, message },
         }
     }
 }

@@ -63,7 +63,7 @@ use crate::core::{ServeConfig, ServeCore};
 use crate::error::ServeError;
 use crate::failover::elect;
 use crate::health::HealthMap;
-use crate::proto::{Request, Response};
+use crate::proto::{decode_exact, wire_struct, Request, Response, Wire};
 use crate::vfs::Vfs;
 use crate::wal::Wal;
 
@@ -233,30 +233,7 @@ struct Staged {
     payload: Vec<u8>,
 }
 
-fn staging_record(s: &Staged) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u64(s.seq);
-    e.u64(s.epoch);
-    e.bytes(&s.payload);
-    e.into_bytes()
-}
-
-fn decode_staging_record(bytes: &[u8]) -> Result<Staged, ServeError> {
-    let mut d = Dec::new(bytes);
-    let seq = d.u64()?;
-    let epoch = d.u64()?;
-    let payload = d.bytes()?;
-    if !d.is_exhausted() {
-        return Err(ServeError::Protocol(
-            "trailing bytes in staging record".into(),
-        ));
-    }
-    Ok(Staged {
-        seq,
-        epoch,
-        payload,
-    })
-}
+wire_struct! { Staged { seq, epoch, payload } }
 
 /// One member of a replicated `crh-serve` cluster. See the module docs
 /// for the protocol.
@@ -353,7 +330,7 @@ impl ReplicaNode {
         let mut expected = core.chunks_seen();
         let mut dropped = false;
         for bytes in &rec.records {
-            let s = decode_staging_record(bytes)?;
+            let s = decode_exact(bytes, "staging record", Staged::dec)?;
             if s.seq < expected {
                 dropped = true;
                 continue;
@@ -368,7 +345,7 @@ impl ReplicaNode {
         if dropped {
             staging.truncate_all()?;
             for s in &staged {
-                staging.append(&staging_record(s))?;
+                staging.append(&s.to_wire())?;
             }
         }
 
@@ -613,7 +590,7 @@ impl ReplicaNode {
             payload: encode_chunk(seq, claims),
         };
         self.staging
-            .append(&staging_record(&entry))
+            .append(&entry.to_wire())
             .map_err(|e| self.depose_if_degraded(e))?;
         self.push_retention(entry.clone());
         self.staged.push_back(entry);
@@ -1156,7 +1133,7 @@ impl ReplicaNode {
             epoch,
             payload: payload.to_vec(),
         };
-        self.staging.append(&staging_record(&entry))?;
+        self.staging.append(&entry.to_wire())?;
         self.push_retention(entry.clone());
         self.staged.push_back(entry);
         self.synced = seq + 1;
@@ -1167,7 +1144,7 @@ impl ReplicaNode {
     fn rebuild_staging(&mut self) -> Result<(), ServeError> {
         self.staging.truncate_all()?;
         for s in &self.staged {
-            self.staging.append(&staging_record(s))?;
+            self.staging.append(&s.to_wire())?;
         }
         Ok(())
     }
@@ -1343,6 +1320,27 @@ mod tests {
     use super::*;
     use crh_core::schema::Schema;
     use crh_core::value::Value;
+
+    #[test]
+    fn staging_record_layout_is_pinned() {
+        // seq:u64 | epoch:u64 | len:u64 | payload — the on-disk layout
+        let s = Staged {
+            seq: 7,
+            epoch: 3,
+            payload: vec![0xAB, 0xCD],
+        };
+        let bytes = s.to_wire();
+        let mut want = Vec::new();
+        for word in [7u64, 3, 2] {
+            want.extend_from_slice(&word.to_le_bytes());
+        }
+        want.extend_from_slice(&[0xAB, 0xCD]);
+        assert_eq!(bytes, want);
+        assert_eq!(
+            decode_exact(&bytes, "staging record", Staged::dec).unwrap(),
+            s
+        );
+    }
 
     fn schema() -> Schema {
         let mut s = Schema::new();

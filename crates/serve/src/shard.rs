@@ -29,7 +29,7 @@ use crate::core::{decode_chunk, ChunkClaim, ServeConfig, ServeCore};
 use crate::error::ServeError;
 use crate::failover::SimCluster;
 use crate::faults::{ShardFaultPlan, SplitCrash};
-use crate::proto::{Request, Response};
+use crate::proto::{decode_exact, Request, Response, Wire};
 use crate::vfs::Vfs;
 
 const MAP_MAGIC: [u8; 8] = *b"CRHSHMP1";
@@ -197,33 +197,16 @@ impl ShardMap {
     /// Encode for the wire and the durable store.
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
-        e.u64(self.version);
-        e.u32(self.ranges.len() as u32);
-        for r in &self.ranges {
-            e.u32(r.shard);
-            e.u64(r.start);
-            e.u64(r.end);
-        }
+        self.version.enc(&mut e);
+        self.ranges.enc(&mut e);
         e.into_bytes()
     }
 
     /// Decode and re-validate (a corrupt or hand-built table is refused,
     /// not trusted).
     pub fn decode(bytes: &[u8]) -> Result<Self, ServeError> {
-        let mut d = Dec::new(bytes);
-        let version = d.u64()?;
-        let n = d.u32()? as usize;
-        let mut ranges = Vec::with_capacity(n.min(1 << 12));
-        for _ in 0..n {
-            ranges.push(ShardRange {
-                shard: d.u32()?,
-                start: d.u64()?,
-                end: d.u64()?,
-            });
-        }
-        if !d.is_exhausted() {
-            return Err(ServeError::Protocol("trailing bytes in shard map".into()));
-        }
+        let (version, ranges) =
+            decode_exact(bytes, "shard map", |d| Ok((Wire::dec(d)?, Wire::dec(d)?)))?;
         Self::from_ranges(version, ranges)
     }
 }

@@ -7,11 +7,15 @@
 //! reproducible from the assertion message's `(variant, round)` key
 //! alone.
 
+use std::collections::BTreeSet;
+
+use crh_core::persist::digest64;
 use crh_core::rng::{hash_rng, Rng};
+use crh_core::schema::Schema;
 use crh_core::value::{Truth, Value};
 use crh_serve::error::code;
 use crh_serve::proto::{read_frame, write_frame, Request, Response};
-use crh_serve::{ChunkClaim, ShardMap, ShardRange};
+use crh_serve::{ChunkClaim, ServeConfig, ServeCore, ShardMap, ShardRange};
 
 fn sample_claims() -> Vec<ChunkClaim> {
     vec![
@@ -207,6 +211,28 @@ fn sample_responses() -> Vec<Response> {
         },
         Response::ProbeAck { nonce: 0x9D5_F00D },
     ]
+}
+
+#[test]
+fn corpus_roundtrips_and_covers_every_tag() {
+    // the leading byte of every frame is its tag, so the tags the corpus
+    // produces must be exactly the generated tag lists: a new frame row
+    // with no sample here fails this test
+    let requests = sample_requests();
+    for req in &requests {
+        assert_eq!(&Request::decode(&req.encode()).unwrap(), req);
+    }
+    let tags: BTreeSet<u8> = requests.iter().map(|r| r.encode()[0]).collect();
+    assert_eq!(tags, Request::TAGS.iter().copied().collect());
+    assert_eq!(tags.len(), Request::TAGS.len(), "duplicate request tag");
+
+    let responses = sample_responses();
+    for resp in &responses {
+        assert_eq!(&Response::decode(&resp.encode()).unwrap(), resp);
+    }
+    let tags: BTreeSet<u8> = responses.iter().map(|r| r.encode()[0]).collect();
+    assert_eq!(tags, Response::TAGS.iter().copied().collect());
+    assert_eq!(tags.len(), Response::TAGS.len(), "duplicate response tag");
 }
 
 fn flip_some(bytes: &mut [u8], seed: u64, key: &[u64]) {
@@ -418,4 +444,89 @@ fn corrupted_frame_streams_never_panic() {
             }
         }
     }
+}
+
+/// `(length, digest64)` of every encoding the wire and the disk carry,
+/// pinned so a codec change that moves a single byte fails here. The
+/// order follows `sample_requests`, then `sample_responses`, then one
+/// `ShardMap`, then one WAL chunk record.
+const GOLDEN: &[(usize, u64)] = &[
+    (67, 0x383215CE2A9C2BB3),
+    (30, 0xEC2C7723A6E675F0),
+    (1, 0xAF63BF4C8601BB45),
+    (9, 0x366480AA83C341A4),
+    (1, 0xAF63B94C8601B113),
+    (83, 0x3AE5EF5965CE4BAA),
+    (1, 0xAF63BB4C8601B479),
+    (49, 0x37A062293EA21E2F),
+    (37, 0x348FCBF2BAD9981C),
+    (25, 0x7FC7085E69217C29),
+    (29, 0x66667C7F4FC9B5B7),
+    (17, 0x340E507608934250),
+    (1, 0xAF63C14C8601BEAB),
+    (79, 0xA7019571964C172E),
+    (21, 0x81D5C6AAF7C917A7),
+    (37, 0xF9A7E556B44BB636),
+    (50, 0x142AB6669E39E889),
+    (61, 0xF4337B864EACEA01),
+    (26, 0x7DB3AEC8E6A698F2),
+    (18, 0x3B42F6FD9F35639B),
+    (9, 0x4DBDBFABB8D4842A),
+    (17, 0x40EC332D67D57A1C),
+    (33, 0x9561FF0C643E62E7),
+    (2, 0x08395407B4F1363F),
+    (12, 0xA1B44F80462F49B5),
+    (31, 0x17EF085B19BD381C),
+    (45, 0x3E0E5913EDF5AFB7),
+    (41, 0x631C12D5D7FB62A6),
+    (21, 0x5315E1CFD4750129),
+    (52, 0x02927AF01DCDD960),
+    (29, 0x8E38645F387D0DE4),
+    (41, 0x2390965A4FE9EA4B),
+    (62, 0xF402B9A312C65027),
+    (42, 0x51EF8519398A0AA6),
+    (57, 0x77D50A3ABD2A33C1),
+    (9, 0xAAD76221FF56A17F),
+    (52, 0x1632EA2EB8FF03A1),
+    (74, 0x9C4AC5156694266D),
+];
+
+/// The payload of the single record a fresh daemon appends to its WAL
+/// for one ingested chunk of `sample_claims` (the file header and the
+/// record's length/CRC frame stripped).
+fn wal_chunk_record() -> Vec<u8> {
+    let dir = std::env::temp_dir().join(format!("crh_golden_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut schema = Schema::new();
+    schema.add_continuous("temperature");
+    let condition = schema.add_categorical("condition");
+    schema.intern(condition, "sunny").unwrap();
+    schema.intern(condition, "rainy").unwrap();
+    schema.add_text("sky");
+    let (mut core, _) = ServeCore::open(ServeConfig::new(schema, 0.5, &dir)).unwrap();
+    core.ingest(&sample_claims()).unwrap();
+    drop(core);
+    let wal = std::fs::read(dir.join("ingest.wal")).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    // 8-byte file header, then len:u32 | crc32:u32 | payload
+    let len = u32::from_le_bytes(wal[8..12].try_into().unwrap()) as usize;
+    assert_eq!(wal.len(), 16 + len, "expected exactly one WAL record");
+    wal[16..].to_vec()
+}
+
+#[test]
+fn golden_bytes_pin_every_encoding() {
+    let map = ShardMap::from_ranges(4, sample_ranges()).unwrap();
+    let encodings: Vec<Vec<u8>> = sample_requests()
+        .iter()
+        .map(Request::encode)
+        .chain(sample_responses().iter().map(Response::encode))
+        .chain([map.encode(), wal_chunk_record()])
+        .collect();
+    let got: Vec<(usize, u64)> = encodings.iter().map(|b| (b.len(), digest64(b))).collect();
+    let table: String = got
+        .iter()
+        .map(|(len, digest)| format!("    ({len}, 0x{digest:016X}),\n"))
+        .collect();
+    assert_eq!(got, GOLDEN, "encodings moved; current table:\n{table}");
 }
