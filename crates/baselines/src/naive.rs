@@ -30,8 +30,8 @@ fn resolve_naive(table: &ObservationTable, agg: Option<Aggregate>) -> TruthTable
                 let v = match a {
                     Aggregate::Mean => nums.iter().sum::<f64>() / nums.len().max(1) as f64,
                     Aggregate::Median => {
-                        let pairs: Vec<(f64, f64)> = nums.iter().map(|&x| (x, 1.0)).collect();
-                        weighted_median(&pairs)
+                        let mut pairs: Vec<(f64, f64)> = nums.iter().map(|&x| (x, 1.0)).collect();
+                        weighted_median(&mut pairs)
                     }
                 };
                 Truth::Point(Value::Num(v))

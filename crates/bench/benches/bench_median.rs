@@ -1,11 +1,13 @@
 //! Ablation: weighted median (Eq 16) vs weighted mean (Eq 14) truth
-//! updates — the robustness-for-speed trade-off of §2.4.2.
+//! updates — the robustness-for-speed trade-off of §2.4.2 — and the
+//! median's sort-per-call form vs the linear scan over an order sorted
+//! once, which is what the columnar solver runs on every iteration.
 
 use std::hint::black_box;
 
 use crh_bench::microbench::Harness;
 use crh_core::ids::SourceId;
-use crh_core::loss::{weighted_median, AbsoluteLoss, Loss, SquaredLoss};
+use crh_core::loss::{weighted_median, weighted_median_scan, AbsoluteLoss, Loss, SquaredLoss};
 use crh_core::stats::EntryStats;
 use crh_core::value::Value;
 
@@ -15,8 +17,24 @@ fn bench_median(c: &mut Harness) {
         let pairs: Vec<(f64, f64)> = (0..n)
             .map(|i| (((i * 2654435761) % 1000) as f64, 0.1 + (i % 10) as f64))
             .collect();
+        // sort-based: every call re-sorts a fresh copy of the pairs
+        let mut buf = pairs.clone();
         g.bench_function(format!("median/{n}"), |b| {
-            b.iter(|| weighted_median(black_box(&pairs)))
+            b.iter(|| {
+                buf.copy_from_slice(black_box(&pairs));
+                weighted_median(&mut buf)
+            })
+        });
+        // presorted: the value order is built once, each call folds the
+        // total in source order and scans the order linearly
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_by(|&a, &b| pairs[a as usize].0.total_cmp(&pairs[b as usize].0));
+        g.bench_function(format!("presorted_scan/{n}"), |b| {
+            b.iter(|| {
+                let pairs = black_box(&pairs);
+                let total = pairs.iter().fold(0.0, |t, p| t + p.1);
+                weighted_median_scan(order.len(), total, |i| pairs[order[i] as usize])
+            })
         });
     }
     g.finish();

@@ -159,6 +159,10 @@ pub struct NumColumn {
     /// `rows.len() × K` dense values; `0.0` in invalid slots.
     values: Vec<f64>,
     valid: Bitmap,
+    /// `rows.len() × K` source slots: each row's valid slots by value,
+    /// then unused padding. Empty unless the plan presorted the column for
+    /// the median kernel.
+    order: Vec<u32>,
 }
 
 /// A dense `u32` code column for one categorical or text property.
@@ -213,6 +217,45 @@ impl NumColumn {
     /// One row's validity bits.
     pub fn valid_row(&self, row: usize) -> &[u64] {
         self.valid.row(row)
+    }
+
+    /// One row's valid source slots in ascending [`f64::total_cmp`] value
+    /// order, ties in ascending source id. Empty unless the column was
+    /// presorted by a [`ColumnarPlan`] for the median kernel.
+    pub fn order_row(&self, row: usize, k: usize) -> &[u32] {
+        let len: usize = self
+            .valid_row(row)
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum();
+        self.order.get(row * k..row * k + len).unwrap_or(&[])
+    }
+
+    /// Build every row's [`order_row`](Self::order_row). The stable sort
+    /// over ascending source ids keeps ties in source order, exactly what
+    /// [`weighted_median`](crate::loss::weighted_median) does to the row
+    /// path's source-ordered observations; values never change during a
+    /// solve, so this runs once per table instead of once per sweep.
+    fn presort(&mut self, k: usize) {
+        let NumColumn {
+            rows,
+            values,
+            valid,
+            order,
+        } = self;
+        order.resize(rows.len() * k, 0);
+        for row in 0..rows.len() {
+            let vals = &values[row * k..(row + 1) * k];
+            let slots = &mut order[row * k..(row + 1) * k];
+            let mut len = 0;
+            for s in 0..k {
+                if valid.get(row, s) {
+                    slots[len] = s as u32;
+                    len += 1;
+                }
+            }
+            slots[..len].sort_by(|&a, &b| vals[a as usize].total_cmp(&vals[b as usize]));
+        }
     }
 }
 
@@ -291,6 +334,7 @@ impl ColumnarTable {
                     rows: Vec::with_capacity(rows_hint),
                     values: Vec::with_capacity(rows_hint * k),
                     valid: Bitmap::zeroed(rows_hint, k),
+                    order: Vec::new(),
                 })),
                 PropertyType::Categorical | PropertyType::Text => {
                     let dict = if def.ptype == PropertyType::Text {
@@ -434,7 +478,8 @@ impl ColumnarTable {
 
 /// A [`ColumnarTable`] plus the per-property [`KernelClass`] resolution —
 /// everything the solver kernels need to route each property to its fast
-/// sweep or keep the exact row path.
+/// sweep or keep the exact row path. Columns resolved to
+/// [`KernelClass::Median`] are presorted ([`NumColumn::order_row`]).
 #[derive(Debug, Clone)]
 pub struct ColumnarPlan {
     /// The columnar mirror.
@@ -445,11 +490,11 @@ pub struct ColumnarPlan {
 }
 
 impl ColumnarPlan {
-    /// Build the mirror and resolve each property's kernel class against
-    /// its configured loss.
+    /// Build the mirror, resolve each property's kernel class against its
+    /// configured loss and presort the median columns.
     pub fn new(table: &ObservationTable, losses: &[Arc<dyn Loss>]) -> Result<Self> {
-        let columnar = ColumnarTable::build(table)?;
-        let class = losses
+        let mut columnar = ColumnarTable::build(table)?;
+        let class: Vec<KernelClass> = losses
             .iter()
             .enumerate()
             .map(
@@ -465,6 +510,12 @@ impl ColumnarPlan {
                 },
             )
             .collect();
+        let k = columnar.num_sources;
+        for (column, &c) in columnar.columns.iter_mut().zip(&class) {
+            if let (PropertyColumn::Num(col), KernelClass::Median) = (column, c) {
+                col.presort(k);
+            }
+        }
         Ok(Self {
             table: columnar,
             class,

@@ -8,7 +8,7 @@
 //!
 //! * **weighted vote** (Eq 9) over dense `u32` ids — [`fit_vote`],
 //! * **weighted mean** (Eq 14) / **weighted median** (Eq 16) over
-//!   contiguous `f64` columns — [`fit_mean`] / [`fit_median`],
+//!   contiguous `f64` columns — [`fit_mean`] / [`fit_median_presorted`],
 //! * **deviation accumulation** (Eqs 8/13/15) as branch-free column
 //!   sweeps — [`dev_sweep_zero_one`], [`dev_sweep_squared`],
 //!   [`dev_sweep_absolute`], [`dev_sweep_unit`].
@@ -39,7 +39,7 @@
 //!
 //! [`Pool`]: crate::par::Pool
 
-use crate::loss::weighted_median;
+use crate::loss::weighted_median_scan;
 
 /// Which columnar fast path (if any) reproduces a loss exactly.
 ///
@@ -65,13 +65,10 @@ pub enum KernelClass {
 }
 
 /// Reusable per-chunk fit scratch: the vote tally (indexed by dense id,
-/// epoch-stamped so it clears in O(candidates) per entry) and the median's
-/// `(value, weight)` gather buffer. Sized lazily on first use; the
-/// steady-state iteration loop performs no allocation.
+/// epoch-stamped so it clears in O(candidates) per entry). Sized lazily on
+/// first use; the steady-state iteration loop performs no allocation.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FitScratch {
-    /// Gather buffer for [`fit_median`].
-    pub(crate) pairs: Vec<(f64, f64)>,
     /// `tally[code]` = accumulated vote weight for the current entry.
     tally: Vec<f64>,
     /// Codes observed in the current entry, in first-appearance order —
@@ -141,21 +138,27 @@ pub(crate) fn fit_mean(values: &[f64], valid: &[u64], weights: &[f64]) -> f64 {
     acc / wsum
 }
 
-/// Weighted median over one entry's column row (Eq 16): gathers the valid
-/// `(value, weight)` pairs in ascending source order — the row path's
-/// observation order — and defers to the shared [`weighted_median`].
-pub(crate) fn fit_median(
+/// Weighted median over one entry's column row (Eq 16) without a gather
+/// or a sort: `order` lists the row's valid slots by value, ties in
+/// ascending source id — the order [`weighted_median`]'s stable sort
+/// gives the row path's source-ordered observations, built once per table
+/// by the plan. The total weight folds in ascending source order as the
+/// row path's does, then the shared [`weighted_median_scan`] runs over
+/// `order`. Returns `None` only for an all-invalid row.
+///
+/// [`weighted_median`]: crate::loss::weighted_median
+pub(crate) fn fit_median_presorted(
     values: &[f64],
     valid: &[u64],
+    order: &[u32],
     weights: &[f64],
-    pairs: &mut Vec<(f64, f64)>,
 ) -> Option<f64> {
-    pairs.clear();
-    for_each_valid(valid, |k| pairs.push((values[k], weights[k])));
-    if pairs.is_empty() {
-        return None;
-    }
-    Some(weighted_median(pairs))
+    let mut total = 0.0;
+    for_each_valid(valid, |k| total += weights[k]);
+    weighted_median_scan(order.len(), total, |i| {
+        let k = order[i] as usize;
+        (values[k], weights[k])
+    })
 }
 
 /// Weighted plurality vote over one entry's dense ids (Eq 9), replicating
@@ -293,10 +296,16 @@ pub(crate) fn pairwise_accumulate(partials: &mut [f64], cell: usize) {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-    use crate::ids::SourceId;
-    use crate::loss::{AbsoluteLoss, Loss, SquaredLoss, ZeroOneLoss};
+    use crate::columnar::{ColumnarPlan, PropertyColumn};
+    use crate::ids::{ObjectId, SourceId};
+    use crate::loss::{weighted_median, AbsoluteLoss, Loss, SquaredLoss, ZeroOneLoss};
+    use crate::rng::{Pcg64, Rng};
+    use crate::schema::Schema;
     use crate::stats::EntryStats;
+    use crate::table::{Claim, ObservationTable};
     use crate::value::Value;
 
     fn words(mask: &[bool]) -> Vec<u64> {
@@ -337,28 +346,138 @@ mod tests {
         assert_eq!(row.to_bits(), col.to_bits());
     }
 
-    #[test]
-    fn median_matches_absolute_loss_fit_bitwise() {
-        let values = [10.0, 20.0, 30.0, 5.0];
-        let mask = [true, true, false, true];
-        let weights = [0.1, 10.0, 1.0, 0.1];
-        let obs: Vec<(SourceId, Value)> = mask
+    /// Presort one row the way the solver's plan does (a one-entry table,
+    /// `AbsoluteLoss`, `ColumnarPlan::new`) and run the presorted kernel
+    /// over it; `None` slots are missing claims.
+    fn presorted_median(values: &[Option<f64>], weights: &[f64]) -> f64 {
+        let mut schema = Schema::new();
+        let temp = schema.add_continuous("temp");
+        let claims: Vec<Claim> = values
             .iter()
             .enumerate()
-            .filter(|(_, &on)| on)
-            .map(|(k, _)| (SourceId(k as u32), Value::Num(values[k])))
+            .filter_map(|(s, v)| {
+                v.map(|x| Claim {
+                    object: ObjectId(0),
+                    property: temp,
+                    source: SourceId(s as u32),
+                    value: Value::Num(x),
+                })
+            })
+            .collect();
+        let table = ObservationTable::from_claims(schema, claims).unwrap();
+        let losses: Vec<Arc<dyn Loss>> = vec![Arc::new(AbsoluteLoss)];
+        let plan = ColumnarPlan::new(&table, &losses).unwrap();
+        assert_eq!(plan.class[0], KernelClass::Median);
+        let PropertyColumn::Num(col) = plan.table.column(0) else {
+            panic!("continuous property must be a Num column");
+        };
+        let k = table.num_sources();
+        fit_median_presorted(
+            col.values_row(0, k),
+            col.valid_row(0),
+            col.order_row(0, k),
+            weights,
+        )
+        .unwrap()
+    }
+
+    /// The presorted kernel must equal both the sort-based
+    /// `weighted_median` over source-ordered pairs and the row path's
+    /// `AbsoluteLoss::fit`, to the bit.
+    fn assert_presorted_matches(values: &[Option<f64>], weights: &[f64], case: &str) {
+        let mut pairs: Vec<(f64, f64)> = values
+            .iter()
+            .zip(weights)
+            .filter_map(|(v, &w)| v.map(|x| (x, w)))
+            .collect();
+        let sorted = weighted_median(&mut pairs);
+        let obs: Vec<(SourceId, Value)> = values
+            .iter()
+            .enumerate()
+            .filter_map(|(s, v)| v.map(|x| (SourceId(s as u32), Value::Num(x))))
             .collect();
         let row = AbsoluteLoss
-            .fit(&obs, &weights, &EntryStats::trivial())
+            .fit(&obs, weights, &EntryStats::trivial())
             .as_num()
             .unwrap();
-        let mut pairs = Vec::new();
-        let col = fit_median(&values, &words(&mask), &weights, &mut pairs).unwrap();
-        assert_eq!(row.to_bits(), col.to_bits());
+        let col = presorted_median(values, weights);
+        assert_eq!(sorted.to_bits(), row.to_bits(), "{case}: sort vs row");
+        assert_eq!(col.to_bits(), sorted.to_bits(), "{case}: presorted vs sort");
+    }
+
+    #[test]
+    fn median_matches_absolute_loss_fit_bitwise() {
+        let values = [Some(10.0), Some(20.0), None, Some(5.0)];
+        assert_presorted_matches(&values, &[0.1, 10.0, 1.0, 0.1], "basic");
         assert_eq!(
-            fit_median(&values, &words(&[false; 4]), &weights, &mut pairs),
+            fit_median_presorted(&[0.0; 4], &words(&[false; 4]), &[], &[1.0; 4]),
             None
         );
+    }
+
+    #[test]
+    fn presorted_median_matches_sort_on_adversarial_rows() {
+        let some = |vs: &[f64]| -> Vec<Option<f64>> { vs.iter().copied().map(Some).collect() };
+        assert_presorted_matches(
+            &some(&[3.0, 1.0, 3.0, 2.0, 1.0, 3.0]),
+            &[0.5, 0.25, 0.125, 2.0, 0.3, 0.7],
+            "tied values",
+        );
+        let zeros = some(&[0.0, -0.0, 1.0, -0.0, 0.0]);
+        assert_presorted_matches(&zeros, &[1.0, 1.0, 1.5, 0.5, 0.2], "signed zeros");
+        assert_presorted_matches(&zeros, &[1.0; 5], "signed zeros, unit");
+        assert_eq!(
+            presorted_median(&zeros, &[1.0; 5]).to_bits(),
+            (-0.0f64).to_bits(),
+            "the merged zero run starts at -0.0"
+        );
+        assert_presorted_matches(
+            &some(&[5.0, 1.0, 4.0, 1.0, 3.0]),
+            &[0.0; 5],
+            "all-zero weights",
+        );
+        assert_presorted_matches(
+            &[None, None, Some(7.25), None],
+            &[0.3, 0.0, 0.0, 2.0],
+            "single valid slot",
+        );
+
+        // K = 70 spans two bitmap words. Run weights that depend on their
+        // summation order make a tie order other than ascending source id
+        // change the answer: with the heavy 1.0 first the tiny weights
+        // round away and the median is 2.0; three or more tiny weights
+        // ahead of it lift run 1.0 past half and the median becomes 1.0.
+        let heavy = 1.0 + 2.0 * f64::EPSILON;
+        let tiny = f64::EPSILON / 4.0;
+        let mut values = vec![Some(2.0), Some(1.0)];
+        let mut weights = vec![heavy, 1.0];
+        for s in 2..70 {
+            values.push(Some(if s % 2 == 0 { 2.0 } else { 1.0 }));
+            weights.push(if s % 2 == 0 { 0.0 } else { tiny });
+        }
+        assert_presorted_matches(&values, &weights, "K=70 order-sensitive ties");
+        assert_eq!(presorted_median(&values, &weights), 2.0);
+
+        let mut rng = Pcg64::seed_from_u64(0x3ED1A7);
+        for case in 0..64 {
+            let values: Vec<Option<f64>> = (0..70)
+                .map(|_| {
+                    let v = match rng.next_u64() % 6 {
+                        5 => -0.0,
+                        r => r as f64 - 2.0,
+                    };
+                    (!rng.next_u64().is_multiple_of(8)).then_some(v)
+                })
+                .collect();
+            let weights: Vec<f64> = (0..70)
+                .map(|_| match rng.next_u64() % 4 {
+                    0 => 0.0,
+                    1 => tiny * (rng.next_u64() % 8) as f64,
+                    _ => 1.0 + (rng.next_u64() % 1000) as f64 * f64::EPSILON,
+                })
+                .collect();
+            assert_presorted_matches(&values, &weights, &format!("seeded K=70 #{case}"));
+        }
     }
 
     #[test]

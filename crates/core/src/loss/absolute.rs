@@ -34,11 +34,11 @@ impl Loss for AbsoluteLoss {
 
     fn fit(&self, obs: &[(SourceId, Value)], weights: &[f64], _stats: &EntryStats) -> Truth {
         debug_assert!(!obs.is_empty(), "fit on empty observation group");
-        let pairs: Vec<(f64, f64)> = obs
+        let mut pairs: Vec<(f64, f64)> = obs
             .iter()
             .filter_map(|(s, v)| v.as_num().map(|x| (x, weights[s.index()])))
             .collect();
-        Truth::Point(Value::Num(weighted_median(&pairs)))
+        Truth::Point(Value::Num(weighted_median(&mut pairs)))
     }
 
     fn is_convex(&self) -> bool {

@@ -36,7 +36,7 @@ pub use absolute::AbsoluteLoss;
 pub use edit::{levenshtein, EditDistanceLoss};
 pub use ensemble::EnsembleLoss;
 pub use kl::KlDivergenceLoss;
-pub use median::weighted_median;
+pub use median::{weighted_median, weighted_median_scan};
 pub use prob_vector::ProbVectorLoss;
 pub use similarity::SimilarityLoss;
 pub use squared::SquaredLoss;

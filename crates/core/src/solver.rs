@@ -640,7 +640,8 @@ fn fused_chunk_columnar(
                         Some((v, boost)) => v.as_num().map(|t| (t, boost)),
                         None => {
                             let w = spec.weights.for_entry(i, p);
-                            kernels::fit_median(vals, valid, w, &mut fit.pairs).map(|t| (t, 1.0))
+                            let order = col.order_row(r, k);
+                            kernels::fit_median_presorted(vals, valid, order, w).map(|t| (t, 1.0))
                         }
                     };
                     let Some((truth, scale)) = fitted else {
@@ -990,11 +991,11 @@ fn fit_chunk_columnar(
                 for (r, &ri) in rows.iter().enumerate().take(hi).skip(lo) {
                     let i = ri as usize;
                     let w = weights.for_entry(i, p);
-                    match kernels::fit_median(
+                    match kernels::fit_median_presorted(
                         col.values_row(r, k),
                         col.valid_row(r),
+                        col.order_row(r, k),
                         w,
-                        &mut fit.pairs,
                     ) {
                         Some(t) => cells[i - range.start] = Truth::Point(Value::Num(t)),
                         None => fit_entry(prepared, weights, i, &mut cells[i - range.start]),

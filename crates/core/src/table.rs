@@ -6,8 +6,6 @@
 //! Both solver steps iterate entry-by-entry, so this is the cache-friendly
 //! orientation; missing observations (§2.5) simply do not appear.
 
-use std::collections::HashMap;
-
 use crate::error::{CrhError, Result};
 use crate::ids::{EntryId, ObjectId, PropertyId, SourceId};
 use crate::schema::Schema;
@@ -115,11 +113,11 @@ impl TableBuilder {
 #[derive(Debug, Clone)]
 pub struct ObservationTable {
     schema: Schema,
+    /// Strictly ascending by `(object, property)`, so lookups binary-search.
     entries: Vec<Entry>,
     /// CSR offsets: observations of entry `e` live at `obs[offsets[e]..offsets[e+1]]`.
     offsets: Vec<usize>,
     obs: Vec<(SourceId, Value)>,
-    entry_index: HashMap<Entry, EntryId>,
     num_sources: usize,
     num_objects: usize,
     /// Observation count per source (for the §2.5 count normalization).
@@ -140,7 +138,6 @@ impl ObservationTable {
         let mut entries = Vec::new();
         let mut offsets = vec![0usize];
         let mut obs: Vec<(SourceId, Value)> = Vec::with_capacity(claims.len());
-        let mut entry_index = HashMap::new();
         let mut num_sources = 0usize;
         let mut num_objects = 0usize;
 
@@ -169,8 +166,6 @@ impl ObservationTable {
             // deterministic source order within the entry
             obs[obs_start..].sort_by_key(|(s, _)| *s);
 
-            let eid = EntryId::from_index(entries.len());
-            entry_index.insert(key, eid);
             entries.push(key);
             offsets.push(obs.len());
 
@@ -190,7 +185,6 @@ impl ObservationTable {
             entries,
             offsets,
             obs,
-            entry_index,
             num_sources,
             num_objects,
             source_counts,
@@ -237,9 +231,13 @@ impl ObservationTable {
         self.entries[e.index()]
     }
 
-    /// Look up an entry id by (object, property).
+    /// Look up an entry id by (object, property): a binary search over the
+    /// entries, which `from_claims` leaves sorted by `(object, property)`.
     pub fn entry_id(&self, object: ObjectId, property: PropertyId) -> Option<EntryId> {
-        self.entry_index.get(&Entry { object, property }).copied()
+        self.entries
+            .binary_search_by(|e| (e.object, e.property).cmp(&(object, property)))
+            .ok()
+            .map(EntryId::from_index)
     }
 
     /// The `(source, value)` observations of entry `e`, sorted by source id.
@@ -391,6 +389,67 @@ mod tests {
         let e = t.entry_id(ObjectId(0), PropertyId(0)).unwrap();
         assert_eq!(t.observations(e), &[(SourceId(0), Value::Num(2.0))]);
         assert_eq!(t.num_observations(), 1);
+    }
+
+    #[test]
+    fn entry_id_finds_every_entry_of_shuffled_claims_with_duplicates() {
+        use crate::rng::{Pcg64, Rng};
+        let mut rng = Pcg64::seed_from_u64(0xE1D);
+        let mut claims = Vec::new();
+        for o in 0..40u32 {
+            for p in 0..2u32 {
+                // skip some cells so lookups have gaps to miss
+                if (o * 7 + p * 3) % 5 == 0 {
+                    continue;
+                }
+                for s in 0..3u32 {
+                    // each source reports twice; the later claim supersedes
+                    for rev in 0..2u32 {
+                        let value = if p == 0 {
+                            Value::Num(f64::from(o * 10 + s + rev))
+                        } else {
+                            Value::Cat(rev)
+                        };
+                        claims.push(Claim {
+                            object: ObjectId(o),
+                            property: PropertyId(p),
+                            source: SourceId(s),
+                            value,
+                        });
+                    }
+                }
+            }
+        }
+        for i in (1..claims.len()).rev() {
+            let j = rng.random_range(0..i + 1);
+            claims.swap(i, j);
+        }
+        let t = ObservationTable::from_claims(weather_schema(), claims).unwrap();
+
+        assert!(t
+            .entries
+            .windows(2)
+            .all(|w| (w[0].object, w[0].property) < (w[1].object, w[1].property)));
+        for i in 0..t.num_entries() {
+            let e = EntryId::from_index(i);
+            let entry = t.entry(e);
+            assert_eq!(t.entry_id(entry.object, entry.property), Some(e));
+            assert_eq!(t.observations(e).len(), 3, "duplicates must collapse");
+        }
+        for o in 0..40u32 {
+            for p in 0..2u32 {
+                let present = (o * 7 + p * 3) % 5 != 0;
+                assert_eq!(
+                    t.entry_id(ObjectId(o), PropertyId(p)).is_some(),
+                    present,
+                    "({o}, {p})"
+                );
+            }
+        }
+        assert_eq!(t.num_objects(), 40);
+        assert_eq!(t.entry_id(ObjectId(40), PropertyId(0)), None);
+        assert_eq!(t.entry_id(ObjectId(u32::MAX), PropertyId(1)), None);
+        assert_eq!(t.entry_id(ObjectId(1), PropertyId(7)), None);
     }
 
     #[test]

@@ -75,6 +75,39 @@ fn seeded_table(seed: u64) -> ObservationTable {
     b.build().unwrap()
 }
 
+/// A tie-heavy table for the median kernel: integer-rounded temperatures
+/// from 32 sources, so most entries hold runs of equal values and rows are
+/// long enough (> 20 slots) that an unstable sort would reorder ties.
+fn tie_heavy_table(seed: u64) -> ObservationTable {
+    let mut rng = Pcg64::seed_from_u64(seed);
+    let mut schema = Schema::new();
+    let temp = schema.add_continuous("temp");
+    let cond = schema.add_categorical("cond");
+    let mut b = TableBuilder::new(schema);
+    let labels = ["clear", "cloudy", "storm"];
+    for i in 0..300u32 {
+        let truth_t = (i % 90) as f64;
+        for s in 0..32u32 {
+            let bias = (s % 4) as f64 * 0.7;
+            let noise = (rng.next_u64() % 1000) as f64 / 400.0;
+            if rng.next_u64() % 10 < 8 {
+                let t = (truth_t + bias + noise).round();
+                b.add(ObjectId(i), temp, SourceId(s), Value::Num(t))
+                    .unwrap();
+            }
+            if rng.next_u64() % 10 < 8 {
+                let l = if rng.next_u64() % 32 < 32 - s as u64 {
+                    labels[(i % 3) as usize]
+                } else {
+                    labels[(rng.next_u64() % 3) as usize]
+                };
+                b.add_label(ObjectId(i), cond, SourceId(s), l).unwrap();
+            }
+        }
+    }
+    b.build().unwrap()
+}
+
 fn digest_parts(
     truths: &TruthTable,
     flat_weights: &[f64],
@@ -213,8 +246,11 @@ fn semi_supervised_is_digest_identical_at_every_thread_count() {
 
 #[test]
 fn columnar_plain_crh_matches_row_reference_bitwise() {
-    for seed in SEEDS {
-        let table = seeded_table(seed);
+    let tables = SEEDS
+        .iter()
+        .map(|&seed| (seed, seeded_table(seed)))
+        .chain([(0x71E5, tie_heavy_table(0x71E5))]);
+    for (seed, table) in tables {
         let run = |columnar: bool, threads: usize| {
             CrhBuilder::new()
                 .columnar(columnar)

@@ -36,8 +36,8 @@ fn value_weight_pairs(rng: &mut StdRng) -> Vec<(f64, f64)> {
 fn weighted_median_satisfies_eq16() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xE916);
-        let pairs = value_weight_pairs(&mut rng);
-        let m = weighted_median(&pairs);
+        let mut pairs = value_weight_pairs(&mut rng);
+        let m = weighted_median(&mut pairs);
         let total: f64 = pairs.iter().map(|(_, w)| w).sum();
         let below: f64 = pairs.iter().filter(|(v, _)| *v < m).map(|(_, w)| w).sum();
         let above: f64 = pairs.iter().filter(|(v, _)| *v > m).map(|(_, w)| w).sum();
@@ -54,8 +54,8 @@ fn weighted_median_satisfies_eq16() {
 fn weighted_median_minimizes_weighted_l1() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x11);
-        let pairs = value_weight_pairs(&mut rng);
-        let m = weighted_median(&pairs);
+        let mut pairs = value_weight_pairs(&mut rng);
+        let m = weighted_median(&mut pairs);
         let cost = |x: f64| -> f64 { pairs.iter().map(|(v, w)| w * (v - x).abs()).sum() };
         let med_cost = cost(m);
         for (v, _) in &pairs {
