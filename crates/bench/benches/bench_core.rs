@@ -217,7 +217,6 @@ fn bench_core(c: &mut Harness) {
     let row1 = median_ns(c, "core_scaling", &format!("row1/{largest}"));
     let col1 = median_ns(c, "core_scaling", &format!("col1/{largest}"));
     let col4 = median_ns(c, "core_scaling", &format!("col4/{largest}"));
-    c.record_metric("core_scaling", "cores", cores as f64);
     c.record_metric("core_scaling", "largest_objects", largest as f64);
     c.record_metric("core_scaling", "columnar_speedup_at_largest", row1 / col1);
     c.record_metric("core_scaling", "thread4_speedup_at_largest", col1 / col4);

@@ -1,12 +1,14 @@
-//! Serving-layer throughput: durable ingest (WAL fsync + fold) and
-//! crash-recovery latency (snapshot load + WAL replay).
+//! Serving-layer throughput: durable ingest (WAL fsync + fold),
+//! crash-recovery latency (snapshot load + WAL replay), and the CRC32 that
+//! every wire frame and WAL record pays over its payload.
 //!
 //! Run with `CRH_BENCH_JSON=BENCH_serve.json` to capture the results as
 //! a machine-readable artifact (CI does this in the `chaos-serve` job).
 
 use std::path::PathBuf;
 
-use crh_bench::microbench::{Harness, Throughput};
+use crh_bench::microbench::{BenchmarkId, Harness, Throughput};
+use crh_core::persist::crc32;
 use crh_core::rng::{Pcg64, Rng};
 use crh_core::schema::Schema;
 use crh_serve::{ChunkClaim, ServeConfig, ServeCore};
@@ -111,6 +113,20 @@ fn bench_serve(c: &mut Harness) {
     });
     g.finish();
     std::fs::remove_dir_all(&dir).ok();
+
+    // frame checksum cost by payload size: 64 B is a read request, 98 304 B
+    // is about one 5k-claim ingest chunk; one element = one byte, so
+    // elems_per_sec reads as checksummed bytes/sec
+    let mut g = c.benchmark_group("frame_crc");
+    let mut rng = Pcg64::seed_from_u64(7);
+    let payload: Vec<u8> = (0..1 << 20).map(|_| rng.next_u64() as u8).collect();
+    for n in [64usize, 4096, 98_304, 1 << 20] {
+        g.throughput(Throughput::Elements(n as u64));
+        g.bench_with_input(BenchmarkId::new("crc32", n), &payload[..n], |b, p| {
+            b.iter(|| crc32(std::hint::black_box(p)))
+        });
+    }
+    g.finish();
 }
 
 fn main() {

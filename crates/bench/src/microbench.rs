@@ -14,6 +14,8 @@
 //! Set `CRH_BENCH_JSON=<path>` to additionally write every result as a
 //! machine-readable JSON document when the harness is dropped — this is
 //! how CI captures `BENCH_*.json` artifacts without a second bench run.
+//! Every document records the host's core count (`"cores"`), so a number
+//! is never read without the hardware it came from.
 
 use std::fmt::Display;
 use std::path::PathBuf;
@@ -213,7 +215,8 @@ impl Harness {
     }
 
     fn render_json(&self) -> String {
-        let mut out = String::from("{\"schema\":\"crh-microbench-v1\",\"records\":[");
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let mut out = format!("{{\"schema\":\"crh-microbench-v1\",\"cores\":{cores},\"records\":[");
         for (i, r) in self.records.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -458,6 +461,11 @@ mod tests {
         } // drop writes the file
         let json = std::fs::read_to_string(&path).unwrap();
         assert!(json.contains("\"schema\":\"crh-microbench-v1\""));
+        let cores = std::thread::available_parallelism().unwrap().get();
+        assert!(
+            json.contains(&format!("\"cores\":{cores},")),
+            "the host core count must land in every artifact: {json}"
+        );
         assert!(json.contains("\"id\":\"write/1\""));
         assert!(
             json.contains("\\\"quoted\\\""),

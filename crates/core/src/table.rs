@@ -131,54 +131,46 @@ impl ObservationTable {
         if claims.is_empty() {
             return Err(CrhError::EmptyTable);
         }
-        // Group by (object, property); stable sort keeps claim order within
-        // an entry so keep-last dedup below is well-defined.
+        // Group by (object, property), then each group by source. Both sorts
+        // are stable, so a source's claims on one entry stay in arrival order
+        // and keep-last means "the final claim of each source run". On input
+        // that is already ordered the second sort is a linear check.
         claims.sort_by_key(|c| (c.object, c.property));
+        for group in claims.chunk_by_mut(|a, b| (a.object, a.property) == (b.object, b.property)) {
+            group.sort_by_key(|c| c.source);
+        }
 
-        let mut entries = Vec::new();
-        let mut offsets = vec![0usize];
+        let mut entries: Vec<Entry> = Vec::new();
+        let mut offsets = Vec::new();
         let mut obs: Vec<(SourceId, Value)> = Vec::with_capacity(claims.len());
-        let mut num_sources = 0usize;
-        let mut num_objects = 0usize;
-
-        let mut i = 0;
-        while i < claims.len() {
+        let mut source_counts: Vec<usize> = Vec::new();
+        let mut claims = claims.into_iter().peekable();
+        while let Some(c) = claims.next() {
+            let superseded = claims.peek().is_some_and(|d| {
+                (d.object, d.property, d.source) == (c.object, c.property, c.source)
+            });
+            if superseded {
+                continue;
+            }
             let key = Entry {
-                object: claims[i].object,
-                property: claims[i].property,
+                object: c.object,
+                property: c.property,
             };
-            let start = i;
-            while i < claims.len()
-                && claims[i].object == key.object
-                && claims[i].property == key.property
-            {
-                i += 1;
+            if entries.last() != Some(&key) {
+                entries.push(key);
+                offsets.push(obs.len());
             }
-            let group = &claims[start..i];
-            let obs_start = obs.len();
-            // keep-last per source within the group
-            for (gi, c) in group.iter().enumerate() {
-                let superseded = group[gi + 1..].iter().any(|d| d.source == c.source);
-                if !superseded {
-                    obs.push((c.source, c.value.clone()));
-                }
+            let s = c.source.index();
+            if s >= source_counts.len() {
+                source_counts.resize(s + 1, 0);
             }
-            // deterministic source order within the entry
-            obs[obs_start..].sort_by_key(|(s, _)| *s);
-
-            entries.push(key);
-            offsets.push(obs.len());
-
-            num_objects = num_objects.max(key.object.index() + 1);
-            for (s, _) in &obs[obs_start..] {
-                num_sources = num_sources.max(s.index() + 1);
-            }
+            source_counts[s] += 1;
+            obs.push((c.source, c.value));
         }
-
-        let mut source_counts = vec![0usize; num_sources];
-        for (s, _) in &obs {
-            source_counts[s.index()] += 1;
-        }
+        offsets.push(obs.len());
+        let num_sources = source_counts.len();
+        // entries ascend by object, so the last one holds the largest id
+        let num_objects = entries.last().map_or(0, |e| e.object.index() + 1);
 
         Ok(Self {
             schema,
@@ -330,6 +322,7 @@ impl TruthTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn weather_schema() -> Schema {
         let mut s = Schema::new();
@@ -424,7 +417,38 @@ mod tests {
             let j = rng.random_range(0..i + 1);
             claims.swap(i, j);
         }
+        // naive keep-last reference: a later insert for the same
+        // (entry, source) overwrites the earlier one
+        let mut reference: BTreeMap<(ObjectId, PropertyId), BTreeMap<SourceId, Value>> =
+            BTreeMap::new();
+        for c in &claims {
+            reference
+                .entry((c.object, c.property))
+                .or_default()
+                .insert(c.source, c.value.clone());
+        }
         let t = ObservationTable::from_claims(weather_schema(), claims).unwrap();
+
+        assert_eq!(t.num_entries(), reference.len());
+        let mut counts = vec![0usize; 3];
+        for (i, ((o, p), by_source)) in reference.iter().enumerate() {
+            let e = EntryId::from_index(i);
+            assert_eq!(
+                t.entry(e),
+                Entry {
+                    object: *o,
+                    property: *p
+                }
+            );
+            let want: Vec<(SourceId, Value)> =
+                by_source.iter().map(|(s, v)| (*s, v.clone())).collect();
+            assert_eq!(t.observations(e), want.as_slice(), "({o:?}, {p:?})");
+            for s in by_source.keys() {
+                counts[s.index()] += 1;
+            }
+        }
+        assert_eq!(t.source_counts(), counts.as_slice());
+        assert_eq!(t.num_sources(), 3);
 
         assert!(t
             .entries

@@ -83,7 +83,6 @@ impl ICrh {
             weights: Vec::new(),
             accumulated: Vec::new(),
             chunks_seen: 0,
-            weight_history: Vec::new(),
             pool,
             scratch: SolverScratch::new(0, 0, 0),
         }
@@ -96,12 +95,14 @@ impl ICrh {
     {
         let mut state = self.start();
         let mut truths = Vec::new();
+        let mut weight_history = Vec::new();
         for chunk in chunks {
             truths.push(state.process_chunk(chunk)?);
+            weight_history.push(state.weights().to_vec());
         }
         Ok(StreamResult {
             truths_per_chunk: truths,
-            weight_history: state.weight_history.clone(),
+            weight_history,
             final_weights: state.weights().to_vec(),
         })
     }
@@ -114,7 +115,6 @@ pub struct ICrhState {
     weights: Vec<f64>,
     accumulated: Vec<f64>,
     chunks_seen: usize,
-    weight_history: Vec<Vec<f64>>,
     pool: Pool,
     scratch: SolverScratch,
 }
@@ -210,8 +210,7 @@ impl ICrhCheckpoint {
 }
 
 impl ICrhState {
-    /// Snapshot the session for persistence. The weight history is not part
-    /// of the checkpoint (it is a diagnostic, not solver state).
+    /// Snapshot the session for persistence.
     pub fn checkpoint(&self) -> ICrhCheckpoint {
         ICrhCheckpoint {
             weights: self.weights.clone(),
@@ -230,7 +229,6 @@ impl ICrhState {
             weights: ckpt.weights,
             accumulated: ckpt.accumulated,
             chunks_seen: ckpt.chunks_seen,
-            weight_history: Vec::new(),
             pool,
             scratch: SolverScratch::new(0, 0, 0),
         })
@@ -274,7 +272,6 @@ impl ICrhState {
         // Line 5: weights from accumulated distances.
         self.weights = self.cfg.assigner.assign(&self.accumulated);
         self.chunks_seen += 1;
-        self.weight_history.push(self.weights.clone());
         Ok(truths)
     }
 
@@ -291,11 +288,6 @@ impl ICrhState {
     /// Number of chunks processed.
     pub fn chunks_seen(&self) -> usize {
         self.chunks_seen
-    }
-
-    /// Source weights recorded after each chunk (for Fig 4a).
-    pub fn weight_history(&self) -> &[Vec<f64>] {
-        &self.weight_history
     }
 }
 
@@ -354,15 +346,19 @@ mod tests {
 
     #[test]
     fn liar_weight_decays_over_chunks() {
+        let chunks: Vec<_> = (0..6).map(|d| chunk(d, 5)).collect();
         let mut state = ICrh::new(0.5).unwrap().start();
-        for day in 0..6 {
-            state.process_chunk(&chunk(day, 5)).unwrap();
+        let mut seen = Vec::new();
+        for c in &chunks {
+            state.process_chunk(c).unwrap();
+            seen.push(state.weights().to_vec());
         }
         let w = state.weights();
         assert!(w[0] > w[2], "{w:?}");
         assert!(w[1] > w[2], "{w:?}");
         assert_eq!(state.chunks_seen(), 6);
-        assert_eq!(state.weight_history().len(), 6);
+        let res = ICrh::new(0.5).unwrap().run_stream(chunks.iter()).unwrap();
+        assert_eq!(res.weight_history, seen);
     }
 
     #[test]
