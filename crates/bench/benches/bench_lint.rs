@@ -5,22 +5,19 @@
 //! workspace sources are read once up front; each benchmark then
 //! measures one phase of the in-memory pipeline:
 //!
-//! - `lexical` — phase 1, the per-file token-stream lints (v1 scope),
-//! - `syntax` — phase 2, lex + parse + call-graph model + the
-//!   `lock-order-cycle` / `blocking-under-lock` analyses over the
-//!   `crh-serve` library sources,
-//! - `full` — both phases plus sorting, i.e. what one `crh-lint`
+//! - `lexical` — the per-file token-stream lints,
+//! - `full` — the lints plus sorting, i.e. what one `crh-lint`
 //!   invocation costs after I/O.
 //!
 //! The budget assertion at the bottom is deliberately loose (shared CI
 //! runners) but tight enough to catch an accidental quadratic blowup in
-//! the parser or the fixpoint: the full pipeline must stay under two
-//! seconds per run at the median.
+//! a rule: the full pipeline must stay under two seconds per run at the
+//! median.
 
 use std::time::Duration;
 
 use crh_bench::microbench::{Harness, Throughput};
-use crh_lint::{find_workspace_root, lint_files, lint_lexical, lint_syntax, read_workspace};
+use crh_lint::{find_workspace_root, lint_files, lint_lexical, read_workspace};
 
 fn main() {
     let quick = std::env::var("CRH_BENCH_QUICK").is_ok_and(|v| v != "0");
@@ -41,9 +38,6 @@ fn main() {
 
     g.bench_function("lexical", |b| {
         b.iter(|| lint_lexical(&files).len());
-    });
-    g.bench_function("syntax", |b| {
-        b.iter(|| lint_syntax(&files).len());
     });
     g.bench_function("full", |b| {
         b.iter(|| lint_files(&files).len());

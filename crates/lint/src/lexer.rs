@@ -25,9 +25,8 @@ pub enum Tok {
     Char,
     /// A lifetime (`'a`, `'static`).
     Lifetime,
-    /// A numeric literal, carrying its literal text (`255`, `0xC1A5`,
-    /// `1_000u64`) so analyses can recover constant values.
-    Num(String),
+    /// A numeric literal (`255`, `0xC1A5`, `1_000u64`, `2.5`).
+    Num,
     /// A single punctuation character (`.`, `[`, `!`, …).
     Punct(char),
 }
@@ -384,7 +383,7 @@ pub fn lex(src: &str) -> (Vec<Token>, Pragmas) {
                     }
                 }
                 toks.push(Token {
-                    kind: Tok::Num(chars[i..j].iter().collect()),
+                    kind: Tok::Num,
                     line: start_line,
                 });
                 i = j;
@@ -520,16 +519,10 @@ mod tests {
     }
 
     #[test]
-    fn numeric_literals_carry_text() {
-        let (toks, _) = lex("const A: u8 = 0xC1; let b = 1_000u64; let f = 2.5;");
-        let nums: Vec<String> = toks
-            .iter()
-            .filter_map(|t| match &t.kind {
-                Tok::Num(s) => Some(s.clone()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(nums, vec!["0xC1", "1_000u64", "2.5"]);
+    fn numeric_literals_are_one_token_each() {
+        let (toks, _) = lex("const A: u8 = 0xC1; let b = 1_000u64; let f = 2.5; 0..4");
+        let nums = toks.iter().filter(|t| t.kind == Tok::Num).count();
+        assert_eq!(nums, 5, "0xC1, 1_000u64, 2.5, and both ends of the range");
     }
 
     #[test]

@@ -19,11 +19,8 @@
 //! Lint ids and the invariants they guard are documented in
 //! `DESIGN.md` §9.
 
-pub mod analyses;
-pub mod callgraph;
 pub mod lexer;
 pub mod lints;
-pub mod parse;
 
 pub use lints::{known_lint, lint_source, Finding, Scope, LINTS};
 
@@ -84,7 +81,7 @@ pub fn read_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
     Ok(files)
 }
 
-/// Phase 1: the per-file lexical lints (unsorted).
+/// The per-file lexical lints over every file (unsorted).
 pub fn lint_lexical(files: &[SourceFile]) -> Vec<Finding> {
     let mut findings = Vec::new();
     for f in files {
@@ -93,36 +90,11 @@ pub fn lint_lexical(files: &[SourceFile]) -> Vec<Finding> {
     findings
 }
 
-/// Phase 2: the syntax-aware analyses — parse every `crh-serve` library
-/// file, build the call-graph model, run the `lock-order-cycle` and
-/// `blocking-under-lock` rules, then drop findings suppressed by a
-/// pragma in their own file (unsorted).
-pub fn lint_syntax(files: &[SourceFile]) -> Vec<Finding> {
-    let mut parsed = Vec::new();
-    let mut pragmas = std::collections::BTreeMap::new();
-    for f in files.iter().filter(|f| analyses::in_scope(&f.rel)) {
-        let (toks, prag) = lexer::lex(&f.src);
-        pragmas.insert(f.rel.as_str(), prag);
-        parsed.push((f.rel.as_str(), parse::parse_tokens(&toks)));
-    }
-    let asts: Vec<(&str, &parse::Ast)> = parsed.iter().map(|(rel, ast)| (*rel, ast)).collect();
-    analyses::run(&asts)
-        .into_iter()
-        .filter(|f| {
-            pragmas
-                .get(f.file.as_str())
-                .is_none_or(|p| !p.allows(f.lint, f.line))
-        })
-        .collect()
-}
-
-/// Lint a set of in-memory files: lexical rules plus the syntax-aware
-/// analyses, sorted by (file, line, lint id). This is the engine
-/// behind [`lint_workspace`]; integration tests feed it fixture
-/// sources under synthetic paths.
+/// Lint a set of in-memory files, sorted by (file, line, lint id).
+/// This is the engine behind [`lint_workspace`]; integration tests feed
+/// it fixture sources under synthetic paths.
 pub fn lint_files(files: &[SourceFile]) -> Vec<Finding> {
     let mut findings = lint_lexical(files);
-    findings.extend(lint_syntax(files));
     findings.sort_by(|a, b| (&a.file, a.line, a.lint).cmp(&(&b.file, b.line, b.lint)));
     findings
 }

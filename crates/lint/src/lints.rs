@@ -82,16 +82,6 @@ pub const LINTS: &[(&str, &str)] = &[
          not dead) peer pins the caller forever — use the `_timeout` variant or justify",
     ),
     ("bad-pragma", "malformed `crh-lint: allow(...)` pragma"),
-    (
-        "lock-order-cycle",
-        "two locks are acquired in opposite orders on different paths through \
-         `crates/serve` (call graph included); a potential AB/BA deadlock",
-    ),
-    (
-        "blocking-under-lock",
-        "an fsync/socket/sleep blocking call (directly or through callees) runs while \
-         a lock guard is live; a slow disk or peer stalls every thread behind the lock",
-    ),
 ];
 
 /// Is `id` a known lint id?
@@ -99,51 +89,9 @@ pub fn known_lint(id: &str) -> bool {
     LINTS.iter().any(|(l, _)| *l == id)
 }
 
-/// Long-form `--explain` text for the syntax-aware rules (the lexical
-/// rules are self-describing; their one-liner is returned instead).
-/// The same prose appears in DESIGN.md §14.
-const EXPLAIN: &[(&str, &str)] = &[
-    (
-        "lock-order-cycle",
-        "crh-lint extracts, per function, the ordered sequence of mutex/RwLock \
-         acquisitions — `self.core.lock()` is lock `core`, guard-returning helpers like \
-         `Shared::core()` and passthrough helpers like `relock(&s.durable)` count as \
-         acquisitions at their call site — and propagates them transitively through a \
-         name-resolved call graph. Holding `A` while acquiring `B` (directly or through \
-         a callee) records the edge A→B; any edge that can reach itself backwards \
-         through the lock-order graph is reported as a potential AB/BA deadlock, once \
-         per direction, at the acquisition site. Fix by picking one global order, or \
-         suppress BOTH directions with justified pragmas if the orders can never race. \
-         Soundness limits (documented in DESIGN.md §14): resolution is by bare name, \
-         not type; trait-object dispatch and closures-stored-as-callbacks are \
-         invisible; branches are explored as if both sides execute.",
-    ),
-    (
-        "blocking-under-lock",
-        "While a lock guard is live, no call may reach blocking I/O: the fsync family \
-         (sync_all, sync_data, sync_parent_dir, fsync, write_atomic), socket ops \
-         (connect, accept, read_frame, write_frame), or unbounded pauses (sleep, join). \
-         Reachability is transitive for the fsync family only, so `core().ingest(...)` \
-         is flagged when `ingest` fsyncs the WAL three calls deeper; socket and pause \
-         primitives are flagged only when called directly under a guard, because \
-         name-based resolution would otherwise route every bare name into a simulation \
-         harness's accept loop and drown the report. Bounded waits (`*_timeout`, the \
-         clamp_wait family) are exempt — PR 8's deadline machinery bounds them. Guard \
-         lifetimes follow the parse: a `let`-bound guard lives to end of block or \
-         `drop(g)`; an unbound temporary dies at its statement's end. Where \
-         fsync-under-lock IS the durability contract (the WAL owns the mutex), \
-         suppress with a pragma saying exactly that.",
-    ),
-];
-
-/// The `--explain` text for a lint id: the long rationale for the
-/// syntax-aware rules, or the one-line description otherwise.
+/// The `--explain` text for a lint id: its one-line description.
 pub fn explain(id: &str) -> Option<&'static str> {
-    EXPLAIN
-        .iter()
-        .find(|(l, _)| *l == id)
-        .map(|(_, text)| *text)
-        .or_else(|| LINTS.iter().find(|(l, _)| *l == id).map(|(_, d)| *d))
+    LINTS.iter().find(|(l, _)| *l == id).map(|(_, d)| *d)
 }
 
 /// Which rule families apply to a given file. Derived from the

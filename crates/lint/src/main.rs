@@ -8,7 +8,7 @@
 //! cargo run -p crh-lint -- --format json # machine-readable, for CI
 //! cargo run -p crh-lint -- --root DIR    # lint a different tree
 //! cargo run -p crh-lint -- --list        # print every lint id
-//! cargo run -p crh-lint -- --explain ID  # rule rationale + fix guidance
+//! cargo run -p crh-lint -- --explain ID  # one rule's description
 //! ```
 //!
 //! Exit codes: `0` clean, `1` findings, `2` usage or I/O error.

@@ -280,3 +280,21 @@ fn fixture_corpus_itself_is_never_linted() {
         "fixtures must never self-flag: {found:#?}"
     );
 }
+
+#[test]
+fn pragmas_naming_the_deleted_lock_rules_are_bad() {
+    // `blocking-under-lock` and `lock-order-cycle` no longer exist: the
+    // daemon's single-owner design made them vacuous. A pragma still
+    // naming either is stale and must not linger silently.
+    let src = include_str!("fixtures/removed_rules.rs");
+    let found = lint_source("crates/serve/src/fixture.rs", src);
+    assert_eq!(
+        hits(&found),
+        vec![("bad-pragma", 5), ("bad-pragma", 9)],
+        "full diagnostics: {found:#?}"
+    );
+    for (line, id) in [(5, "blocking-under-lock"), (9, "lock-order-cycle")] {
+        let f = found.iter().find(|f| f.line == line).expect("finding");
+        assert!(f.message.contains(id), "message should name `{id}`: {f:?}");
+    }
+}

@@ -3,19 +3,19 @@
 //! A source that keeps sending malformed or non-finite observations can
 //! poison the weight estimates (one NaN in an accumulated distance is
 //! permanent) and waste fold capacity. Each source gets a tiny state
-//! machine:
+//! machine, the `Probation` shape it shares with peer health:
 //!
 //! ```text
-//! Closed --strikes >= threshold--> Open{until} --cool-down elapses--> HalfOpen
-//!   ^                                                                    |
-//!   |<------------------- first clean chunk heals ----------------------+
-//!   |                     (a bad probe chunk re-opens)
+//! Healthy --strikes >= threshold--> Suspended{until} --cool-down elapses--> Probing
+//!   ^                                                                          |
+//!   |<----------------------- first clean chunk heals ------------------------+
+//!   |                         (a bad probe chunk re-suspends)
 //! ```
 //!
 //! Time is a **logical tick** (one per ingest attempt), not wall-clock,
 //! so breaker behaviour is deterministic and testable without sleeping.
 //! Breaker state is deliberately in-memory only — after a crash every
-//! source starts Closed again and must re-earn its quarantine, which is
+//! source starts Healthy again and must re-earn its quarantine, which is
 //! the conservative direction (no source is ever locked out by a stale
 //! quarantine file).
 
@@ -41,35 +41,72 @@ impl Default for BreakerConfig {
     }
 }
 
+/// The quarantine probation machine shared by the source breakers here
+/// and the peer-health map ([`crate::health`]). What trips it (strikes,
+/// latency) and what resolves a probe stay with each caller; the
+/// suspended → one-probe → expiry transition lives in
+/// [`admit`](Self::admit).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    Closed {
-        strikes: u32,
-    },
-    Open {
-        until_tick: u64,
-    },
-    /// Exactly one probe chunk is in flight; further chunks are rejected
-    /// until the probe resolves ([`SourceBreakers::record_ok`] /
-    /// [`SourceBreakers::record_bad`]) or the token expires at
-    /// `probe_expires`. Without the token, two concurrent probes could
-    /// race: the first fails and re-opens the breaker, then the second
-    /// succeeds and closes it again — a bad source healing off the back
-    /// of a single lucky chunk.
-    HalfOpen {
-        probe_expires: u64,
-    },
+pub(crate) enum Probation {
+    /// In rotation.
+    Healthy,
+    /// Out of rotation until the cool-down ends at `until`.
+    Suspended { until: u64 },
+    /// Exactly one probe is in flight; further admission is refused
+    /// until the caller resolves it or the token expires at `expires`.
+    /// Without the token, two concurrent probes could race: the first
+    /// fails and re-suspends, then the second succeeds and heals — a bad
+    /// member healing off the back of a single lucky request.
+    Probing { expires: u64 },
+}
+
+impl Probation {
+    /// Suspended for one cool-down from `now`.
+    pub(crate) fn suspend(now: u64, cooldown: u64) -> Self {
+        Self::Suspended {
+            until: now + cooldown,
+        }
+    }
+
+    /// Gate one request at `now`. Healthy always passes. Once a
+    /// suspension's cool-down is over, exactly one request passes and
+    /// takes the probe token. An unresolved token expires after a
+    /// cool-down (its request died mid-flight), and a fresh probe is let
+    /// in rather than locking the member out forever. A refusal carries
+    /// the time it holds until.
+    pub(crate) fn admit(&mut self, now: u64, cooldown: u64) -> Result<(), u64> {
+        match *self {
+            Self::Healthy => Ok(()),
+            Self::Suspended { until } | Self::Probing { expires: until } if now < until => {
+                Err(until)
+            }
+            Self::Suspended { .. } | Self::Probing { .. } => {
+                *self = Self::Probing {
+                    expires: now + cooldown,
+                };
+                Ok(())
+            }
+        }
+    }
+}
+
+/// One source's breaker: consecutive strikes while healthy, plus its
+/// probation state.
+#[derive(Debug, Clone, Copy)]
+struct Breaker {
+    strikes: u32,
+    state: Probation,
 }
 
 /// The set of per-source breakers.
 #[derive(Debug)]
 pub struct SourceBreakers {
     cfg: BreakerConfig,
-    states: HashMap<u32, State>,
+    states: HashMap<u32, Breaker>,
 }
 
 impl SourceBreakers {
-    /// Fresh breakers (all sources Closed with zero strikes).
+    /// Fresh breakers (all sources Healthy with zero strikes).
     pub fn new(cfg: BreakerConfig) -> Self {
         Self {
             cfg,
@@ -82,41 +119,12 @@ impl SourceBreakers {
     /// After a cool-down, exactly one probe chunk is admitted at a time;
     /// a second chunk arriving while the probe is unresolved is rejected.
     pub fn admit(&mut self, source: u32, tick: u64) -> Result<(), ServeError> {
-        match self.states.get(&source).copied() {
-            None | Some(State::Closed { .. }) => Ok(()),
-            Some(State::Open { until_tick }) => {
-                if tick >= until_tick {
-                    // cool-down over: issue the single probe token
-                    self.states.insert(
-                        source,
-                        State::HalfOpen {
-                            probe_expires: tick + self.cfg.cooldown_ticks,
-                        },
-                    );
-                    Ok(())
-                } else {
-                    Err(ServeError::Quarantined { source, until_tick })
-                }
-            }
-            Some(State::HalfOpen { probe_expires }) => {
-                if tick >= probe_expires {
-                    // the outstanding probe's reply never arrived (its
-                    // ingest died mid-pipeline); let a fresh probe in
-                    // instead of quarantining the source forever
-                    self.states.insert(
-                        source,
-                        State::HalfOpen {
-                            probe_expires: tick + self.cfg.cooldown_ticks,
-                        },
-                    );
-                    Ok(())
-                } else {
-                    Err(ServeError::Quarantined {
-                        source,
-                        until_tick: probe_expires,
-                    })
-                }
-            }
+        match self.states.get_mut(&source) {
+            None => Ok(()),
+            Some(b) => b
+                .state
+                .admit(tick, self.cfg.cooldown_ticks)
+                .map_err(|until_tick| ServeError::Quarantined { source, until_tick }),
         }
     }
 
@@ -124,44 +132,37 @@ impl SourceBreakers {
     /// the quarantine deadline if this strike tripped (or re-tripped) the
     /// breaker.
     pub fn record_bad(&mut self, source: u32, tick: u64) -> Option<u64> {
-        let state = self
-            .states
-            .entry(source)
-            .or_insert(State::Closed { strikes: 0 });
-        match *state {
-            State::Closed { strikes } => {
-                let strikes = strikes + 1;
-                if strikes >= self.cfg.strike_threshold {
-                    let until_tick = tick + self.cfg.cooldown_ticks;
-                    *state = State::Open { until_tick };
-                    Some(until_tick)
-                } else {
-                    *state = State::Closed { strikes };
-                    None
+        let cooldown = self.cfg.cooldown_ticks;
+        let b = self.states.entry(source).or_insert(Breaker {
+            strikes: 0,
+            state: Probation::Healthy,
+        });
+        match b.state {
+            Probation::Healthy => {
+                b.strikes += 1;
+                if b.strikes < self.cfg.strike_threshold {
+                    return None;
                 }
+                b.state = Probation::suspend(tick, cooldown);
             }
-            State::HalfOpen { .. } => {
-                // the probe failed: straight back to quarantine
-                let until_tick = tick + self.cfg.cooldown_ticks;
-                *state = State::Open { until_tick };
-                Some(until_tick)
-            }
-            State::Open { until_tick } => Some(until_tick),
+            // the probe failed: straight back to quarantine
+            Probation::Probing { .. } => b.state = Probation::suspend(tick, cooldown),
+            Probation::Suspended { until } => return Some(until),
         }
+        Some(tick + cooldown)
     }
 
     /// Record that an admitted chunk from `source` folded cleanly: the
-    /// source heals fully (strikes cleared, HalfOpen closes).
+    /// source heals fully (strikes cleared, an in-flight probe closes).
     pub fn record_ok(&mut self, source: u32) {
-        self.states.insert(source, State::Closed { strikes: 0 });
+        self.states.remove(&source);
     }
 
     /// Whether `source` is currently quarantined at `tick`.
     pub fn is_quarantined(&self, source: u32, tick: u64) -> bool {
-        matches!(
-            self.states.get(&source),
-            Some(State::Open { until_tick }) if tick < *until_tick
-        )
+        self.states
+            .get(&source)
+            .is_some_and(|b| Self::suspended_at(b, tick))
     }
 
     /// Sources currently quarantined at `tick`, ascending.
@@ -169,11 +170,15 @@ impl SourceBreakers {
         let mut out: Vec<u32> = self
             .states
             .iter()
-            .filter(|(_, s)| matches!(s, State::Open { until_tick } if tick < *until_tick))
+            .filter(|(_, b)| Self::suspended_at(b, tick))
             .map(|(&s, _)| s)
             .collect();
         out.sort_unstable();
         out
+    }
+
+    fn suspended_at(b: &Breaker, tick: u64) -> bool {
+        matches!(b.state, Probation::Suspended { until } if tick < until)
     }
 }
 

@@ -77,7 +77,7 @@ impl Client {
     }
 
     /// One round-trip with no interpretation of `Response::Error` — the
-    /// replication ticker needs the raw frame (a peer's error *is* the
+    /// replication peer senders need the raw frame (a peer's error *is* the
     /// protocol answer, e.g. `StaleEpoch` deposing the sender).
     pub(crate) fn call_raw(&mut self, req: &Request) -> Result<Response, ServeError> {
         write_frame(&mut self.stream, &req.encode())?;

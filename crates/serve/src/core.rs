@@ -805,7 +805,7 @@ fn build_table(schema: &Schema, claims: &[ChunkClaim]) -> Result<ObservationTabl
 }
 
 /// Batch CRH over `claims` seeded from `seed_weights` (free function so
-/// the server can run it without holding the core lock). `threads` sets
+/// the server can run it off the thread that owns the core). `threads` sets
 /// the solver kernel thread count (`0` = available parallelism, `1` =
 /// exact sequential); results are bit-identical for every value.
 #[allow(clippy::too_many_arguments)]

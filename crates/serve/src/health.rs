@@ -11,7 +11,8 @@
 //! ([`HealthMap::p95`]), and (c) take a chronically slow peer out of
 //! rotation entirely ([`HealthMap::is_quarantined`]).
 //!
-//! Probation follows the source-breaker shape ([`crate::breaker`]):
+//! Probation is the source breakers' machine ([`crate::breaker`]),
+//! tripped here by latency instead of strikes:
 //!
 //! ```text
 //! Healthy --ewma > factor × peer median--> Suspended{until}
@@ -30,6 +31,8 @@
 
 use std::collections::BTreeMap;
 use std::time::Duration;
+
+use crate::breaker::Probation;
 
 /// Tuning for a [`HealthMap`].
 #[derive(Debug, Clone, Copy)]
@@ -60,20 +63,6 @@ impl Default for HealthConfig {
             cooldown: 64,
         }
     }
-}
-
-/// Probation state of one peer (breaker-shaped, see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Probation {
-    Healthy,
-    Suspended {
-        until: u64,
-    },
-    /// Exactly one probe is in flight; further admission is refused until
-    /// it resolves (the next recorded sample) or the token expires.
-    Probing {
-        expires: u64,
-    },
 }
 
 #[derive(Debug, Clone)]
@@ -167,16 +156,12 @@ impl HealthMap {
                 // the peer re-earns its score from here
                 e.ewma = latency as f64;
             } else {
-                e.state = Probation::Suspended {
-                    until: now + self.cfg.cooldown,
-                };
+                e.state = Probation::suspend(now, self.cfg.cooldown);
             }
             return;
         }
         if e.state == Probation::Healthy && e.ewma > bound {
-            e.state = Probation::Suspended {
-                until: now + self.cfg.cooldown,
-            };
+            e.state = Probation::suspend(now, self.cfg.cooldown);
         }
     }
 
@@ -222,35 +207,10 @@ impl HealthMap {
     /// its next recorded sample decides whether it heals or goes back
     /// under). Callers route around a `false`.
     pub fn admit(&mut self, peer: u32, now: u64) -> bool {
-        let Some(e) = self.peers.get_mut(&peer) else {
-            return true;
-        };
-        match e.state {
-            Probation::Healthy => true,
-            Probation::Suspended { until } => {
-                if now >= until {
-                    e.state = Probation::Probing {
-                        expires: now + self.cfg.cooldown,
-                    };
-                    true
-                } else {
-                    false
-                }
-            }
-            Probation::Probing { expires } => {
-                if now >= expires {
-                    // the outstanding probe never resolved (its request
-                    // died); issue a fresh token instead of a permanent
-                    // lock-out
-                    e.state = Probation::Probing {
-                        expires: now + self.cfg.cooldown,
-                    };
-                    true
-                } else {
-                    false
-                }
-            }
-        }
+        let cooldown = self.cfg.cooldown;
+        self.peers
+            .get_mut(&peer)
+            .is_none_or(|e| e.state.admit(now, cooldown).is_ok())
     }
 
     /// A per-peer timeout sized to observed behaviour: `headroom ×` the

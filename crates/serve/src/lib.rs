@@ -12,10 +12,11 @@
 //!    any instruction recovers to bit-identical weights and truths:
 //!    snapshot load, then WAL replay with snapshot-covered sequence
 //!    numbers skipped and torn tails truncated.
-//! 2. **Overload safety** ([`queue`], [`server`]) — a bounded ingest
-//!    queue sheds load with a typed [`ServeError::Overloaded`] instead
-//!    of buffering unboundedly; per-request deadlines turn slow folds
-//!    and solves into [`ServeError::DeadlineExceeded`] with cooperative
+//! 2. **Overload safety** ([`server`]) — a bounded ingest queue in
+//!    front of the one thread that owns the state sheds load with a
+//!    typed [`ServeError::Overloaded`] instead of buffering
+//!    unboundedly; per-request deadlines turn slow folds and solves
+//!    into [`ServeError::DeadlineExceeded`] with cooperative
 //!    cancellation, never a hung client.
 //! 3. **Bad-feed containment** ([`breaker`]) — malformed or non-finite
 //!    observations strike a per-source circuit breaker; tripped sources
@@ -83,7 +84,6 @@ pub mod failover;
 pub mod faults;
 pub mod health;
 pub mod proto;
-pub mod queue;
 pub mod replicate;
 pub mod router;
 pub mod scrub;
@@ -105,7 +105,6 @@ pub use faults::{
     ServePoint, ShardFaultPlan, SplitCrash,
 };
 pub use health::{HealthConfig, HealthMap};
-pub use queue::BoundedQueue;
 pub use replicate::{ReplicaConfig, ReplicaNode, ReplicaRecovery, Role};
 pub use router::{ShardAck, ShardGroup, ShardRouter};
 pub use scrub::{scrub_dir, ScrubFinding, ScrubReport};

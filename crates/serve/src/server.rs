@@ -1,29 +1,30 @@
-//! The TCP daemon: bounded ingest pipeline in front of a [`ServeCore`].
+//! The TCP daemons: a standalone [`Server`] in front of a [`ServeCore`]
+//! and a replicated [`HaServer`] in front of a [`ReplicaNode`].
 //!
-//! Threading model, chosen for bounded memory and no lock inversions:
+//! Threading model: each daemon has exactly **one owner thread** that
+//! holds its state by value. No other thread can reach that state, so
+//! no lock guards it and no lock is ever held across a WAL or snapshot
+//! fsync. Around the owner:
 //!
 //! - one **accept loop** (non-blocking poll so shutdown is prompt),
 //!   refusing connections beyond `max_connections` with a typed
 //!   `Overloaded` reply instead of letting them queue invisibly;
 //! - one **connection thread** per client with read/write timeouts, so a
 //!   stalled or vanished peer is dropped instead of pinning a thread
-//!   forever;
-//! - one **fold worker** draining a [`BoundedQueue`] of ingest jobs.
-//!   Connection threads never fold; they enqueue and wait on a reply
-//!   channel with a deadline. A full queue rejects immediately
-//!   ([`ServeError::Overloaded`]), a slow fold turns into
-//!   [`ServeError::DeadlineExceeded`] for the waiting client while the
-//!   fold itself still completes and stays durable.
+//!   forever. It decodes a frame and sends the owner a task that
+//!   carries its own reply channel, then waits for the answer with a
+//!   deadline. A connection has at most one task in flight, so the
+//!   owner's inbox holds at most `max_connections` client tasks.
 //!
-//! Queries (weights/truth/status) take the core lock directly — they are
-//! cheap reads. A batch solve copies the weights under the lock, then
-//! runs unlocked on the connection thread under a [`CancelToken`]
-//! deadline, so a long solve never blocks ingest.
+//! A batch solve fetches its weight seed from the owner, then runs on
+//! the connection thread under a [`CancelToken`] deadline, so a long
+//! solve never blocks ingest.
 
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -32,24 +33,24 @@ use crh_core::schema::Schema;
 
 use crate::client::Client;
 use crate::core::ServeConfig;
-use crate::core::{claims_from_csv, solve_claims, ChunkClaim, IngestReceipt, ServeCore};
+use crate::core::{claims_from_csv, solve_claims, ChunkClaim, ServeCore};
 use crate::error::ServeError;
 use crate::proto::{read_frame, write_frame, Request, Response};
-use crate::queue::BoundedQueue;
 use crate::replicate::{ReplicaConfig, ReplicaNode, Role};
 use crate::shard::{ShardMap, ShardMapStore, ShardRange};
 
 /// Tuning for the network front-end.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Ingest jobs buffered between connection threads and the fold
-    /// worker; beyond this, pushes fail with `Overloaded`.
+    /// Client ingests admitted but not yet folding; beyond this, ingests
+    /// fail with `Overloaded`. Reads never count against it.
     pub queue_capacity: usize,
     /// How long a connection thread waits for its ingest to fold before
     /// answering `DeadlineExceeded`.
     pub ingest_deadline: Duration,
     /// Per-connection socket read/write timeout; a peer silent for this
-    /// long is dropped.
+    /// long is dropped. It also bounds how long a connection thread
+    /// waits for any other answer from the owner thread.
     pub io_timeout: Duration,
     /// Wall-clock budget for a batch solve.
     pub solve_deadline: Duration,
@@ -70,133 +71,105 @@ impl Default for ServerConfig {
     }
 }
 
-struct IngestJob {
-    claims: Vec<ChunkClaim>,
-    reply: mpsc::SyncSender<Result<IngestReceipt, ServeError>>,
+/// Work for an owner thread: a closure run on the state it owns. The
+/// closure carries its own reply channel (see [`task`]).
+type Task<S> = Box<dyn FnOnce(&mut S) + Send>;
+
+/// Box `f` as a task for an owner thread, paired with the channel its
+/// answer arrives on.
+fn task<S, R: Send + 'static>(
+    f: impl FnOnce(&mut S) -> R + Send + 'static,
+) -> (Task<S>, mpsc::Receiver<R>) {
+    let (tx, rx) = mpsc::sync_channel(1);
+    let task: Task<S> = Box::new(move |state| {
+        // the asker may have timed out and gone; that's fine
+        tx.try_send(f(state)).ok();
+    });
+    (task, rx)
 }
 
-struct Shared {
-    core: Mutex<ServeCore>,
-    queue: BoundedQueue<IngestJob>,
-    schema: Schema,
-    cfg: ServerConfig,
-    shutdown: AtomicBool,
-    connections: AtomicUsize,
+/// Wait up to `wait` for an owner thread's answer. An owner that has
+/// exited drops its pending tasks, which ends the wait at once.
+fn await_answer<R>(answer: &mpsc::Receiver<R>, wait: Duration) -> Result<R, ServeError> {
+    answer.recv_timeout(wait).map_err(|e| match e {
+        mpsc::RecvTimeoutError::Timeout => ServeError::DeadlineExceeded,
+        mpsc::RecvTimeoutError::Disconnected => ServeError::ShuttingDown,
+    })
 }
 
-impl Shared {
-    /// Lock the core, recovering from mutex poisoning. A poisoned mutex
-    /// means some handler thread panicked; the daemon is crash-only —
-    /// durable state is WAL-first and [`ServeCore`] carries its own
-    /// application-level `poisoned` flag for injected crashes — so
-    /// recovering the guard and letting the core's own refusal logic
-    /// answer is strictly better than cascading the panic to every
-    /// connection.
-    fn core(&self) -> MutexGuard<'_, ServeCore> {
-        // crh-lint: allow(unbounded-wait-in-serve) — in-process mutex; holders do bounded fold/solve work with their own deadlines, never peer I/O under the guard
-        self.core.lock().unwrap_or_else(PoisonError::into_inner)
-    }
+/// The cheap reads both daemons answer from their folded state.
+#[derive(Debug, Clone, Copy)]
+enum Read {
+    Weights,
+    Truth { object: u32, property: u32 },
+    Status,
 }
 
-/// A running daemon; dropping the handle shuts it down.
-pub struct Server {
-    shared: Arc<Shared>,
-    addr: std::net::SocketAddr,
-    accept_thread: Option<JoinHandle<()>>,
-    worker_thread: Option<JoinHandle<()>>,
-}
-
-impl Server {
-    /// Bind `addr` (e.g. `127.0.0.1:0`) and start serving `core`.
-    pub fn start(core: ServeCore, cfg: ServerConfig, addr: &str) -> Result<Self, ServeError> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local = listener.local_addr()?;
-
-        let schema = core.schema().clone();
-        let shared = Arc::new(Shared {
-            core: Mutex::new(core),
-            queue: BoundedQueue::new(cfg.queue_capacity),
-            schema,
-            cfg,
-            shutdown: AtomicBool::new(false),
-            connections: AtomicUsize::new(0),
-        });
-
-        let worker_thread = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || fold_worker(&shared))
-        };
-        let accept_thread = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(&listener, &shared))
-        };
-
-        Ok(Self {
-            shared,
-            addr: local,
-            accept_thread: Some(accept_thread),
-            worker_thread: Some(worker_thread),
-        })
-    }
-
-    /// The bound address (useful with port 0).
-    pub fn addr(&self) -> std::net::SocketAddr {
-        self.addr
-    }
-
-    /// Signal shutdown, join the daemon threads, and take a final
-    /// snapshot so the next [`ServeCore::open`] starts from a clean disk.
-    pub fn shutdown(mut self) {
-        self.stop();
-        // best-effort final snapshot; a poisoned (chaos) core refuses
-        // crh-lint: allow(blocking-under-lock) — shutdown quiescence: workers are joined, nothing else contends for `core`
-        self.shared.core().snapshot_now().ok();
-    }
-
-    fn stop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.queue.close();
-        if let Some(t) = self.accept_thread.take() {
-            // crh-lint: allow(unbounded-wait-in-serve) — shutdown join; the flag is set and the queue closed, so the loop exits on its next bounded accept/recv tick
-            t.join().ok();
-        }
-        if let Some(t) = self.worker_thread.take() {
-            // crh-lint: allow(unbounded-wait-in-serve) — shutdown join; the closed queue wakes the worker immediately
-            t.join().ok();
+impl Read {
+    fn answer(self, core: &ServeCore, queue_depth: usize) -> Response {
+        match self {
+            Read::Weights => Response::Weights(core.weights().to_vec()),
+            Read::Truth { object, property } => Response::Truth(core.truth(object, property)),
+            Read::Status => {
+                let status = core.status();
+                Response::Status {
+                    chunks_seen: status.chunks_seen,
+                    wal_records: status.wal_records,
+                    cached_truths: status.cached_truths,
+                    queue_depth: queue_depth as u64,
+                    quarantined: status.quarantined,
+                }
+            }
         }
     }
 }
 
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.stop();
+/// The ack for a `Shutdown` request, taken after the final snapshot.
+fn shutdown_ack(chunks_seen: u64) -> Response {
+    Response::Ack {
+        seq: chunks_seen.saturating_sub(1),
+        chunks_seen,
     }
 }
 
-/// The pieces of server state the accept/connection machinery needs;
-/// implemented by both the standalone [`Shared`] core and the
-/// replicated [`HaShared`] node so they share one front-end.
+/// Wrap an answer with a follower's staleness bound; `None` (a primary
+/// or a standalone daemon) returns it unwrapped.
+fn follower_wrap(lag: Option<u64>, inner: Response) -> Response {
+    match lag {
+        None => inner,
+        Some(lag) => Response::FollowerRead {
+            lag,
+            inner: inner.encode(),
+        },
+    }
+}
+
+/// The pieces of daemon state the accept/connection machinery needs;
+/// implemented by both the standalone [`Shared`] and the replicated
+/// [`HaShared`] so they share one front-end and one request handler.
 trait FrontEnd: Send + Sync + 'static {
     fn server_cfg(&self) -> &ServerConfig;
     fn is_shutdown(&self) -> bool;
     fn connection_count(&self) -> &AtomicUsize;
-    fn handle(self: &Arc<Self>, req: Request) -> Response;
-}
-
-impl FrontEnd for Shared {
-    fn server_cfg(&self) -> &ServerConfig {
-        &self.cfg
-    }
-    fn is_shutdown(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-    fn connection_count(&self) -> &AtomicUsize {
-        &self.connections
-    }
-    fn handle(self: &Arc<Self>, req: Request) -> Response {
-        handle_request(req, self)
-    }
+    fn schema(&self) -> &Schema;
+    /// Ingest a client chunk; answer once it is durable (and, when
+    /// replicated, quorum-committed).
+    fn ingest(
+        &self,
+        claims: Vec<ChunkClaim>,
+        budget: Option<Duration>,
+    ) -> Result<Response, ServeError>;
+    fn read(&self, read: Read, budget: Option<Duration>) -> Result<Response, ServeError>;
+    /// A batch solve's weight seed and thread count, plus the follower
+    /// lag its answer is wrapped with.
+    fn solve_seed(
+        &self,
+        budget: Option<Duration>,
+    ) -> Result<(Vec<f64>, usize, Option<u64>), ServeError>;
+    /// Take the final snapshot, ack the chunks seen, and stop serving.
+    fn shutdown_now(&self) -> Result<Response, ServeError>;
+    /// A replication or shard frame.
+    fn cluster(&self, frame: Request, budget: Option<Duration>) -> Result<Response, ServeError>;
 }
 
 fn accept_loop<F: FrontEnd>(listener: &TcpListener, shared: &Arc<F>) {
@@ -211,7 +184,7 @@ fn accept_loop<F: FrontEnd>(listener: &TcpListener, shared: &Arc<F>) {
                 shared.connection_count().fetch_add(1, Ordering::SeqCst);
                 let shared = Arc::clone(shared);
                 std::thread::spawn(move || {
-                    serve_connection(stream, &shared);
+                    serve_connection(stream, &*shared);
                     shared.connection_count().fetch_sub(1, Ordering::SeqCst);
                 });
             }
@@ -233,7 +206,7 @@ fn refuse_connection(mut stream: TcpStream, cfg: &ServerConfig) {
     stream.flush().ok();
 }
 
-fn serve_connection<F: FrontEnd>(mut stream: TcpStream, shared: &Arc<F>) {
+fn serve_connection<F: FrontEnd>(mut stream: TcpStream, shared: &F) {
     let io_timeout = shared.server_cfg().io_timeout;
     if stream
         .set_read_timeout(Some(io_timeout))
@@ -268,7 +241,7 @@ fn serve_connection<F: FrontEnd>(mut stream: TcpStream, shared: &Arc<F>) {
             Err(_) => return,
         };
         let response = match Request::decode(&payload) {
-            Ok(req) => shared.handle(req),
+            Ok(req) => handle(shared, req),
             Err(e) => Response::from_error(&e),
         };
         if write_frame(&mut stream, &response.encode()).is_err() {
@@ -304,48 +277,27 @@ fn clamp_wait(bound: Duration, budget: Option<Duration>) -> Duration {
     budget.map_or(bound, |b| b.min(bound))
 }
 
-fn handle_request(req: Request, shared: &Arc<Shared>) -> Response {
-    let (req, budget) = match unwrap_deadline(req) {
-        Ok(x) => x,
-        Err(e) => return Response::from_error(&e),
-    };
-    match req {
-        Request::Ingest(claims) => ingest_via_queue(claims, shared, budget),
-        Request::IngestCsv(text) => match claims_from_csv(&shared.schema, &text) {
-            Ok(claims) => ingest_via_queue(claims, shared, budget),
-            Err(e) => Response::from_error(&e),
-        },
-        Request::Weights => {
-            let core = shared.core();
-            Response::Weights(core.weights().to_vec())
+/// Answer one decoded request; both daemons serve every frame through
+/// here.
+fn handle<F: FrontEnd>(fe: &F, req: Request) -> Response {
+    let answer = unwrap_deadline(req).and_then(|(req, budget)| match req {
+        Request::Ingest(claims) => fe.ingest(claims, budget),
+        Request::IngestCsv(text) => {
+            claims_from_csv(fe.schema(), &text).and_then(|claims| fe.ingest(claims, budget))
         }
-        Request::Truth { object, property } => {
-            let core = shared.core();
-            Response::Truth(core.truth(object, property))
-        }
-        Request::Status => {
-            let status = shared.core().status();
-            Response::Status {
-                chunks_seen: status.chunks_seen,
-                wal_records: status.wal_records,
-                cached_truths: status.cached_truths,
-                queue_depth: shared.queue.depth() as u64,
-                quarantined: status.quarantined,
-            }
-        }
+        Request::Weights => fe.read(Read::Weights, budget),
+        Request::Truth { object, property } => fe.read(Read::Truth { object, property }, budget),
+        Request::Status => fe.read(Read::Status, budget),
         Request::Solve {
             tol,
             max_iters,
             claims,
         } => {
-            // copy the weights under the lock, solve without it
-            let (seed, threads) = {
-                let core = shared.core();
-                (core.weights().to_vec(), core.solve_threads())
-            };
-            let cancel = CancelToken::with_deadline(clamp_wait(shared.cfg.solve_deadline, budget));
-            match solve_claims(
-                &shared.schema,
+            let (seed, threads, lag) = fe.solve_seed(budget)?;
+            let cancel =
+                CancelToken::with_deadline(clamp_wait(fe.server_cfg().solve_deadline, budget));
+            let solved = match solve_claims(
+                fe.schema(),
                 &claims,
                 &seed,
                 tol,
@@ -359,82 +311,250 @@ fn handle_request(req: Request, shared: &Arc<Shared>) -> Response {
                     iterations: out.iterations,
                 },
                 Err(e) => Response::from_error(&e),
-            }
+            };
+            // the staleness bound observed at seed time: the seed is
+            // what the answer actually depends on
+            Ok(follower_wrap(lag, solved))
         }
-        Request::Replicate { .. }
-        | Request::Heartbeat { .. }
-        | Request::CatchUp { .. }
-        | Request::Promote { .. }
-        | Request::SeqQuery { .. } => Response::from_error(&ServeError::Protocol(
-            "replication frame sent to a standalone daemon".into(),
-        )),
-        Request::RouteTable
-        | Request::ShardIngest { .. }
-        | Request::ShardTruth { .. }
-        | Request::SplitStage { .. }
-        | Request::SplitCutover { .. } => Response::from_error(&ServeError::Protocol(
-            "shard frame sent to a standalone daemon".into(),
-        )),
-        Request::Probe { nonce } => Response::ProbeAck { nonce },
+        Request::Probe { nonce } => Ok(Response::ProbeAck { nonce }),
         // decode refuses nested wrappers and unwrap_deadline stripped the
         // outer one, but the type still admits it — answer, don't panic
-        Request::WithDeadline { .. } => {
-            Response::from_error(&ServeError::Protocol("nested deadline wrapper".into()))
-        }
-        Request::Shutdown => {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            shared.queue.close();
-            let chunks_seen = {
-                let mut core = shared.core();
-                // crh-lint: allow(blocking-under-lock) — the final snapshot must be atomic with the chunks_seen read it acks; the queue is closed, so folds have drained
-                core.snapshot_now().ok();
-                core.chunks_seen()
-            };
-            Response::Ack {
-                seq: chunks_seen.saturating_sub(1),
-                chunks_seen,
-            }
-        }
+        Request::WithDeadline { .. } => Err(ServeError::Protocol("nested deadline wrapper".into())),
+        Request::Shutdown => fe.shutdown_now(),
+        frame => fe.cluster(frame, budget),
+    });
+    answer.unwrap_or_else(|e| Response::from_error(&e))
+}
+
+// ---------------------------------------------------------------------
+// Standalone daemon
+// ---------------------------------------------------------------------
+
+/// Work for the fold worker, the sole owner of a [`Server`]'s core.
+enum Job {
+    /// A client chunk's fold. Folds run in arrival order, and each counts
+    /// against `queue_capacity` until it starts.
+    Ingest(Task<ServeCore>),
+    /// Anything else that needs the core. Runs as soon as the worker is
+    /// between folds, ahead of queued ingests.
+    Query(Task<ServeCore>),
+}
+
+struct Shared {
+    jobs: mpsc::Sender<Job>,
+    /// Client ingests admitted but not yet folding.
+    queued: AtomicUsize,
+    schema: Schema,
+    cfg: ServerConfig,
+    shutdown: AtomicBool,
+    connections: AtomicUsize,
+}
+
+impl Shared {
+    /// Run `f` on the fold worker between folds and wait for its answer.
+    fn query<R: Send + 'static>(
+        &self,
+        budget: Option<Duration>,
+        f: impl FnOnce(&mut ServeCore) -> R + Send + 'static,
+    ) -> Result<R, ServeError> {
+        let (query, answer) = task(f);
+        self.jobs
+            .send(Job::Query(query))
+            .map_err(|_| ServeError::ShuttingDown)?;
+        await_answer(&answer, clamp_wait(self.cfg.io_timeout, budget))
     }
 }
 
-fn ingest_via_queue(
-    claims: Vec<ChunkClaim>,
-    shared: &Arc<Shared>,
-    budget: Option<Duration>,
-) -> Response {
-    let (tx, rx) = mpsc::sync_channel(1);
-    let job = IngestJob { claims, reply: tx };
-    if let Err(e) = shared.queue.try_push(job) {
-        return Response::from_error(&e);
+impl FrontEnd for Shared {
+    fn server_cfg(&self) -> &ServerConfig {
+        &self.cfg
     }
-    match rx.recv_timeout(clamp_wait(shared.cfg.ingest_deadline, budget)) {
-        Ok(Ok(receipt)) => Response::Ack {
+    fn is_shutdown(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+    fn connection_count(&self) -> &AtomicUsize {
+        &self.connections
+    }
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    /// Shed, don't buffer: a full queue refuses at once with a typed
+    /// `Overloaded`, so memory held by queued chunks is
+    /// `O(queue_capacity)` however fast clients push.
+    fn ingest(
+        &self,
+        claims: Vec<ChunkClaim>,
+        budget: Option<Duration>,
+    ) -> Result<Response, ServeError> {
+        if self.is_shutdown() {
+            return Err(ServeError::ShuttingDown);
+        }
+        let capacity = self.cfg.queue_capacity.max(1);
+        self.queued
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n < capacity).then_some(n + 1)
+            })
+            .map_err(|_| ServeError::Overloaded { capacity })?;
+        let (fold, receipt) = task(move |core: &mut ServeCore| core.ingest(&claims));
+        if self.jobs.send(Job::Ingest(fold)).is_err() {
+            self.queued.fetch_sub(1, Ordering::SeqCst);
+            return Err(ServeError::ShuttingDown);
+        }
+        // a fold that outlives the wait still lands durably; the client
+        // learns the outcome from a later Status, exactly like a lost
+        // ack after a crash
+        let receipt = await_answer(&receipt, clamp_wait(self.cfg.ingest_deadline, budget))??;
+        Ok(Response::Ack {
             seq: receipt.seq,
             chunks_seen: receipt.chunks_seen,
-        },
-        Ok(Err(e)) => Response::from_error(&e),
-        // the fold may still land durably; the client learns the outcome
-        // from a later Status, exactly like a lost ack after a crash
-        Err(_) => Response::from_error(&ServeError::DeadlineExceeded),
+        })
+    }
+
+    fn read(&self, read: Read, budget: Option<Duration>) -> Result<Response, ServeError> {
+        let depth = self.queued.load(Ordering::SeqCst);
+        self.query(budget, move |core| read.answer(core, depth))
+    }
+
+    fn solve_seed(
+        &self,
+        budget: Option<Duration>,
+    ) -> Result<(Vec<f64>, usize, Option<u64>), ServeError> {
+        self.query(budget, |core| {
+            (core.weights().to_vec(), core.solve_threads(), None)
+        })
+    }
+
+    fn shutdown_now(&self) -> Result<Response, ServeError> {
+        let ack = self.query(None, |core| {
+            // best-effort final snapshot; a poisoned (chaos) core refuses
+            core.snapshot_now().ok();
+            shutdown_ack(core.chunks_seen())
+        });
+        // ingests admitted before this flag still fold before the worker
+        // exits
+        self.shutdown.store(true, Ordering::SeqCst);
+        ack
+    }
+
+    fn cluster(&self, frame: Request, _budget: Option<Duration>) -> Result<Response, ServeError> {
+        let kind = match frame {
+            Request::RouteTable
+            | Request::ShardIngest { .. }
+            | Request::ShardTruth { .. }
+            | Request::SplitStage { .. }
+            | Request::SplitCutover { .. } => "shard",
+            _ => "replication",
+        };
+        Err(ServeError::Protocol(format!(
+            "{kind} frame sent to a standalone daemon"
+        )))
     }
 }
 
-fn fold_worker(shared: &Arc<Shared>) {
+/// A running daemon; dropping the handle shuts it down.
+pub struct Server {
+    shared: Arc<Shared>,
+    addr: std::net::SocketAddr,
+    accept_thread: Option<JoinHandle<()>>,
+    worker_thread: Option<JoinHandle<ServeCore>>,
+}
+
+impl Server {
+    /// Bind `addr` (e.g. `127.0.0.1:0`) and start serving `core`.
+    pub fn start(core: ServeCore, cfg: ServerConfig, addr: &str) -> Result<Self, ServeError> {
+        let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
+        let local = listener.local_addr()?;
+
+        let (jobs, inbox) = mpsc::channel();
+        let shared = Arc::new(Shared {
+            jobs,
+            queued: AtomicUsize::new(0),
+            schema: core.schema().clone(),
+            cfg,
+            shutdown: AtomicBool::new(false),
+            connections: AtomicUsize::new(0),
+        });
+
+        let worker_thread = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || fold_worker(core, &inbox, &shared))
+        };
+        let accept_thread = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || accept_loop(&listener, &shared))
+        };
+
+        Ok(Self {
+            shared,
+            addr: local,
+            accept_thread: Some(accept_thread),
+            worker_thread: Some(worker_thread),
+        })
+    }
+
+    /// The bound address (useful with port 0).
+    pub fn addr(&self) -> std::net::SocketAddr {
+        self.addr
+    }
+
+    /// Signal shutdown, join the daemon threads, and take a final
+    /// snapshot so the next [`ServeCore::open`] starts from a clean disk.
+    pub fn shutdown(mut self) {
+        if let Some(mut core) = self.stop() {
+            // best-effort; a poisoned (chaos) core refuses
+            core.snapshot_now().ok();
+        }
+    }
+
+    /// Stop serving and hand back the core once queued folds drained.
+    fn stop(&mut self) -> Option<ServeCore> {
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        // wake an idle worker so it sees the flag now
+        self.shared.jobs.send(Job::Query(Box::new(|_| {}))).ok();
+        if let Some(t) = self.accept_thread.take() {
+            // crh-lint: allow(unbounded-wait-in-serve) — shutdown join; the flag is set, so the loop exits on its next bounded accept tick
+            t.join().ok();
+        }
+        // crh-lint: allow(unbounded-wait-in-serve) — shutdown join; the woken worker exits once its bounded backlog of folds drains
+        self.worker_thread.take().and_then(|t| t.join().ok())
+    }
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+/// How long an idle fold worker sleeps before re-checking shutdown.
+const IDLE_POLL: Duration = Duration::from_millis(50);
+
+/// Own the core: answer queries between folds and fold queued ingests
+/// in arrival order. Returns the core once shutdown is flagged and
+/// every admitted ingest has folded.
+fn fold_worker(mut core: ServeCore, inbox: &mpsc::Receiver<Job>, shared: &Shared) -> ServeCore {
+    let mut backlog = VecDeque::new();
     loop {
-        match shared.queue.pop_timeout(Duration::from_millis(50)) {
-            Ok(Some(job)) => {
-                // crh-lint: allow(blocking-under-lock) — the durability contract: the WAL append + fsync under `core` is what serializes folds (DESIGN.md §2); hedged reads bound the read-path cost
-                let result = shared.core().ingest(&job.claims);
-                // the client may have timed out and gone; that's fine
-                job.reply.try_send(result).ok();
-            }
-            Ok(None) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
+        // block only while there is nothing to fold; once shutdown is
+        // flagged, drain what was admitted without blocking
+        let next = if backlog.is_empty() && !shared.is_shutdown() {
+            inbox.recv_timeout(IDLE_POLL).ok()
+        } else {
+            inbox.try_recv().ok()
+        };
+        match next {
+            Some(Job::Query(query)) => query(&mut core),
+            Some(Job::Ingest(fold)) => backlog.push_back(fold),
+            None => match backlog.pop_front() {
+                Some(fold) => {
+                    shared.queued.fetch_sub(1, Ordering::SeqCst);
+                    fold(&mut core);
                 }
-            }
-            Err(_) => return, // closed and drained
+                None if shared.is_shutdown() => return core,
+                None => {}
+            },
         }
     }
 }
@@ -481,36 +601,129 @@ impl Default for HaConfig {
 /// cutover record of the split protocol).
 struct ShardState {
     shard: u32,
-    map: Mutex<ShardMap>,
+    map: ShardMap,
     store: ShardMapStore,
 }
 
-struct HaShared {
-    node: Mutex<ReplicaNode>,
-    schema: Schema,
-    cfg: HaConfig,
-    shutdown: AtomicBool,
-    connections: AtomicUsize,
-    /// Logical replication time, advanced only by the ticker thread.
-    ticks: AtomicU64,
-    /// Present iff this member serves a shard of a sharded topology.
-    shard: Option<ShardState>,
+/// A client write staged on this node and waiting for its quorum.
+struct PendingWrite {
+    seq: u64,
+    /// The epoch the record was staged in: the reign it belongs to.
+    epoch: u64,
+    deadline: Instant,
+    reply: mpsc::SyncSender<Response>,
 }
 
-impl HaShared {
-    /// Lock the replica node, recovering from mutex poisoning — same
-    /// rationale as [`Shared::core`]: the node's durable state (WAL +
-    /// election meta) is fsynced before any ack, so a panicked handler
-    /// thread leaves nothing worth protecting behind the poison bit.
-    fn node(&self) -> MutexGuard<'_, ReplicaNode> {
-        // crh-lint: allow(unbounded-wait-in-serve) — in-process mutex; replication waits under the guard are themselves deadline-clamped, so holders are bounded
-        self.node.lock().unwrap_or_else(PoisonError::into_inner)
+/// Everything the replica owner thread holds by value.
+struct Replica {
+    node: ReplicaNode,
+    /// Present iff this member serves a shard of a sharded topology.
+    shard: Option<ShardState>,
+    /// Logical replication time, advanced once per [`HaConfig::tick`].
+    now: u64,
+    waiting: Vec<PendingWrite>,
+}
+
+/// The answer owed to a client whose write `node` staged at `seq` while
+/// primary in `epoch`, or `None` while it should keep waiting.
+///
+/// The ack condition is [`ReplicaNode::ack_safe`], not bare
+/// `is_committed`: if this node is deposed during the wait, its staged
+/// record is truncated and the new primary may commit *different* bytes
+/// at the same sequence — a commit bound passing `seq` then says nothing
+/// about the client's write. Acking it would report a discarded write as
+/// durable, so a deposed node answers `NotPrimary` instead and the
+/// client retries against the new primary. Once `expired` (deadline or
+/// shutdown), the record is durable here but the client must treat it
+/// as un-acked: `NotReplicated`.
+fn write_outcome(
+    node: &ReplicaNode,
+    seq: u64,
+    epoch: u64,
+    expired: bool,
+) -> Option<Result<Response, ServeError>> {
+    if node.ack_safe(seq, epoch) {
+        return Some(Ok(Response::Ack {
+            seq,
+            chunks_seen: node.commit(),
+        }));
+    }
+    if node.role() != Role::Primary || node.epoch() != epoch {
+        return Some(Err(ServeError::NotPrimary {
+            hint: node.leader_hint(),
+        }));
+    }
+    expired.then(|| {
+        Err(ServeError::NotReplicated {
+            seq,
+            acked: node.ack_count(seq),
+            quorum: node.quorum(),
+        })
+    })
+}
+
+fn unsharded() -> ServeError {
+    ServeError::Protocol("shard frame sent to an unsharded member".into())
+}
+
+fn follower_lag(node: &ReplicaNode) -> Option<u64> {
+    (node.role() != Role::Primary).then(|| node.lag())
+}
+
+impl Replica {
+    /// Stage a client chunk durably (after the shard check, for a
+    /// shard-routed write) and queue its reply until the quorum decides
+    /// it (see [`write_outcome`]).
+    fn stage(
+        &mut self,
+        claims: &[ChunkClaim],
+        shard_check: Option<(u32, u64)>,
+        wait: Duration,
+        reply: mpsc::SyncSender<Response>,
+    ) {
+        let staged = shard_check
+            .map_or(Ok(()), |(shard, version)| {
+                self.check_shard(shard, version, claims.iter().map(|c| c.object))
+            })
+            .and_then(|()| self.node.client_ingest(claims));
+        match staged {
+            Ok(seq) => self.waiting.push(PendingWrite {
+                seq,
+                epoch: self.node.epoch(),
+                // the budget only shortens how long this hop waits for
+                // the quorum; once staged, running out keeps
+                // NotReplicated semantics
+                deadline: Instant::now() + wait,
+                reply,
+            }),
+            Err(e) => {
+                reply.try_send(Response::from_error(&e)).ok();
+            }
+        }
+    }
+
+    /// Answer every pending write whose outcome is now decided.
+    fn answer_writes(&mut self, stopping: bool) {
+        let now = Instant::now();
+        let node = &self.node;
+        self.waiting.retain(|w| {
+            match write_outcome(node, w.seq, w.epoch, stopping || now >= w.deadline) {
+                Some(answer) => {
+                    let resp = answer.unwrap_or_else(|e| Response::from_error(&e));
+                    w.reply.try_send(resp).ok();
+                    false
+                }
+                None => true,
+            }
+        });
+    }
+
+    fn read(&self, read: Read) -> Response {
+        follower_wrap(follower_lag(&self.node), read.answer(self.node.core(), 0))
     }
 
     fn shard_state(&self) -> Result<&ShardState, ServeError> {
-        self.shard
-            .as_ref()
-            .ok_or_else(|| ServeError::Protocol("shard frame sent to an unsharded member".into()))
+        self.shard.as_ref().ok_or_else(unsharded)
     }
 
     /// Gate a shard-checked frame: it must name this member's shard,
@@ -530,16 +743,14 @@ impl HaShared {
                 at: st.shard,
             });
         }
-        // crh-lint: allow(unbounded-wait-in-serve) — in-process mutex over the route table; holders only read/swap a small struct
-        let map = st.map.lock().unwrap_or_else(PoisonError::into_inner);
-        if map_version != map.version {
+        if map_version != st.map.version {
             return Err(ServeError::StaleShardMap {
                 got: map_version,
-                current: map.version,
+                current: st.map.version,
             });
         }
         for object in objects {
-            let owner = map.shard_of(object);
+            let owner = st.map.shard_of(object);
             if owner != st.shard {
                 return Err(ServeError::WrongShard {
                     shard: owner,
@@ -550,129 +761,254 @@ impl HaShared {
         Ok(())
     }
 
-    fn route_table(&self) -> Response {
-        match self.shard_state() {
-            Ok(st) => {
-                // crh-lint: allow(unbounded-wait-in-serve) — in-process mutex over the route table; holders only read/swap a small struct
-                let map = st.map.lock().unwrap_or_else(PoisonError::into_inner);
-                Response::RouteTable {
-                    version: map.version,
-                    shard: st.shard,
-                    ranges: map.ranges().to_vec(),
-                }
-            }
-            Err(e) => Response::from_error(&e),
-        }
+    fn route_table(&self) -> Result<Response, ServeError> {
+        let st = self.shard_state()?;
+        Ok(Response::RouteTable {
+            version: st.map.version,
+            shard: st.shard,
+            ranges: st.map.ranges().to_vec(),
+        })
     }
 
     /// Seed this (virgin) member with the donor's committed state for a
     /// split. Shard- and cluster-key-checked; the node itself refuses
     /// once it holds any state.
     fn split_stage(
-        &self,
+        &mut self,
         token: u64,
         shard: u32,
         snapshot: Option<&[u8]>,
         records: &[Vec<u8>],
-    ) -> Response {
-        let st = match self.shard_state() {
-            Ok(st) => st,
-            Err(e) => return Response::from_error(&e),
-        };
-        let mut node = self.node();
-        if token != node.cluster_key() {
-            return Response::from_error(&ServeError::Protocol(
+    ) -> Result<Response, ServeError> {
+        let at = self.shard_state()?.shard;
+        if token != self.node.cluster_key() {
+            return Err(ServeError::Protocol(
                 "split-stage frame with a foreign cluster key".into(),
             ));
         }
-        if shard != st.shard {
-            return Response::from_error(&ServeError::WrongShard {
-                shard,
-                at: st.shard,
-            });
+        if shard != at {
+            return Err(ServeError::WrongShard { shard, at });
         }
-        // crh-lint: allow(blocking-under-lock) — split staging persists the seeded shard under `node` so a crash cannot observe a half-seeded child
-        match node.seed_split(snapshot, records) {
-            Ok(head) => Response::Ack {
-                seq: head.saturating_sub(1),
-                chunks_seen: head,
-            },
-            Err(e) => Response::from_error(&e),
-        }
+        let head = self.node.seed_split(snapshot, records)?;
+        Ok(Response::Ack {
+            seq: head.saturating_sub(1),
+            chunks_seen: head,
+        })
     }
 
     /// Adopt a new route table: validate it, refuse regressions and
     /// conflicting same-version tables, persist it through the durable
     /// store (*the* atomic cutover record — a crash before the rename
     /// recovers the old map, after it the new one), then serve under it.
-    fn split_cutover(&self, token: u64, version: u64, ranges: Vec<ShardRange>) -> Response {
-        let st = match self.shard_state() {
-            Ok(st) => st,
-            Err(e) => return Response::from_error(&e),
-        };
-        if token != self.node().cluster_key() {
-            return Response::from_error(&ServeError::Protocol(
+    fn split_cutover(
+        &mut self,
+        token: u64,
+        version: u64,
+        ranges: Vec<ShardRange>,
+    ) -> Result<Response, ServeError> {
+        let key = self.node.cluster_key();
+        let st = self.shard.as_mut().ok_or_else(unsharded)?;
+        if token != key {
+            return Err(ServeError::Protocol(
                 "split-cutover frame with a foreign cluster key".into(),
             ));
         }
-        let new_map = match ShardMap::from_ranges(version, ranges) {
-            Ok(m) => m,
-            Err(e) => return Response::from_error(&e),
-        };
+        let new_map = ShardMap::from_ranges(version, ranges)?;
         if !new_map.shard_ids().contains(&st.shard) {
-            return Response::from_error(&ServeError::Protocol(format!(
+            return Err(ServeError::Protocol(format!(
                 "route table v{version} drops this member's shard {}",
                 st.shard
             )));
         }
-        // crh-lint: allow(unbounded-wait-in-serve) — in-process mutex over the route table; holders only read/swap a small struct
-        let mut map = st.map.lock().unwrap_or_else(PoisonError::into_inner);
-        if new_map.version < map.version {
-            return Response::from_error(&ServeError::StaleShardMap {
+        if new_map.version < st.map.version {
+            return Err(ServeError::StaleShardMap {
                 got: new_map.version,
-                current: map.version,
+                current: st.map.version,
             });
         }
-        if new_map.version == map.version {
-            if new_map.ranges() == map.ranges() {
+        if new_map.version == st.map.version {
+            if new_map.ranges() == st.map.ranges() {
                 // idempotent retry of an already-adopted cutover
-                return Response::Ack {
-                    seq: map.version,
-                    chunks_seen: map.version,
-                };
+                return Ok(Response::Ack {
+                    seq: st.map.version,
+                    chunks_seen: st.map.version,
+                });
             }
-            return Response::from_error(&ServeError::Protocol(format!(
+            return Err(ServeError::Protocol(format!(
                 "conflicting route table at version {version}"
             )));
         }
-        // crh-lint: allow(blocking-under-lock) — persisting the route table under `map` is the cutover's linearization point; racing it would let readers see a map the disk doesn't
-        if let Err(e) = st.store.save(&new_map) {
-            return Response::from_error(&e);
-        }
-        *map = new_map;
-        Response::Ack {
+        st.store.save(&new_map)?;
+        st.map = new_map;
+        Ok(Response::Ack {
             seq: version,
             chunks_seen: version,
+        })
+    }
+}
+
+struct HaShared {
+    tasks: mpsc::Sender<Task<Replica>>,
+    schema: Schema,
+    cfg: HaConfig,
+    shutdown: AtomicBool,
+    connections: AtomicUsize,
+}
+
+impl HaShared {
+    /// Run `f` on the owner thread and wait for its answer.
+    fn ask<R: Send + 'static>(
+        &self,
+        budget: Option<Duration>,
+        f: impl FnOnce(&mut Replica) -> R + Send + 'static,
+    ) -> Result<R, ServeError> {
+        let (task, answer) = task(f);
+        self.tasks
+            .send(task)
+            .map_err(|_| ServeError::ShuttingDown)?;
+        await_answer(&answer, clamp_wait(self.cfg.server.io_timeout, budget))
+    }
+
+    /// Send a client chunk to the owner to stage and wait for its answer.
+    fn write(
+        &self,
+        claims: Vec<ChunkClaim>,
+        budget: Option<Duration>,
+        shard_check: Option<(u32, u64)>,
+    ) -> Result<Response, ServeError> {
+        let wait = clamp_wait(self.cfg.commit_wait, budget);
+        let (reply, answer) = mpsc::sync_channel(1);
+        let stage: Task<Replica> = Box::new(move |r| r.stage(&claims, shard_check, wait, reply));
+        self.tasks
+            .send(stage)
+            .map_err(|_| ServeError::ShuttingDown)?;
+        // the owner answers by the quorum deadline; the slack covers an
+        // owner still busy with earlier work when the task arrived
+        await_answer(&answer, wait + self.cfg.server.io_timeout)
+    }
+}
+
+impl FrontEnd for HaShared {
+    fn server_cfg(&self) -> &ServerConfig {
+        &self.cfg.server
+    }
+    fn is_shutdown(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+    fn connection_count(&self) -> &AtomicUsize {
+        &self.connections
+    }
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn ingest(
+        &self,
+        claims: Vec<ChunkClaim>,
+        budget: Option<Duration>,
+    ) -> Result<Response, ServeError> {
+        self.write(claims, budget, None)
+    }
+
+    /// A non-primary wraps the answer with its staleness bound so the
+    /// client knows how far behind the primary it may be.
+    fn read(&self, read: Read, budget: Option<Duration>) -> Result<Response, ServeError> {
+        self.ask(budget, move |r| r.read(read))
+    }
+
+    fn solve_seed(
+        &self,
+        budget: Option<Duration>,
+    ) -> Result<(Vec<f64>, usize, Option<u64>), ServeError> {
+        self.ask(budget, |r| {
+            let core = r.node.core();
+            (
+                core.weights().to_vec(),
+                core.solve_threads(),
+                follower_lag(&r.node),
+            )
+        })
+    }
+
+    fn shutdown_now(&self) -> Result<Response, ServeError> {
+        let ack = self.ask(None, |r| {
+            r.node.snapshot_now().ok();
+            shutdown_ack(r.node.core().chunks_seen())
+        });
+        self.shutdown.store(true, Ordering::SeqCst);
+        ack
+    }
+
+    fn cluster(&self, frame: Request, budget: Option<Duration>) -> Result<Response, ServeError> {
+        match frame {
+            // the frame names its sender; CatchUp/SeqQuery are answered
+            // over this connection, so the handler needs no sender id.
+            // The node verifies the frame's cluster key before trusting
+            // any of it, so a stray client cannot forge these.
+            Request::Replicate { node, .. }
+            | Request::Heartbeat { node, .. }
+            | Request::Promote { node, .. } => {
+                self.ask(budget, move |r| r.node.handle(node, &frame, r.now))
+            }
+            Request::CatchUp { .. } | Request::SeqQuery { .. } => {
+                self.ask(budget, move |r| r.node.handle(0, &frame, r.now))
+            }
+            Request::RouteTable => self.ask(budget, |r| r.route_table())?,
+            Request::ShardIngest {
+                shard,
+                map_version,
+                claims,
+            } => self.write(claims, budget, Some((shard, map_version))),
+            Request::ShardTruth {
+                shard,
+                map_version,
+                object,
+                property,
+            } => self.ask(budget, move |r| {
+                r.check_shard(shard, map_version, [object])?;
+                Ok(r.read(Read::Truth { object, property }))
+            })?,
+            Request::SplitStage {
+                token,
+                shard,
+                snapshot,
+                records,
+            } => self.ask(budget, move |r| {
+                r.split_stage(token, shard, snapshot.as_deref(), &records)
+            })?,
+            Request::SplitCutover {
+                token,
+                version,
+                ranges,
+            } => self.ask(budget, move |r| r.split_cutover(token, version, ranges))?,
+            // handle() answers every client request itself
+            _ => Err(ServeError::Protocol(
+                "client request routed as a cluster frame".into(),
+            )),
         }
     }
 }
 
 /// One member of a replicated `crh-serve` cluster: a [`ReplicaNode`]
 /// state machine behind the same TCP front-end as the standalone
-/// [`Server`], plus a ticker thread that drives replication.
+/// [`Server`].
 ///
 /// Threading model:
 ///
-/// - connection threads (shared with [`Server`]) decode frames and call
-///   into the node under its mutex — client writes stage and then *poll*
-///   for quorum commit, replication frames are answered synchronously;
-/// - one **ticker** thread advances logical time every
-///   [`HaConfig::tick`] and collects the frames the node wants to send
-///   under the lock, then hands each frame to a bounded per-peer queue
-///   with a non-blocking push;
+/// - one **owner** thread holds the node and the shard state. It runs
+///   every task connection threads and peer senders send it: client
+///   writes, reads, replication frames, split stage and cutover, peer
+///   replies. It also keeps logical time: it wakes on a task or at the
+///   next [`HaConfig::tick`], advances the node, and hands each frame
+///   the node emits to a bounded per-peer queue with a non-blocking
+///   push;
+/// - a client write is staged on the owner, which then keeps its reply
+///   in a waiting list and answers it as soon as the quorum decides it
+///   (`write_outcome`, re-checked after every state change) — the
+///   owner's wake-up covers the earliest pending deadline;
 /// - one **peer sender** thread per peer owns that peer's persistent
-///   [`Client`] connection, drains its queue, ships frames, and feeds
-///   each reply back into the node. A stalled or black-holing peer
+///   [`Client`] connection, drains its queue, ships frames, and sends
+///   each reply back to the owner. A stalled or black-holing peer
 ///   therefore delays only its own queue — never heartbeats to the
 ///   other peers, the tick cadence, or local reads and writes — so one
 ///   bad peer cannot cause cluster-wide spurious failovers. A full
@@ -683,7 +1019,7 @@ pub struct HaServer {
     shared: Arc<HaShared>,
     addr: std::net::SocketAddr,
     accept_thread: Option<JoinHandle<()>>,
-    ticker_thread: Option<JoinHandle<()>>,
+    owner_thread: Option<JoinHandle<ReplicaNode>>,
 }
 
 impl HaServer {
@@ -713,29 +1049,29 @@ impl HaServer {
                         bootstrap
                     }
                 };
-                Some(ShardState {
-                    shard,
-                    map: Mutex::new(map),
-                    store,
-                })
+                Some(ShardState { shard, map, store })
             }
             None => None,
         };
 
-        let schema = node.core().schema().clone();
+        let (tasks, inbox) = mpsc::channel();
         let shared = Arc::new(HaShared {
-            node: Mutex::new(node),
-            schema,
+            tasks,
+            schema: node.core().schema().clone(),
             cfg,
             shutdown: AtomicBool::new(false),
             connections: AtomicUsize::new(0),
-            ticks: AtomicU64::new(0),
-            shard,
         });
+        let replica = Replica {
+            node,
+            shard,
+            now: 0,
+            waiting: Vec::new(),
+        };
 
-        let ticker_thread = {
+        let owner_thread = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || ticker(&shared))
+            std::thread::spawn(move || replica_owner(replica, inbox, &shared))
         };
         let accept_thread = {
             let shared = Arc::clone(&shared);
@@ -746,7 +1082,7 @@ impl HaServer {
             shared,
             addr: local,
             accept_thread: Some(accept_thread),
-            ticker_thread: Some(ticker_thread),
+            owner_thread: Some(owner_thread),
         })
     }
 
@@ -755,44 +1091,50 @@ impl HaServer {
         self.addr
     }
 
-    /// This member's current role.
+    /// This member's current role (`Follower` once it has stopped).
     pub fn role(&self) -> Role {
-        self.shared.node().role()
+        self.shared
+            .ask(None, |r| r.node.role())
+            .unwrap_or(Role::Follower)
     }
 
-    /// This member's current epoch.
+    /// This member's current epoch (0 once it has stopped).
     pub fn epoch(&self) -> u64 {
-        self.shared.node().epoch()
+        self.shared.ask(None, |r| r.node.epoch()).unwrap_or(0)
     }
 
-    /// Chunks known quorum-committed here.
+    /// Chunks known quorum-committed here (0 once it has stopped).
     pub fn commit(&self) -> u64 {
-        self.shared.node().commit()
+        self.shared.ask(None, |r| r.node.commit()).unwrap_or(0)
     }
 
-    /// Digest of the folded state (replica-divergence checks).
+    /// Digest of the folded state (replica-divergence checks; 0 once it
+    /// has stopped).
     pub fn state_digest(&self) -> u64 {
-        self.shared.node().state_digest()
+        self.shared
+            .ask(None, |r| r.node.state_digest())
+            .unwrap_or(0)
     }
 
     /// Signal shutdown, join the daemon threads, and take a final
     /// snapshot so the next open starts from a clean disk.
     pub fn shutdown(mut self) {
-        self.stop();
-        // crh-lint: allow(blocking-under-lock) — shutdown quiescence: ticker and peer senders are joined, nothing else contends for `node`
-        self.shared.node().snapshot_now().ok();
+        if let Some(mut node) = self.stop() {
+            node.snapshot_now().ok();
+        }
     }
 
-    fn stop(&mut self) {
+    /// Stop serving and hand back the node.
+    fn stop(&mut self) -> Option<ReplicaNode> {
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        // wake the owner so it sees the flag now
+        self.shared.tasks.send(Box::new(|_| {})).ok();
         if let Some(t) = self.accept_thread.take() {
             // crh-lint: allow(unbounded-wait-in-serve) — shutdown join; the flag is set, the accept loop exits on its next bounded accept tick
             t.join().ok();
         }
-        if let Some(t) = self.ticker_thread.take() {
-            // crh-lint: allow(unbounded-wait-in-serve) — shutdown join; the ticker sleeps in bounded intervals and re-checks the flag
-            t.join().ok();
-        }
+        // crh-lint: allow(unbounded-wait-in-serve) — shutdown join; the woken owner answers its waiting writes and joins its peer senders, each bounded by the io timeout
+        self.owner_thread.take().and_then(|t| t.join().ok())
     }
 }
 
@@ -802,291 +1144,73 @@ impl Drop for HaServer {
     }
 }
 
-impl FrontEnd for HaShared {
-    fn server_cfg(&self) -> &ServerConfig {
-        &self.cfg.server
-    }
-    fn is_shutdown(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-    fn connection_count(&self) -> &AtomicUsize {
-        &self.connections
-    }
-    fn handle(self: &Arc<Self>, req: Request) -> Response {
-        let now = self.ticks.load(Ordering::SeqCst);
-        let (req, budget) = match unwrap_deadline(req) {
-            Ok(x) => x,
-            Err(e) => return Response::from_error(&e),
-        };
-        match req {
-            Request::Ingest(claims) => ingest_replicated(claims, self, budget),
-            Request::IngestCsv(text) => match claims_from_csv(&self.schema, &text) {
-                Ok(claims) => ingest_replicated(claims, self, budget),
-                Err(e) => Response::from_error(&e),
-            },
-            Request::Weights | Request::Truth { .. } | Request::Status => {
-                replicated_read(&req, self)
-            }
-            Request::Solve { .. } => replicated_solve(&req, self, budget),
-            // the frame names its sender; CatchUp/SeqQuery are answered
-            // over this connection, so the handler needs no sender id.
-            // The node verifies the frame's cluster key before trusting
-            // any of it, so a stray client cannot forge these.
-            Request::Replicate { node, .. }
-            | Request::Heartbeat { node, .. }
-            // crh-lint: allow(blocking-under-lock) — the replicated fold's WAL fsync must be atomic with the replication state transition it acks
-            | Request::Promote { node, .. } => self.node().handle(node, &req, now),
-            // crh-lint: allow(blocking-under-lock) — catch-up replay folds durably under `node` for the same reason as Replicate
-            Request::CatchUp { .. } | Request::SeqQuery { .. } => self.node().handle(0, &req, now),
-            Request::RouteTable => self.route_table(),
-            Request::ShardIngest {
-                shard,
-                map_version,
-                claims,
-            } => match self.check_shard(shard, map_version, claims.iter().map(|c| c.object)) {
-                Ok(()) => ingest_replicated(claims, self, budget),
-                Err(e) => Response::from_error(&e),
-            },
-            Request::ShardTruth {
-                shard,
-                map_version,
-                object,
-                property,
-            } => match self.check_shard(shard, map_version, [object]) {
-                Ok(()) => replicated_read(&Request::Truth { object, property }, self),
-                Err(e) => Response::from_error(&e),
-            },
-            Request::SplitStage {
-                token,
-                shard,
-                snapshot,
-                records,
-            } => self.split_stage(token, shard, snapshot.as_deref(), &records),
-            Request::SplitCutover {
-                token,
-                version,
-                ranges,
-            } => self.split_cutover(token, version, ranges),
-            Request::Probe { nonce } => Response::ProbeAck { nonce },
-            // decode refuses nested wrappers and unwrap_deadline stripped
-            // the outer one, but the type still admits it
-            Request::WithDeadline { .. } => {
-                Response::from_error(&ServeError::Protocol("nested deadline wrapper".into()))
-            }
-            Request::Shutdown => {
-                self.shutdown.store(true, Ordering::SeqCst);
-                let mut node = self.node();
-                // crh-lint: allow(blocking-under-lock) — shutdown snapshot atomic with the chunks_seen it acks, as in the single-node path
-                node.snapshot_now().ok();
-                let chunks_seen = node.core().chunks_seen();
-                Response::Ack {
-                    seq: chunks_seen.saturating_sub(1),
-                    chunks_seen,
-                }
-            }
-        }
-    }
-}
-
-/// Stage a client chunk, then poll until the replication quorum commits
-/// it (the ticker advances the commit as peer acks arrive) or the
-/// commit-wait deadline passes.
-///
-/// The ack condition is [`ReplicaNode::ack_safe`], not bare
-/// `is_committed`: if this node is deposed during the wait, its staged
-/// record is truncated and the new primary may commit *different* bytes
-/// at the same sequence — a commit bound passing `seq` then says nothing
-/// about the client's write. Acking it would report a discarded write as
-/// durable, so a deposed node answers `NotPrimary` instead and the
-/// client retries against the new primary.
-fn ingest_replicated(
-    claims: Vec<ChunkClaim>,
-    shared: &Arc<HaShared>,
-    budget: Option<Duration>,
-) -> Response {
-    // the staged epoch is captured under the same lock as the staging
-    // itself, so it names exactly the reign the record belongs to
-    let (seq, epoch) = {
-        let mut node = shared.node();
-        // crh-lint: allow(blocking-under-lock) — staging the record durably under `node` is what makes the captured epoch name its reign; see the comment above
-        match node.client_ingest(&claims) {
-            Ok(seq) => (seq, node.epoch()),
-            Err(e) => return Response::from_error(&e),
-        }
-    };
-    // Once the record is staged durably, a budget that runs out mid-wait
-    // keeps NotReplicated semantics (the write may still commit; the
-    // client must not assume it was refused) — the budget only shortens
-    // how long this hop is willing to wait for the quorum.
-    let deadline = Instant::now() + clamp_wait(shared.cfg.commit_wait, budget);
-    loop {
-        {
-            let node = shared.node();
-            if node.ack_safe(seq, epoch) {
-                return Response::Ack {
-                    seq,
-                    chunks_seen: node.commit(),
-                };
-            }
-            if node.role() != Role::Primary || node.epoch() != epoch {
-                return Response::from_error(&ServeError::NotPrimary {
-                    hint: node.leader_hint(),
-                });
-            }
-            if Instant::now() >= deadline || shared.is_shutdown() {
-                // durable here, but the client must treat it as un-acked
-                return Response::from_error(&ServeError::NotReplicated {
-                    seq,
-                    acked: node.ack_count(seq),
-                    quorum: node.quorum(),
-                });
-            }
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-}
-
-/// Serve a cheap read; a non-primary wraps the answer with its staleness
-/// bound so the client knows how far behind the primary it may be.
-fn replicated_read(req: &Request, shared: &Arc<HaShared>) -> Response {
-    let node = shared.node();
-    let inner = match req {
-        Request::Weights => Response::Weights(node.core().weights().to_vec()),
-        Request::Truth { object, property } => {
-            Response::Truth(node.core().truth(*object, *property))
-        }
-        Request::Status => {
-            let status = node.core().status();
-            Response::Status {
-                chunks_seen: status.chunks_seen,
-                wal_records: status.wal_records,
-                cached_truths: status.cached_truths,
-                queue_depth: 0,
-                quarantined: status.quarantined,
-            }
-        }
-        // the dispatcher routes only the three read variants here; answer
-        // a protocol error rather than panicking if that ever changes
-        _ => {
-            return Response::from_error(&ServeError::Protocol(
-                "replicated_read called with a non-read request".into(),
-            ))
-        }
-    };
-    wrap_follower_read(&node, inner)
-}
-
-/// A batch solve copies the weight seed under the lock, solves without
-/// it, and wraps the result with the staleness bound observed *at seed
-/// time* (the seed is what the answer actually depends on).
-fn replicated_solve(req: &Request, shared: &Arc<HaShared>, budget: Option<Duration>) -> Response {
-    let Request::Solve {
-        tol,
-        max_iters,
-        claims,
-    } = req
-    else {
-        // the dispatcher routes only Solve here; answer a protocol error
-        // rather than panicking if that ever changes
-        return Response::from_error(&ServeError::Protocol(
-            "replicated_solve called with a non-solve request".into(),
-        ));
-    };
-    let (seed, threads, role, lag) = {
-        let node = shared.node();
-        (
-            node.core().weights().to_vec(),
-            node.core().solve_threads(),
-            node.role(),
-            node.lag(),
-        )
-    };
-    let cancel = CancelToken::with_deadline(clamp_wait(shared.cfg.server.solve_deadline, budget));
-    let inner = match solve_claims(
-        &shared.schema,
-        claims,
-        &seed,
-        *tol,
-        *max_iters as usize,
-        threads,
-        &cancel,
-    ) {
-        Ok(out) => Response::Solved {
-            weights: out.weights,
-            objective: out.objective,
-            iterations: out.iterations,
-        },
-        Err(e) => Response::from_error(&e),
-    };
-    if role == Role::Primary {
-        inner
-    } else {
-        Response::FollowerRead {
-            lag,
-            inner: inner.encode(),
-        }
-    }
-}
-
-fn wrap_follower_read(node: &ReplicaNode, inner: Response) -> Response {
-    if node.role() == Role::Primary {
-        inner
-    } else {
-        Response::FollowerRead {
-            lag: node.lag(),
-            inner: inner.encode(),
-        }
-    }
-}
-
-/// Frames buffered per peer between the ticker and that peer's sender
+/// Frames buffered per peer between the owner and that peer's sender
 /// thread. Sized to ride out a few slow ticks; overflow drops frames,
 /// which the heartbeat-driven retransmit protocol absorbs.
 const PEER_QUEUE_CAP: usize = 64;
 
-/// The replication engine's clock: advance logical time every tick and
-/// fan the frames the node emits out to the per-peer sender threads.
-/// This thread never touches a socket, so no peer can stall it.
-fn ticker(shared: &Arc<HaShared>) {
-    let mut senders: std::collections::HashMap<u32, mpsc::SyncSender<(u64, Request)>> =
-        std::collections::HashMap::new();
-    let mut handles = Vec::new();
+/// Own the replica: run tasks as they arrive, advance logical time every
+/// tick and fan the frames the node emits out to the per-peer sender
+/// threads, and answer waiting writes once decided. This thread never
+/// touches a socket, so no peer can stall it. Returns the node once
+/// shutdown is flagged.
+fn replica_owner(
+    mut r: Replica,
+    inbox: mpsc::Receiver<Task<Replica>>,
+    shared: &Arc<HaShared>,
+) -> ReplicaNode {
+    let mut peers = BTreeMap::new();
+    let mut senders = Vec::new();
     for (dest, addr) in shared.cfg.peer_addrs.clone() {
         let (tx, rx) = mpsc::sync_channel::<(u64, Request)>(PEER_QUEUE_CAP);
         let shared = Arc::clone(shared);
-        handles.push(std::thread::spawn(move || {
+        senders.push(std::thread::spawn(move || {
             peer_sender(&shared, dest, &addr, &rx);
         }));
-        senders.insert(dest, tx);
+        peers.insert(dest, tx);
     }
+    let mut next_tick = Instant::now() + shared.cfg.tick;
     while !shared.is_shutdown() {
-        std::thread::sleep(shared.cfg.tick);
-        let now = shared.ticks.fetch_add(1, Ordering::SeqCst) + 1;
-        // a failed fold inside tick() leaves nothing to ship this round
-        // crh-lint: allow(blocking-under-lock) — an election's term bump must be durable before any frame naming the term leaves this node
-        let frames = shared.node().tick(now).unwrap_or_default();
-        for (dest, req) in frames {
-            if let Some(tx) = senders.get(&dest) {
-                // non-blocking: a stalled peer's full queue drops the
-                // frame; the next heartbeat interval re-ships from the
-                // follower's acked position
-                tx.try_send((now, req)).ok();
-            }
+        let wake = r
+            .waiting
+            .iter()
+            .map(|w| w.deadline)
+            .fold(next_tick, Instant::min);
+        if let Ok(task) = inbox.recv_timeout(wake.saturating_duration_since(Instant::now())) {
+            task(&mut r);
         }
+        if Instant::now() >= next_tick {
+            r.now += 1;
+            // a failed fold inside tick() leaves nothing to ship this round
+            for (dest, req) in r.node.tick(r.now).unwrap_or_default() {
+                if let Some(tx) = peers.get(&dest) {
+                    // non-blocking: a stalled peer's full queue drops the
+                    // frame; the next heartbeat interval re-ships from
+                    // the follower's acked position
+                    tx.try_send((r.now, req)).ok();
+                }
+            }
+            next_tick = Instant::now() + shared.cfg.tick;
+        }
+        r.answer_writes(false);
     }
+    r.answer_writes(true);
+    // tasks still queued are dropped with the inbox, ending their waits
+    drop(inbox);
     // closing the queues wakes the sender threads so they can exit
-    drop(senders);
-    for h in handles {
-        // crh-lint: allow(unbounded-wait-in-serve) — shutdown join; the dropped queues wake each sender thread immediately
-        h.join().ok();
+    drop(peers);
+    for s in senders {
+        // crh-lint: allow(unbounded-wait-in-serve) — shutdown join; the dropped queues wake each sender, and an in-flight call is bounded by the io timeout
+        s.join().ok();
     }
+    r.node
 }
 
 /// Own one peer's connection: drain its frame queue, ship each frame,
-/// and feed the reply back into the node. Connection failures are
+/// and send the reply back to the owner. Connection failures are
 /// silence (exactly like the simulator's dropped frames); the thread
 /// reconnects on the next frame.
-fn peer_sender(shared: &Arc<HaShared>, dest: u32, addr: &str, rx: &mpsc::Receiver<(u64, Request)>) {
+fn peer_sender(shared: &HaShared, dest: u32, addr: &str, rx: &mpsc::Receiver<(u64, Request)>) {
     let mut conn: Option<Client> = None;
     loop {
         let (now, req) = match rx.recv_timeout(Duration::from_millis(50)) {
@@ -1110,13 +1234,116 @@ fn peer_sender(shared: &Arc<HaShared>, dest: u32, addr: &str, rx: &mpsc::Receive
         };
         match c.call_raw(&req) {
             Ok(resp) => {
-                // crh-lint: allow(blocking-under-lock) — a quorum-ack commit advance folds durably under `node` before the leader acks clients
-                shared.node().on_reply(dest, &resp, now).ok();
+                let reply: Task<Replica> = Box::new(move |r| {
+                    r.node.on_reply(dest, &resp, now).ok();
+                });
+                shared.tasks.send(reply).ok();
             }
             Err(_) => {
                 // broken connection; reconnect for the next frame
                 conn = None;
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::failover::SimCluster;
+    use crate::faults::NetFaultPlan;
+    use crh_core::value::Value;
+
+    fn cluster(tag: &str, n: usize) -> SimCluster {
+        let mut schema = Schema::new();
+        schema.add_continuous("temperature");
+        let base = std::env::temp_dir().join(format!("crh_owner_{tag}_{}", std::process::id()));
+        std::fs::remove_dir_all(&base).ok();
+        let mut c = SimCluster::new(
+            n,
+            |id| ServeConfig::new(schema.clone(), 0.5, base.join(format!("n{id}"))),
+            NetFaultPlan::new(0),
+        )
+        .unwrap();
+        for _ in 0..12 {
+            c.step().unwrap();
+        }
+        c
+    }
+
+    fn chunk() -> Vec<ChunkClaim> {
+        (0..3u32)
+            .map(|s| ChunkClaim {
+                object: 0,
+                property: 0,
+                source: s,
+                value: Value::Num(10.0 + f64::from(s)),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn commit_past_seq_in_the_staged_epoch_acks() {
+        let mut c = cluster("ack", 3);
+        let (p, seq) = c.client_ingest(&chunk()).unwrap();
+        let epoch = c.node(p).unwrap().epoch();
+        c.settle(0, 64).unwrap();
+        let node = c.node(p).unwrap();
+        assert!(node.is_committed(seq));
+        match write_outcome(node, seq, epoch, false) {
+            Some(Ok(Response::Ack { seq: s, .. })) => assert_eq!(s, seq),
+            other => panic!("expected an ack, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn deposed_mid_wait_answers_not_primary_despite_the_commit() {
+        let mut c = cluster("deposed", 3);
+        let (p, seq) = c.client_ingest(&chunk()).unwrap();
+        c.settle(0, 64).unwrap();
+        let node = c.node_mut(p).unwrap();
+        let epoch = node.epoch();
+        let other = (0..3).find(|&n| n != node.node_id()).unwrap();
+        node.handle(
+            other,
+            &Request::Heartbeat {
+                token: 0,
+                epoch: epoch + 1,
+                node: other,
+                commit: 0,
+                head: 0,
+            },
+            10_000,
+        );
+        assert!(node.is_committed(seq), "the commit bound passed seq");
+        assert!(matches!(
+            write_outcome(node, seq, epoch, false),
+            Some(Err(ServeError::NotPrimary { .. }))
+        ));
+    }
+
+    #[test]
+    fn deadline_with_a_partial_quorum_answers_not_replicated() {
+        let mut c = cluster("partial", 3);
+        let p = c.primary().unwrap();
+        let node = c.node_mut(p).unwrap();
+        // staged on the primary only: no follower has acked it yet
+        let seq = node.client_ingest(&chunk()).unwrap();
+        let epoch = node.epoch();
+        assert!(
+            write_outcome(node, seq, epoch, false).is_none(),
+            "keep waiting"
+        );
+        match write_outcome(node, seq, epoch, true) {
+            Some(Err(ServeError::NotReplicated {
+                seq: s,
+                acked,
+                quorum,
+            })) => {
+                assert_eq!((s, acked, quorum), (seq, 1, 2));
+                assert_eq!((acked, quorum), (node.ack_count(seq), node.quorum()));
+            }
+            other => panic!("expected NotReplicated, got {other:?}"),
         }
     }
 }

@@ -132,6 +132,16 @@ fn overload_is_typed_prompt_and_deadlock_free() {
         })
         .collect();
 
+    // reads bypass ingest admission: while the 1-slot queue is full and
+    // folds stall, a second client's reads wait for the fold in progress
+    // and answer; they are never refused with `Overloaded`
+    std::thread::sleep(Duration::from_millis(50));
+    let mut reader = Client::connect(addr, Duration::from_secs(5)).unwrap();
+    let weights = reader.weights();
+    assert!(weights.is_ok(), "weights read under overload: {weights:?}");
+    let truth = reader.truth(0, 0);
+    assert!(truth.is_ok(), "truth read under overload: {truth:?}");
+
     let mut accepted = 0;
     let mut overloaded = 0;
     let mut deadlined = 0;
