@@ -830,6 +830,12 @@ impl DiskFile {
         self.file.seek(SeekFrom::Start(offset))?;
         Ok(())
     }
+
+    /// The file's current length (fault-free: a metadata query, no
+    /// read or write is issued).
+    pub(crate) fn size(&self) -> Result<u64, ServeError> {
+        Ok(self.file.metadata()?.len())
+    }
 }
 
 #[cfg(test)]

@@ -126,12 +126,25 @@ pub struct WalRecovery {
     pub truncated_bytes: u64,
 }
 
+/// Whether the file behind a [`Wal`] still matches what it acknowledged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tail {
+    /// The file holds exactly `len` bytes of intact records.
+    Clean,
+    /// A refused append may have left bytes past `len` that could not be
+    /// cut off yet.
+    Stray,
+    /// A rotation retired the file but the fresh log is not in place yet.
+    Retired,
+}
+
 /// An open write-ahead log.
 #[derive(Debug)]
 pub struct Wal {
     file: DiskFile,
     len: u64,
     records: u64,
+    tail: Tail,
 }
 
 impl Wal {
@@ -147,15 +160,13 @@ impl Wal {
         file.read_to_end(&mut bytes)?;
 
         if bytes.is_empty() {
-            file.write_all(&WAL_HEADER)?;
-            file.sync_all()?;
-            // a freshly created log's directory entry must also survive
-            vfs.sync_parent_dir(&path)?;
+            start_log(&mut file)?;
             return Ok((
                 Self {
                     file,
                     len: WAL_HEADER.len() as u64,
                     records: 0,
+                    tail: Tail::Clean,
                 },
                 WalRecovery {
                     records: Vec::new(),
@@ -187,6 +198,7 @@ impl Wal {
                 file,
                 len,
                 records: n,
+                tail: Tail::Clean,
             },
             WalRecovery {
                 records,
@@ -197,14 +209,62 @@ impl Wal {
 
     /// Append one record and fsync. Returns the record's index within
     /// this log (0-based).
+    ///
+    /// A refused append leaves no trace: on a write or fsync error the
+    /// file is cut back to its last good length, so the next record (which
+    /// may reuse the refused one's sequence number) is the one recovery
+    /// finds. If the cut fails too, [`has_stray_tail`](Self::has_stray_tail)
+    /// reports it and the next append retries the cut before writing. An
+    /// injected crash is left as it is: a killed process cleans up nothing.
     pub fn append(&mut self, payload: &[u8]) -> Result<u64, ServeError> {
+        self.repair()?;
         let frame = Self::frame(payload);
-        self.file.write_all(&frame)?;
-        self.file.sync_data()?;
+        let written = self
+            .file
+            .write_all(&frame)
+            .and_then(|()| self.file.sync_data());
+        if let Err(e) = written {
+            if !matches!(e, ServeError::InjectedCrash(_)) {
+                self.tail = Tail::Stray;
+                // a failed cut keeps the tail stray; the refusal is the
+                // error the caller needs to see
+                let _ = self.repair();
+            }
+            return Err(e);
+        }
         self.len += frame.len() as u64;
         let idx = self.records;
         self.records += 1;
         Ok(idx)
+    }
+
+    /// Whether a refused append left bytes in the file that could not be
+    /// cut off. Recovery would read them as a record, so a caller that
+    /// cannot wait for the next append to cut them must stop instead.
+    pub(crate) fn has_stray_tail(&self) -> bool {
+        self.tail == Tail::Stray
+    }
+
+    /// Bring the file back in step with `len` after a failed append or
+    /// rotation: cut a stray tail, or put the fresh log in place.
+    fn repair(&mut self) -> Result<(), ServeError> {
+        match self.tail {
+            Tail::Clean => return Ok(()),
+            Tail::Stray => {
+                if self.file.size()? != self.len {
+                    self.file.set_len(self.len)?;
+                }
+                self.file.seek_to(self.len)?;
+            }
+            Tail::Retired => {
+                let mut file = self.file.vfs().open_log(self.file.path())?;
+                start_log(&mut file)?;
+                self.file = file;
+                self.len = WAL_HEADER.len() as u64;
+            }
+        }
+        self.tail = Tail::Clean;
+        Ok(())
     }
 
     /// Simulate a `kill -9` mid-append: write only `keep_frac` of the
@@ -216,6 +276,7 @@ impl Wal {
     /// [`DiskFaultPlan`](crate::vfs::DiskFaultPlan) torn-write fate),
     /// never from the production API.
     pub(crate) fn append_torn(&mut self, payload: &[u8], keep_frac: f64) -> Result<(), ServeError> {
+        self.repair()?;
         let frame = Self::frame(payload);
         let kept = self.file.write_torn(&frame, keep_frac)?;
         self.len += kept;
@@ -228,23 +289,24 @@ impl Wal {
     /// written, so recovery can still fall back one snapshot generation
     /// and bridge the gap by replay (sequence-number skips make the
     /// extra records idempotent).
+    ///
+    /// If the fresh log cannot be put in place once the old one is
+    /// retired, the next append (or rotation) puts it in place first.
     pub fn rotate(&mut self, prev_path: impl AsRef<Path>) -> Result<(), ServeError> {
-        let vfs = self.file.vfs().clone();
-        let path = self.file.path().to_path_buf();
-        vfs.rename(&path, prev_path.as_ref())?;
-        let mut file = vfs.open_log(&path)?;
-        file.write_all(&WAL_HEADER)?;
-        file.sync_all()?;
-        vfs.sync_parent_dir(&path)?;
-        self.file = file;
-        self.len = WAL_HEADER.len() as u64;
+        self.repair()?;
+        self.file
+            .vfs()
+            .rename(self.file.path(), prev_path.as_ref())?;
+        self.tail = Tail::Retired;
+        self.len = 0;
         self.records = 0;
-        Ok(())
+        self.repair()
     }
 
     /// Drop every record: truncate back to the bare header (used after a
     /// successful snapshot has made the log's contents redundant).
     pub fn truncate_all(&mut self) -> Result<(), ServeError> {
+        self.repair()?;
         self.file.set_len(WAL_HEADER.len() as u64)?;
         self.file.sync_all()?;
         self.file.seek_to(WAL_HEADER.len() as u64)?;
@@ -275,6 +337,18 @@ impl Wal {
         out.extend_from_slice(payload);
         out
     }
+}
+
+/// Write the header of a fresh (or emptied) log and make it durable,
+/// directory entry included.
+fn start_log(file: &mut DiskFile) -> Result<(), ServeError> {
+    if file.size()? != 0 {
+        file.set_len(0)?;
+    }
+    file.seek_to(0)?;
+    file.write_all(&WAL_HEADER)?;
+    file.sync_all()?;
+    file.vfs().sync_parent_dir(file.path())
 }
 
 #[cfg(test)]
@@ -449,6 +523,65 @@ mod tests {
             matches!(err, ServeError::SnapshotDirSync { .. }),
             "expected SnapshotDirSync, got {err}"
         );
+    }
+
+    #[test]
+    fn refused_append_is_cut_off_before_the_next_record() {
+        let p = tmp("refused");
+        std::fs::remove_file(&p).ok();
+        // seed 2: ops 0-3 create the log, op 4 writes the first frame and
+        // op 5 (its fsync) fails, so the refused frame is in the file
+        let vfs = Vfs::faulted(
+            crate::vfs::DiskFaultPlan::new(2)
+                .transient_eio(0.2)
+                .max_faults(1),
+        )
+        .unwrap();
+        let (mut wal, _) = Wal::open(&p, &vfs).unwrap();
+        let err = wal.append(b"refused").unwrap_err();
+        assert!(matches!(err, ServeError::Io(_)), "{err}");
+        assert_eq!(vfs.faults_fired(), 1);
+        assert!(!wal.has_stray_tail());
+        assert_eq!(
+            std::fs::metadata(&p).unwrap().len(),
+            WAL_HEADER.len() as u64
+        );
+        assert_eq!(wal.append(b"accepted").unwrap(), 0);
+        drop(wal);
+        let (_, rec) = Wal::open(&p, &pt()).unwrap();
+        assert_eq!(rec.records, vec![b"accepted".to_vec()]);
+        std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn failed_rotation_is_finished_by_the_next_append() {
+        // ops 0-3 create the log, 4-5 append, 6 renames it away; the
+        // fresh log's header write (seed 9), fsync (seed 10) or directory
+        // fsync (seed 36) then fails
+        for seed in [9u64, 10, 36] {
+            let p = tmp(&format!("rotate_{seed}"));
+            let prev = p.with_extension("prev");
+            std::fs::remove_file(&p).ok();
+            std::fs::remove_file(&prev).ok();
+            let vfs = Vfs::faulted(
+                crate::vfs::DiskFaultPlan::new(seed)
+                    .transient_eio(0.2)
+                    .max_faults(1),
+            )
+            .unwrap();
+            let (mut wal, _) = Wal::open(&p, &vfs).unwrap();
+            wal.append(b"retired").unwrap();
+            assert!(wal.rotate(&prev).is_err(), "seed {seed}");
+            assert_eq!(vfs.faults_fired(), 1, "seed {seed}");
+            assert_eq!(wal.append(b"fresh").unwrap(), 0, "seed {seed}");
+            drop(wal);
+            let (_, rec) = Wal::open(&prev, &pt()).unwrap();
+            assert_eq!(rec.records, vec![b"retired".to_vec()], "seed {seed}");
+            let (_, rec) = Wal::open(&p, &pt()).unwrap();
+            assert_eq!(rec.records, vec![b"fresh".to_vec()], "seed {seed}");
+            std::fs::remove_file(&p).ok();
+            std::fs::remove_file(&prev).ok();
+        }
     }
 
     #[test]

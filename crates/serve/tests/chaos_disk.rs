@@ -472,3 +472,158 @@ fn dying_disk_primary_deposes_and_a_healthy_replica_takes_over() {
     );
     std::fs::remove_dir_all(&base).ok();
 }
+
+/// Fingerprint of `chunks` ingested on a healthy disk, in a directory of
+/// its own (`tag`) so parallel tests never share one.
+fn healthy_fingerprint(tag: &str, chunks: &[Vec<ChunkClaim>]) -> Vec<u8> {
+    let dir = test_dir(tag);
+    let (mut core, _) = ServeCore::open(config(&dir, Vfs::passthrough())).unwrap();
+    for chunk in chunks {
+        core.ingest(chunk).unwrap();
+    }
+    let bytes = core.checkpoint_bytes();
+    std::fs::remove_dir_all(&dir).ok();
+    bytes
+}
+
+/// Each chunk repeated over disjoint objects up to 2 048 claims. The
+/// daemon writes the WAL record of a chunk that big on a helper thread
+/// while it folds (it overlaps the two from 1 024 claims); the small
+/// workload chunks append before the fold. Fault op indices are the
+/// same for both: an append is one write and one fsync at any size.
+fn widen(chunks: &[Vec<ChunkClaim>]) -> Vec<Vec<ChunkClaim>> {
+    chunks
+        .iter()
+        .map(|chunk| {
+            let copies = 2048usize.div_ceil(chunk.len()) as u32;
+            (0..copies)
+                .flat_map(|k| {
+                    chunk.iter().cloned().map(move |mut c| {
+                        c.object += 5 * k;
+                        c
+                    })
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Both chunk sizes of a workload, tagged: appends before the fold and
+/// appends beside it.
+fn both_sizes(chunks: Vec<Vec<ChunkClaim>>) -> [(&'static str, Vec<Vec<ChunkClaim>>); 2] {
+    let wide = widen(&chunks);
+    [("small", chunks), ("wide", wide)]
+}
+
+#[test]
+fn recovery_is_bit_identical_with_overlapped_appends() {
+    let mut total_crashes = 0u64;
+    for seed in 100..104u64 {
+        let lying = seed % 2 == 1;
+        let mut plan = DiskFaultPlan::new(seed)
+            .torn_writes(0.10)
+            .bit_rot(0.05)
+            .transient_eio(0.05)
+            .max_faults(16);
+        if lying {
+            plan = plan.lying_fsyncs(0.10).max_faults(8);
+        }
+        let chunks = widen(&workload(seed, 20));
+        let reference = reference_fingerprint(seed, &chunks);
+        let (recovered, crashes) = disk_chaotic_run(seed, &chunks, plan, !lying);
+        assert_eq!(
+            recovered, reference,
+            "seed {seed}: wide-chunk state after {crashes} disk-fault crashes diverged"
+        );
+        total_crashes += crashes;
+    }
+    assert!(total_crashes > 0, "the plans injected no crashes");
+}
+
+/// A transient `EIO` on a WAL append refuses the chunk, and the core keeps
+/// serving. The refused frame must not stay in the log: the next acked
+/// chunk takes the same sequence number, so a clean restart that found
+/// the refused frame first would fold it and drop the acked chunk as a
+/// duplicate. The client here moves on after a refusal, so the acked
+/// chunks alone are the reference.
+#[test]
+fn refused_append_never_replaces_an_acked_chunk_on_restart() {
+    for seed in [2u64, 4, 5, 9] {
+        for (size, chunks) in both_sizes(workload(seed, 20)) {
+            let tag = format!("refused_append_{size}_{seed}");
+            let dir = test_dir(&tag);
+            let vfs =
+                Vfs::faulted(DiskFaultPlan::new(seed).transient_eio(0.15).max_faults(1)).unwrap();
+            let (mut core, _) = ServeCore::open(config(&dir, vfs.clone())).unwrap();
+            let mut acked = Vec::new();
+            let mut refused = false;
+            for chunk in &chunks {
+                match core.ingest(chunk) {
+                    Ok(_) => {
+                        acked.push(chunk.clone());
+                        if refused {
+                            break;
+                        }
+                    }
+                    Err(ServeError::Io(_)) => refused = true,
+                    Err(e) => panic!("{tag}: unexpected ingest error: {e}"),
+                }
+            }
+            assert!(refused, "{tag}: the plan refused no chunk");
+            let memory = core.checkpoint_bytes();
+            assert_eq!(
+                memory,
+                healthy_fingerprint(&format!("{tag}_ref"), &acked),
+                "{tag}: memory holds more than the acked chunks"
+            );
+            drop(core);
+            let (core, _) = ServeCore::open(config(&dir, Vfs::passthrough())).unwrap();
+            assert_eq!(
+                core.checkpoint_bytes(),
+                memory,
+                "{tag}: restart recovered a refused record instead of the acked one"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+}
+
+/// A snapshot that fails after the chunk's WAL record is durable must not
+/// report the chunk as refused: it is already folded, so a client retry
+/// would fold it twice. The client here retries every refused chunk.
+#[test]
+fn failed_snapshot_after_the_commit_point_still_acks_the_chunk() {
+    let seed = 0u64;
+    for (size, chunks) in both_sizes(workload(seed, 8)) {
+        let dir = test_dir(&format!("snapshot_after_commit_{size}"));
+        let vfs = Vfs::faulted(DiskFaultPlan::new(seed).transient_eio(0.15).max_faults(1)).unwrap();
+        let (mut core, _) = ServeCore::open(config(&dir, vfs.clone())).unwrap();
+        let mut attempts = 0u64;
+        for chunk in &chunks {
+            loop {
+                attempts += 1;
+                match core.ingest(chunk) {
+                    Ok(_) => break,
+                    Err(ServeError::Io(_)) => {}
+                    Err(e) => panic!("{size}: unexpected ingest error: {e}"),
+                }
+            }
+        }
+        assert_eq!(vfs.faults_fired(), 1, "{size}: the plan injected no fault");
+        assert_eq!(
+            core.chunks_seen(),
+            chunks.len() as u64,
+            "{size}: a refused chunk was folded ({attempts} attempts)"
+        );
+        let memory = core.checkpoint_bytes();
+        assert_eq!(
+            memory,
+            healthy_fingerprint(&format!("snapshot_after_commit_{size}_ref"), &chunks),
+            "{size}"
+        );
+        drop(core);
+        let (core, _) = ServeCore::open(config(&dir, Vfs::passthrough())).unwrap();
+        assert_eq!(core.checkpoint_bytes(), memory, "{size}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
