@@ -17,9 +17,7 @@
 //! (§3.1: "We implement all the baselines and set the parameters according
 //! to their authors' suggestions").
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::dbg_macro))]
 
 pub mod accusim;
 pub mod crh_adapter;

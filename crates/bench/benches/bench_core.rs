@@ -165,7 +165,6 @@ fn bench_core(c: &mut Harness) {
         let table = sized_table(objects);
         let iters = solver(true, 1).run(&table).unwrap().iterations;
         let work = table.num_observations() as u64 * iters as u64;
-        // crh-lint: allow(print-stdout) — bench binaries report on stdout
         println!(
             "\nsize {objects}: {} entries, {} observations, {} iterations/run",
             table.num_entries(),
@@ -192,7 +191,6 @@ fn bench_core(c: &mut Harness) {
         if crossover.is_none() && col1 < row1 {
             crossover = Some(objects);
         }
-        // crh-lint: allow(print-stdout) — bench binaries report on stdout
         println!("  columnar vs row (1 thread): {:.2}x", row1 / col1);
     }
 
@@ -229,7 +227,6 @@ fn bench_core(c: &mut Harness) {
     // Claim 2: fusion wins single-threaded, everywhere.
     let fused_ns = median_ns(c, "core_fusion", "fused/1");
     let unfused_ns = median_ns(c, "core_fusion", "unfused/1");
-    // crh-lint: allow(print-stdout) — bench binaries report on stdout
     println!("\nfusion speedup (1 thread): {:.2}x", unfused_ns / fused_ns);
     if !quick {
         assert!(
@@ -240,7 +237,6 @@ fn bench_core(c: &mut Harness) {
 
     // Claim 3: the columnar layout beats the row layout at the largest
     // size on one thread — no cores required, so no self-arming here.
-    // crh-lint: allow(print-stdout) — bench binaries report on stdout
     println!(
         "columnar speedup at {largest} objects (1 thread): {:.2}x",
         row1 / col1
@@ -254,7 +250,6 @@ fn bench_core(c: &mut Harness) {
 
     // Claim 4: parallel speedup at the largest size, only meaningful with
     // real cores.
-    // crh-lint: allow(print-stdout) — bench binaries report on stdout
     println!(
         "4-thread columnar speedup at {largest} objects: {:.2}x (on {cores} cores)",
         col1 / col4

@@ -181,7 +181,6 @@ fn bench_tail_read(h: &mut Harness, quick: bool) {
     lats.sort();
     let (p50, p99) = (percentile(&lats, 50), percentile(&lats, 99));
     let quarantined = cc.health().is_quarantined(0);
-    // crh-lint: allow(print-stdout) — a bench harness's job is printing its report; stdout is the deliverable
     println!(
         "  tarpit_hedged_warm: p50 {p50:?}  p99 {p99:?} over {total} reads; \
          hedge fired {fired}/{total}; straggler quarantined: {quarantined}"

@@ -21,9 +21,7 @@
 //! live in `benches/`, driven by the in-tree [`microbench`] harness so
 //! the whole workspace builds offline.
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::dbg_macro))]
 
 pub mod datasets;
 pub mod experiments;

@@ -17,6 +17,11 @@
 //! Every document records the host's core count (`"cores"`), so a number
 //! is never read without the hardware it came from.
 
+#![expect(
+    clippy::print_stdout,
+    reason = "a bench harness's job is printing its report; stdout is the deliverable"
+)]
+
 use std::fmt::Display;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -185,7 +190,6 @@ impl Harness {
     /// Record a derived scalar metric into the report and the JSON sink.
     pub fn record_metric(&mut self, group: impl Into<String>, id: impl Into<String>, value: f64) {
         let (group, id) = (group.into(), id.into());
-        // crh-lint: allow(print-stdout) — a bench harness's job is printing its report; stdout is the deliverable
         println!("  metric {group}/{id} = {value:.4}");
         self.metrics.push(MetricRecord { group, id, value });
     }
@@ -198,7 +202,6 @@ impl Harness {
     /// Start a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> Group<'_> {
         let name = name.into();
-        // crh-lint: allow(print-stdout) — a bench harness's job is printing its report; stdout is the deliverable
         println!("\n== {name} ==");
         Group {
             quick: self.quick,
@@ -239,7 +242,6 @@ impl Drop for Harness {
     fn drop(&mut self) {
         if let Some(path) = &self.json_path {
             match std::fs::write(path, self.render_json()) {
-                // crh-lint: allow(print-stdout) — a bench harness's job is printing its report; stdout is the deliverable
                 Ok(()) => println!(
                     "\nwrote {} records to {}",
                     self.records.len(),
@@ -357,7 +359,6 @@ impl Group<'_> {
             let eps = elems as f64 / (median / 1_000_000_000.0);
             line.push_str(&format!("   {:.2} Melem/s", eps / 1e6));
         }
-        // crh-lint: allow(print-stdout) — a bench harness's job is printing its report; stdout is the deliverable
         println!("  {line}");
 
         self.harness.records.push(BenchRecord {

@@ -10,6 +10,8 @@
 //! and keeps another to trip when the request's deadline passes or the
 //! client goes away.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -29,10 +31,13 @@ impl CancelToken {
 
     /// A token that reports cancelled once `budget` has elapsed (or
     /// [`cancel`](Self::cancel) is called earlier).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock deadlines ARE this type's contract; chaos fates never branch on cancellation timing"
+    )]
     pub fn with_deadline(budget: Duration) -> Self {
         Self {
             flag: Arc::new(AtomicBool::new(false)),
-            // crh-lint: allow(nondet-clock) — wall-clock deadlines ARE this type's contract; chaos fates never branch on cancellation timing
             deadline: Instant::now().checked_add(budget),
         }
     }
@@ -43,12 +48,15 @@ impl CancelToken {
     }
 
     /// Whether the token has been tripped or its deadline has passed.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock deadlines ARE this type's contract; cancellation aborts work, it never selects results"
+    )]
     pub fn is_cancelled(&self) -> bool {
         if self.flag.load(Ordering::Relaxed) {
             return true;
         }
         match self.deadline {
-            // crh-lint: allow(nondet-clock) — wall-clock deadlines ARE this type's contract; cancellation aborts work, it never selects results
             Some(d) => Instant::now() >= d,
             None => false,
         }
@@ -56,9 +64,12 @@ impl CancelToken {
 
     /// Time remaining until the deadline (`None` if the token has no
     /// deadline; zero if it has already passed).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock deadlines ARE this type's contract; remaining() only feeds sleep/poll intervals"
+    )]
     pub fn remaining(&self) -> Option<Duration> {
         self.deadline
-            // crh-lint: allow(nondet-clock) — wall-clock deadlines ARE this type's contract; remaining() only feeds sleep/poll intervals
             .map(|d| d.saturating_duration_since(Instant::now()))
     }
 }

@@ -35,6 +35,8 @@
 //!   built and the solver keeps the row path, including its unit
 //!   type-confusion penalties, for that property.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use std::sync::Arc;
 
 use crate::error::{CrhError, Result};

@@ -32,11 +32,14 @@ pub fn entry_confidences(
             out.push(probs.get(*mode as usize).copied().unwrap_or(0.0));
             continue;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "PreparedProblem builds every entry from this same schema, so the property id always resolves"
+        )]
         let ptype = prepared
             .table
             .schema()
             .property_type(entry.property)
-            // crh-lint: allow(panic-expect) — PreparedProblem builds every entry from this same schema, so the property id always resolves
             .expect("entry property in schema");
         let total_w: f64 = obs.iter().map(|(s, _)| weights[s.index()]).sum();
         if total_w <= 0.0 {

@@ -26,7 +26,6 @@ macro_rules! id_type {
             /// Panics if `idx` does not fit in `u32`.
             #[inline]
             pub fn from_index(idx: usize) -> Self {
-                // crh-lint: allow(panic-expect) — documented `# Panics` contract: ids are u32 by design, >4B items is a caller bug
                 Self(u32::try_from(idx).expect("id overflow: more than u32::MAX items"))
             }
         }

@@ -39,6 +39,8 @@
 //!
 //! [`Pool`]: crate::par::Pool
 
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use crate::loss::weighted_median_scan;
 
 /// Which columnar fast path (if any) reproduces a loss exactly.

@@ -70,9 +70,19 @@
 //! `crh-mapreduce` (parallel CRH, §2.7), `crh-data` (generators + metrics),
 //! and `crh-bench` (the table/figure reproduction harness).
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::print_stdout,
+        clippy::dbg_macro,
+    )
+)]
 
 pub mod cancel;
 pub mod columnar;

@@ -66,6 +66,10 @@ impl Loss for EditDistanceLoss {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "resolver contract: the solver only calls resolve() with ≥1 observation, so the fold always sets `best`"
+    )]
     fn fit(&self, obs: &[(SourceId, Value)], weights: &[f64], _stats: &EntryStats) -> Truth {
         debug_assert!(!obs.is_empty(), "fit on empty observation group");
         let texts: Vec<(&str, f64)> = obs
@@ -87,7 +91,6 @@ impl Loss for EditDistanceLoss {
                 }
             };
         }
-        // crh-lint: allow(panic-expect) — resolver contract: the solver only calls resolve() with ≥1 observation, so the fold always sets `best`
         Truth::Point(Value::Text(best.expect("non-empty").0.to_owned()))
     }
 

@@ -101,7 +101,10 @@ impl Loss for EnsembleLoss {
                 _ => best = Some((i, total)),
             }
         }
-        // crh-lint: allow(panic-expect) — resolver contract: candidates are derived from ≥1 observation, so the scan always sets `best`
+        #[expect(
+            clippy::expect_used,
+            reason = "resolver contract: candidates are derived from ≥1 observation, so the scan always sets `best`"
+        )]
         let (i, _) = best.expect("non-empty candidates");
         candidates.swap_remove(i)
     }

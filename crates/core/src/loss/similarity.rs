@@ -69,7 +69,10 @@ where
                 _ => best = Some((i, total)),
             }
         }
-        // crh-lint: allow(panic-expect) — resolver contract: resolve() receives ≥1 observation, so the scan always sets `best`
+        #[expect(
+            clippy::expect_used,
+            reason = "resolver contract: resolve() receives ≥1 observation, so the scan always sets `best`"
+        )]
         let (i, _) = best.expect("non-empty observations");
         Truth::Point(obs[i].1.clone())
     }

@@ -57,7 +57,10 @@ impl Loss for ZeroOneLoss {
                 }
             };
         }
-        // crh-lint: allow(panic-expect) — resolver contract: resolve() receives ≥1 observation, so the vote fold always sets `best`
+        #[expect(
+            clippy::expect_used,
+            reason = "resolver contract: resolve() receives ≥1 observation, so the vote fold always sets `best`"
+        )]
         let (winner, _) = best.expect("non-empty votes");
         Truth::Point(winner.clone())
     }

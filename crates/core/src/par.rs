@@ -40,6 +40,8 @@
 //! reused by every region of every iteration. Spawn cost is bounded by the
 //! chunk floor: inputs smaller than one chunk never spawn at all.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use std::ops::Range;
 
 /// Minimum number of items per chunk. Below this, per-chunk bookkeeping

@@ -14,6 +14,8 @@
 //!   bit-exact `f64` round-trips — required for the bit-identical
 //!   fault-recovery guarantee.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use std::fmt;
 use std::fs::File;
 use std::io::{Read, Write};

@@ -10,6 +10,8 @@
 //! preserved, though the exact streams differ from the old `rand`-based
 //! ones.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use std::ops::Range;
 
 /// The PCG-XSL-RR 128/64 multiplier (PCG paper, Melissa O'Neill 2014).

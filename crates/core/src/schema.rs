@@ -23,7 +23,10 @@ impl Domain {
         if let Some(&id) = self.index.get(label) {
             return id;
         }
-        // crh-lint: allow(panic-expect) — capacity contract: a categorical domain past u32::MAX labels is a caller bug, not a runtime input
+        #[expect(
+            clippy::expect_used,
+            reason = "capacity contract: a categorical domain past u32::MAX labels is a caller bug, not a runtime input"
+        )]
         let id = u32::try_from(self.labels.len()).expect("domain overflow");
         self.labels.push(label.to_owned());
         self.index.insert(label.to_owned(), id);

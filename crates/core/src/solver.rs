@@ -570,7 +570,10 @@ fn fused_entry(
 /// bit-exact row body. Deviation rows accumulate in the same per-entry
 /// order as the row path: within a property, column rows ascend by entry
 /// index, and distinct properties touch distinct deviation rows.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one chunk's read-only inputs and its output slots, passed apart so workers borrow disjointly"
+)]
 fn fused_chunk_columnar(
     prepared: &PreparedProblem<'_>,
     plan: &ColumnarPlan,
@@ -826,7 +829,10 @@ fn dev_entry(
 /// type doesn't match the column (type confusion the row losses price as a
 /// unit penalty per observation) runs [`kernels::dev_sweep_unit`]; columns
 /// without a fast class drop to [`dev_entry`].
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one chunk's read-only inputs and its output slots, passed apart so workers borrow disjointly"
+)]
 fn dev_chunk_columnar(
     prepared: &PreparedProblem<'_>,
     plan: &ColumnarPlan,

@@ -108,7 +108,7 @@ pub fn generate(cfg: &WeatherConfig) -> Dataset {
     let mut decoy_cond = vec![[0u32; 3]; num_objects];
     let mut day_of_object = vec![0u32; num_objects];
     for day in 0..cfg.days {
-        #[allow(clippy::needless_range_loop)] // city indexes two arrays
+        #[expect(clippy::needless_range_loop, reason = "city indexes two arrays")]
         for city in 0..cfg.cities {
             let o = day * cfg.cities + city;
             day_of_object[o] = day as u32;
@@ -139,7 +139,10 @@ pub fn generate(cfg: &WeatherConfig) -> Dataset {
     // Sources report.
     let mut b = TableBuilder::new(schema);
     let domain = CONDITIONS.len() as u32;
-    #[allow(clippy::needless_range_loop)] // platform also derives source ids and quality params
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "platform also derives source ids and quality params"
+    )]
     for platform in 0..3usize {
         for lead in 0..3usize {
             let sid = SourceId((platform * 3 + lead) as u32);

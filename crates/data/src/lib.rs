@@ -15,9 +15,7 @@
 //! * [`reliability`] — ground-truth source reliability and the Fig 1 score
 //!   normalizations.
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::dbg_macro))]
 
 pub mod csv;
 pub mod dataset;

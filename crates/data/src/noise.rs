@@ -85,7 +85,10 @@ pub const HEAVY_TAIL_FACTOR: f64 = 5.0;
 /// unit slips) rather than purely Gaussian — then round to `round_to`
 /// decimal digits (the paper's "physical meaning" rounding) and clamp to
 /// `[min, max]`.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's noise parameters
+#[expect(
+    clippy::too_many_arguments,
+    reason = "mirrors the paper's noise parameters"
+)]
 pub fn perturb_continuous<R: Rng + ?Sized>(
     rng: &mut R,
     gauss: &mut Gaussian,

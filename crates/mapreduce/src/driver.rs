@@ -28,6 +28,8 @@
 //! bit-for-bit, so a resumed run's final truths and weights are identical
 //! to an uninterrupted one — the chaos tests assert this to the bit.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;

@@ -41,6 +41,8 @@
 //! [`FaultInjector`](crate::faults::FaultInjector) in
 //! [`JobConfig::faults`].
 
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -62,8 +64,11 @@ use crate::faults::{AttemptFate, FaultInjector, Phase, INJECTED_PANIC};
 /// never depends on these reads — wall-clock here affects latency,
 /// not results. Keeping every read behind this seam keeps that
 /// argument auditable (and greppable) as the engine grows.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "scheduling-only: fates are pure in (seed, job, phase, task, attempt); wall-clock affects latency, never output"
+)]
 pub(crate) fn sched_now() -> Instant {
-    // crh-lint: allow(nondet-clock) — scheduling-only: fates are pure in (seed, job, phase, task, attempt); wall-clock affects latency, never output
     Instant::now()
 }
 

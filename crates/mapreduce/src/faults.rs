@@ -15,6 +15,8 @@
 //! are always healthy, so every task eventually succeeds within the
 //! engine's retry budget (keep `fault_free_after < max_attempts`).
 
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;

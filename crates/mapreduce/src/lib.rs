@@ -33,9 +33,7 @@
 //! per-task slots — its output is **bit-identical** under any injected
 //! fault schedule, including a kill + checkpoint resume (`tests/chaos.rs`).
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::dbg_macro))]
 
 pub mod driver;
 pub mod engine;

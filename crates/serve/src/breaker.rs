@@ -19,6 +19,11 @@
 //! the conservative direction (no source is ever locked out by a stale
 //! quarantine file).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "keyed lookups only: the map is never iterated, so its order reaches no digest and no reply"
+)]
+
 use std::collections::HashMap;
 
 use crate::error::ServeError;

@@ -328,6 +328,10 @@ pub struct ClusterClient {
 impl ClusterClient {
     /// A client over `members` (`(node_id, address)` pairs; order is the
     /// rotation order on failover).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the client's health clock: its latency samples steer retries and timeouts, never a reply"
+    )]
     pub fn new(members: Vec<(u32, String)>, timeout: Duration, policy: RetryPolicy) -> Self {
         assert!(!members.is_empty(), "a cluster needs at least one member");
         Self {
@@ -423,6 +427,10 @@ impl ClusterClient {
                 class: "error",
             };
         };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "client-side latency sample for the member's health record; it sizes timeouts, never a reply"
+        )]
         let sent = Instant::now();
         let resp = conn.call_raw(req);
         let latency = u64::try_from(sent.elapsed().as_micros()).unwrap_or(u64::MAX);
@@ -487,6 +495,10 @@ impl ClusterClient {
     /// envelope): backoff sleeps and failed attempts eat into it, and a
     /// budget that runs out between attempts is a typed
     /// [`ServeError::DeadlineExceeded`] — not another silent retry.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a client deadline is wall-clock by contract; the daemon sees only the remaining budget"
+    )]
     pub(crate) fn call_with_budget(
         &mut self,
         req: &Request,
@@ -507,6 +519,10 @@ impl ClusterClient {
             }
             let wire = match deadline {
                 Some(d) => {
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "a client deadline is wall-clock by contract; the daemon sees only the remaining budget"
+                    )]
                     let left = d.saturating_duration_since(Instant::now());
                     if left.is_zero() {
                         return Err(ServeError::DeadlineExceeded);
@@ -518,6 +534,10 @@ impl ClusterClient {
                 }
                 None => None,
             };
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "attempt timing for the retry log; it never changes which reply is returned"
+            )]
             let started = Instant::now();
             match self.try_once(wire.as_ref().unwrap_or(req)) {
                 Outcome::Done(resp) => return Ok(resp),
@@ -608,6 +628,10 @@ impl ClusterClient {
             None => self.conn.insert(Client::connect(&addr, timeout)?),
         };
         conn.set_timeout(timeout)?;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "client-side latency sample for the member's health record; it sizes timeouts, never a reply"
+        )]
         let sent = Instant::now();
         let resp = conn.call_raw(req);
         let latency = u64::try_from(sent.elapsed().as_micros()).unwrap_or(u64::MAX);

@@ -652,8 +652,12 @@ impl ServeCore {
                 let helper = std::thread::Builder::new().spawn_scoped(s, move || append(wal))?;
                 stall();
                 let folded = fold_chunk(schema, state, claims);
-                // crh-lint: allow(unbounded-wait-in-serve) — waits on exactly the write + fsync this thread ran inline before the fold overlapped it
-                Ok::<_, ServeError>((folded, helper.join()))
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "waits on exactly the write + fsync this thread ran inline before the fold overlapped it"
+                )]
+                let joined = helper.join();
+                Ok::<_, ServeError>((folded, joined))
             })?
         };
         let appended = joined.unwrap_or_else(|_| {
@@ -946,7 +950,6 @@ fn build_table(schema: &Schema, claims: &[ChunkClaim]) -> Result<ObservationTabl
 /// the server can run it off the thread that owns the core). `threads` sets
 /// the solver kernel thread count (`0` = available parallelism, `1` =
 /// exact sequential); results are bit-identical for every value.
-#[allow(clippy::too_many_arguments)]
 pub fn solve_claims(
     schema: &Schema,
     claims: &[ChunkClaim],

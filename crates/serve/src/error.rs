@@ -291,7 +291,11 @@ macro_rules! wire_codes {
         /// Wire error codes (stable across versions; used by
         /// [`Response::Error`](crate::proto::Response)).
         pub mod code {
-            #[allow(non_camel_case_types, clippy::upper_case_acronyms)]
+            #[expect(
+                non_camel_case_types,
+                clippy::upper_case_acronyms,
+                reason = "variants reuse the SCREAMING_CASE const names, so a duplicate value is E0081"
+            )]
             #[repr(u8)]
             enum Unique {
                 $($name = $value,)*

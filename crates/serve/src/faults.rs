@@ -26,7 +26,7 @@ use crh_core::rng::{hash_rng, Rng};
 use crate::error::ServeError;
 
 /// `Ok` iff `p` is a usable probability: finite and within `[0, 1]`.
-fn check_prob(name: &str, p: f64) -> Result<(), ServeError> {
+pub(crate) fn check_prob(name: &str, p: f64) -> Result<(), ServeError> {
     if p.is_finite() && (0.0..=1.0).contains(&p) {
         Ok(())
     } else {
@@ -215,15 +215,8 @@ impl ServeFaultInjector {
     /// Panics if the plan's probabilities sum past 1 or any probability
     /// falls outside `[0, 1]`. Use [`Self::try_new`] for a typed error.
     pub fn new(plan: ServeFaultPlan) -> Self {
-        assert!(
-            plan.total_prob() <= 1.0 + 1e-12,
-            "fault probabilities must sum to <= 1"
-        );
-        assert!(
-            plan.validate().is_ok(),
-            "invalid fault plan: {:?}",
-            plan.validate().err()
-        );
+        let valid = plan.validate();
+        assert!(valid.is_ok(), "{valid:?}");
         Self {
             plan: Some(Arc::new(plan)),
             fired: Arc::new(AtomicU64::new(0)),

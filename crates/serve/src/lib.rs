@@ -73,8 +73,22 @@
 //! CRC-framed format; [`client`] is a small synchronous client. Nothing
 //! here needs a dependency outside the workspace.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::print_stdout,
+        clippy::dbg_macro,
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+    )
+)]
 
 pub mod breaker;
 pub mod client;

@@ -764,7 +764,6 @@ impl ReplicaNode {
     }
 
     fn ack(&self) -> Response {
-        // crh-lint: allow(ack-before-sync) — pure constructor: every handler that returns this ack has already fsynced its durable mutation (staging append or election-meta save)
         Response::ReplAck {
             node: self.cfg.node_id,
             epoch: self.epoch,
@@ -1020,7 +1019,6 @@ impl ReplicaNode {
                 .record(responder, now.saturating_sub(t), now);
         }
         match resp {
-            // crh-lint: allow(ack-before-sync) — pattern-matches an incoming ack from a peer; nothing is constructed or sent here
             Response::ReplAck {
                 node,
                 epoch,
@@ -1318,6 +1316,7 @@ impl ReplicaNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vfs::DiskFaultPlan;
     use crh_core::schema::Schema;
     use crh_core::value::Value;
 
@@ -1705,6 +1704,82 @@ mod tests {
             "guessing an epoch can double-vote: {err}"
         );
         std::fs::remove_dir_all(&d).ok();
+    }
+
+    /// A follower whose staging append failed must answer that
+    /// `Replicate` with an error: the primary counts a `ReplAck` toward
+    /// the quorum, so acking a record that is not on disk can lose a
+    /// committed write. The retry then stages the record exactly once.
+    #[test]
+    fn failed_staging_append_is_refused_and_staged_once_on_retry() {
+        let replicate = |seq: u64| Request::Replicate {
+            token: 0,
+            epoch: 1,
+            node: 0,
+            seq,
+            commit: 0,
+            record: encode_chunk(seq, &chunk(seq)),
+        };
+        for seed in 0..64 {
+            // follower 1 of {0, 1} on a disk that injects one transient EIO
+            let d = dir(&format!("stagefail_{seed}"), 1);
+            let vfs =
+                Vfs::faulted(DiskFaultPlan::new(seed).transient_eio(0.05).max_faults(1)).unwrap();
+            let serve = ServeConfig::new(schema(), 0.5, &d).vfs(vfs.clone());
+            let opened = ReplicaNode::open(ReplicaConfig::new(1, &[0, 1]), serve);
+            let Ok((mut f, _)) = opened else {
+                std::fs::remove_dir_all(&d).ok();
+                continue;
+            };
+            let heartbeat = Request::Heartbeat {
+                token: 0,
+                epoch: 1,
+                node: 0,
+                commit: 0,
+                head: 0,
+            };
+            f.handle(0, &heartbeat, 1);
+            for seq in 0..16 {
+                if vfs.faults_fired() > 0 {
+                    break;
+                }
+                let resp = f.handle(0, &replicate(seq), 2 + seq);
+                if vfs.faults_fired() == 0 {
+                    assert!(
+                        matches!(resp, Response::ReplAck { durable, .. } if durable == seq + 1),
+                        "{resp:?}"
+                    );
+                    continue;
+                }
+                // the fault landed in the append of `seq`
+                assert!(
+                    matches!(resp, Response::Error { .. }),
+                    "seed {seed}: acked record {seq} after its append failed: {resp:?}"
+                );
+                assert_eq!(
+                    f.durable(),
+                    seq,
+                    "seed {seed}: a failed append counts as durable"
+                );
+                let retry = f.handle(0, &replicate(seq), 100);
+                assert!(
+                    matches!(retry, Response::ReplAck { durable, .. } if durable == seq + 1),
+                    "seed {seed}: the retry was not acked: {retry:?}"
+                );
+                drop(f);
+                let serve = ServeConfig::new(schema(), 0.5, &d);
+                let (_, rec) = ReplicaNode::open(ReplicaConfig::new(1, &[0, 1]), serve).unwrap();
+                assert_eq!(
+                    rec.staged_records,
+                    seq + 1,
+                    "seed {seed}: record {seq} staged twice"
+                );
+                std::fs::remove_dir_all(&d).ok();
+                return;
+            }
+            std::fs::remove_dir_all(&d).ok();
+        }
+        panic!("no seed injected its fault into a staging append");
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //! solve never blocks ingest.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{Read as _, Write as _};
-use std::net::{TcpListener, TcpStream};
+use std::io::Read as _;
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -196,14 +196,52 @@ fn accept_loop<F: FrontEnd>(listener: &TcpListener, shared: &Arc<F>) {
     }
 }
 
+/// How long one read of a refused client's request may wait.
+const REFUSE_DRAIN_WAIT: Duration = Duration::from_millis(50);
+/// Reads spent draining a refused client's request. With the wait above
+/// this bounds how long a refused client can hold the accept loop.
+const REFUSE_DRAIN_READS: usize = 4;
+
 fn refuse_connection(mut stream: TcpStream, cfg: &ServerConfig) {
     let err = ServeError::Overloaded {
         capacity: cfg.max_connections,
     };
     stream.set_write_timeout(Some(cfg.io_timeout)).ok();
     let payload = Response::from_error(&err).encode();
-    write_frame(&mut stream, &payload).ok();
-    stream.flush().ok();
+    if write_frame(&mut stream, &payload).is_err() {
+        return;
+    }
+    // Closing a socket with unread bytes makes the kernel answer with an
+    // RST, which can reach the client before it reads the refusal. So
+    // half-close (the refusal is followed by a FIN) and drain the request
+    // the client may still be sending before dropping the socket.
+    if stream.shutdown(Shutdown::Write).is_ok()
+        && stream.set_read_timeout(Some(REFUSE_DRAIN_WAIT)).is_ok()
+    {
+        drain_request(&mut stream);
+    }
+}
+
+/// Read and discard one request frame. Gives up at end of stream, on a
+/// read error or timeout, or after `REFUSE_DRAIN_READS` reads.
+fn drain_request(stream: &mut TcpStream) {
+    const HEADER: usize = 8; // payload length + CRC, little-endian u32s
+    let mut buf = [0u8; 16 << 10];
+    let mut len = [0u8; 4];
+    let mut seen = 0usize;
+    for _ in 0..REFUSE_DRAIN_READS {
+        let n = match stream.read(&mut buf) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => n,
+        };
+        for (slot, &b) in len.iter_mut().skip(seen).zip(buf.iter().take(n)) {
+            *slot = b;
+        }
+        seen += n;
+        if seen >= HEADER && seen - HEADER >= u32::from_le_bytes(len) as usize {
+            return;
+        }
+    }
 }
 
 fn serve_connection<F: FrontEnd>(mut stream: TcpStream, shared: &F) {
@@ -509,15 +547,21 @@ impl Server {
     }
 
     /// Stop serving and hand back the core once queued folds drained.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "shutdown join; the woken worker exits once its bounded backlog of folds drains"
+    )]
     fn stop(&mut self) -> Option<ServeCore> {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // wake an idle worker so it sees the flag now
         self.shared.jobs.send(Job::Query(Box::new(|_| {}))).ok();
         if let Some(t) = self.accept_thread.take() {
-            // crh-lint: allow(unbounded-wait-in-serve) — shutdown join; the flag is set, so the loop exits on its next bounded accept tick
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "shutdown join; the flag is set, so the loop exits on its next bounded accept tick"
+            )]
             t.join().ok();
         }
-        // crh-lint: allow(unbounded-wait-in-serve) — shutdown join; the woken worker exits once its bounded backlog of folds drains
         self.worker_thread.take().and_then(|t| t.join().ok())
     }
 }
@@ -674,6 +718,10 @@ impl Replica {
     /// Stage a client chunk durably (after the shard check, for a
     /// shard-routed write) and queue its reply until the quorum decides
     /// it (see [`write_outcome`]).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a client's wall-clock budget only bounds how long its write waits for the quorum; the node never reads it"
+    )]
     fn stage(
         &mut self,
         claims: &[ChunkClaim],
@@ -704,6 +752,10 @@ impl Replica {
 
     /// Answer every pending write whose outcome is now decided.
     fn answer_writes(&mut self, stopping: bool) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a client's wall-clock budget only bounds how long its write waits for the quorum; the node never reads it"
+        )]
         let now = Instant::now();
         let node = &self.node;
         self.waiting.retain(|w| {
@@ -1125,15 +1177,21 @@ impl HaServer {
     }
 
     /// Stop serving and hand back the node.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "shutdown join; the woken owner answers its waiting writes and joins its peer senders, each bounded by the io timeout"
+    )]
     fn stop(&mut self) -> Option<ReplicaNode> {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // wake the owner so it sees the flag now
         self.shared.tasks.send(Box::new(|_| {})).ok();
         if let Some(t) = self.accept_thread.take() {
-            // crh-lint: allow(unbounded-wait-in-serve) — shutdown join; the flag is set, the accept loop exits on its next bounded accept tick
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "shutdown join; the flag is set, the accept loop exits on its next bounded accept tick"
+            )]
             t.join().ok();
         }
-        // crh-lint: allow(unbounded-wait-in-serve) — shutdown join; the woken owner answers its waiting writes and joins its peer senders, each bounded by the io timeout
         self.owner_thread.take().and_then(|t| t.join().ok())
     }
 }
@@ -1154,6 +1212,10 @@ const PEER_QUEUE_CAP: usize = 64;
 /// threads, and answer waiting writes once decided. This thread never
 /// touches a socket, so no peer can stall it. Returns the node once
 /// shutdown is flagged.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "wall-clock only paces the owner's ticks and bounds its waits; the node sees logical time (`r.now`), so replay never reads it"
+)]
 fn replica_owner(
     mut r: Replica,
     inbox: mpsc::Receiver<Task<Replica>>,
@@ -1200,7 +1262,10 @@ fn replica_owner(
     // closing the queues wakes the sender threads so they can exit
     drop(peers);
     for s in senders {
-        // crh-lint: allow(unbounded-wait-in-serve) — shutdown join; the dropped queues wake each sender, and an in-flight call is bounded by the io timeout
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "shutdown join; the dropped queues wake each sender, and an in-flight call is bounded by the io timeout"
+        )]
         s.join().ok();
     }
     r.node

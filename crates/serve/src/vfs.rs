@@ -11,8 +11,9 @@
 //! ([`Vfs::passthrough`]), chaos tests install a seeded [`DiskFaultPlan`]
 //! and the whole durability pipeline — WAL, snapshots, election meta,
 //! the staging WAL, the shard-map store — is exercised against a lying
-//! disk. The `raw-fs-in-serve` lint keeps the seam load-bearing: direct
-//! `std::fs` use anywhere else in the crate is a finding.
+//! disk. `crates/serve/clippy.toml` keeps the seam load-bearing: it
+//! disallows `std::fs` calls and types in the rest of the crate, and this
+//! module is the one place that expects them.
 //!
 //! Fates are pure in `(seed, op_index)` via [`hash_rng`], exactly like
 //! [`ServeFaultPlan`](crate::faults::ServeFaultPlan) and
@@ -21,6 +22,12 @@
 //! shared across clones and simulated restarts; a **sticky** failure is
 //! deliberately *not* budgeted — a dying disk does not heal because the
 //! test got tired.
+
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the seam over the real filesystem, the one home of raw `std::fs` calls; its one lock is an in-process mutex over fault-plan maps; holders only mutate local state, so the wait is bounded by local critical sections"
+)]
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -34,7 +41,7 @@ use crh_core::persist::{decode_frame, encode_frame};
 use crh_core::rng::{hash_rng, Rng};
 
 use crate::error::ServeError;
-use crate::faults::ServePoint;
+use crate::faults::{check_prob, ServePoint};
 
 /// Domain tag decorrelating disk fates from the other seeded plans.
 const DISK_DOMAIN: u64 = 0xD15C;
@@ -44,21 +51,9 @@ const DISK_DOMAIN: u64 = 0xD15C;
 /// reshuffles an existing seeded fault schedule.
 const SLOW_DOMAIN: u64 = 0x510;
 
-/// `Ok` iff `p` is a usable probability: finite and within `[0, 1]`.
-fn check_prob(name: &str, p: f64) -> Result<(), ServeError> {
-    if p.is_finite() && (0.0..=1.0).contains(&p) {
-        Ok(())
-    } else {
-        Err(ServeError::InvalidFaultPlan(format!(
-            "{name} = {p} is not a probability in [0, 1]"
-        )))
-    }
-}
-
 /// Recover a possibly-poisoned mutex: the guarded maps stay structurally
 /// valid even if a holder panicked mid-update.
 fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // crh-lint: allow(unbounded-wait-in-serve) — in-process mutex over fault-plan maps; holders only mutate local state, so the wait is bounded by local critical sections
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 

@@ -39,9 +39,19 @@
 //! assert!(w[2] < w[0]);
 //! ```
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::print_stdout,
+        clippy::dbg_macro,
+    )
+)]
 
 pub mod error;
 pub mod icrh;

@@ -28,9 +28,6 @@
 //! crate's `reproduce` binary for regenerating every table and figure of
 //! the paper.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod cli;
 
 pub use crh_baselines as baselines;
