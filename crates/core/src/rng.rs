@@ -185,6 +185,44 @@ pub fn hash_rng(seed: u64, key: &[u64]) -> Pcg64 {
     Pcg64::seed_from_u64(acc)
 }
 
+/// A named fault class and its per-draw probability. The fault plans list
+/// their classes in draw order; [`check_classes`] and [`pick_class`] read
+/// the same list, so validation and the draw cannot disagree.
+pub type FaultClass<'a> = (&'a str, f64);
+
+/// Draw one uniform `x` from `rng` and return the index of the first
+/// class whose cumulative probability exceeds it: the classes tile
+/// `[0, 1)` end to end in list order, and `None` is the remainder
+/// (healthy). Any extra draw a class needs comes from `rng` afterwards.
+pub fn pick_class<R: Rng + ?Sized>(rng: &mut R, classes: &[FaultClass<'_>]) -> Option<usize> {
+    let x: f64 = rng.random();
+    let mut acc = 0.0;
+    classes.iter().position(|&(_, p)| {
+        acc += p;
+        x < acc
+    })
+}
+
+/// `Ok` iff every class's probability is finite and in `[0, 1]` and the
+/// classes, which share one [`pick_class`] draw, sum to at most 1. The
+/// error names the offending class; each crate wraps it in its own
+/// typed error.
+pub fn check_classes(classes: &[FaultClass<'_>]) -> Result<(), String> {
+    if let Some(&(name, p)) = classes
+        .iter()
+        .find(|&&(_, p)| !(p.is_finite() && (0.0..=1.0).contains(&p)))
+    {
+        return Err(format!("{name} = {p} is not a probability in [0, 1]"));
+    }
+    let total: f64 = classes.iter().map(|&(_, p)| p).sum();
+    if total > 1.0 + 1e-12 {
+        return Err(format!(
+            "fault probabilities must sum to <= 1 (got {total})"
+        ));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,6 +296,42 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_ne!(a, d);
+    }
+
+    #[test]
+    fn pick_class_tiles_the_unit_interval_in_list_order() {
+        let classes = [("a", 0.2), ("b", 0.0), ("c", 0.3)];
+        let mut counts = [0usize; 4];
+        for k in 0..20_000u64 {
+            let i = pick_class(&mut hash_rng(3, &[k]), &classes).unwrap_or(3);
+            counts[i] += 1;
+        }
+        assert_eq!(counts[1], 0, "a zero-probability class never fires");
+        for (i, want) in [(0, 0.2), (2, 0.3), (3, 0.5)] {
+            let frac = counts[i] as f64 / 20_000.0;
+            assert!((frac - want).abs() < 0.02, "{counts:?}");
+        }
+        // the class draw is the first one: a caller's extra draw follows it
+        let mut a = hash_rng(9, &[1]);
+        let mut b = hash_rng(9, &[1]);
+        let _: f64 = a.random();
+        assert_eq!(pick_class(&mut b, &[("all", 1.0)]), Some(0));
+        assert_eq!(a.next_u64(), b.next_u64());
+    }
+
+    #[test]
+    fn check_classes_names_the_bad_class() {
+        assert!(check_classes(&[("a", 0.5), ("b", 0.5)]).is_ok());
+        assert!(check_classes(&[]).is_ok());
+        for bad in [-0.1, 1.5, f64::NAN, f64::INFINITY] {
+            let e = check_classes(&[("a", 0.1), ("b", bad)]).unwrap_err();
+            assert!(
+                e.starts_with("b = ") && e.contains("not a probability"),
+                "{e}"
+            );
+        }
+        let e = check_classes(&[("a", 0.7), ("b", 0.7)]).unwrap_err();
+        assert!(e.contains("sum to <= 1"), "{e}");
     }
 
     #[test]

@@ -22,7 +22,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crh_core::rng::{hash_rng, Rng};
+use crh_core::rng::{check_classes, hash_rng, pick_class, FaultClass, Rng};
+
+use crate::error::MapReduceError;
 
 /// Panic-payload marker carried by every injected failure, letting the
 /// engine's panic hook suppress the expected backtrace noise while real
@@ -125,6 +127,29 @@ impl FaultPlan {
         self.only_jobs = Some(jobs);
         self
     }
+
+    /// The fault classes in draw order (see [`pick_class`]).
+    fn classes(&self) -> [FaultClass<'static>; 3] {
+        [
+            ("panic_prob", self.panic_prob),
+            ("stall_prob", self.stall_prob),
+            ("die_mid_work_prob", self.die_mid_work_prob),
+        ]
+    }
+
+    /// Reject a plan whose probabilities are not a valid split of one
+    /// draw, or whose mid-work deaths have no work unit to die after.
+    fn validate(&self) -> Result<(), MapReduceError> {
+        let invalid = |reason| MapReduceError::InvalidConfig {
+            field: "faults",
+            reason,
+        };
+        check_classes(&self.classes()).map_err(invalid)?;
+        if self.die_mid_work_prob > 0.0 && self.max_work_before_death == 0 {
+            return Err(invalid("max_work_before_death must be >= 1".into()));
+        }
+        Ok(())
+    }
 }
 
 /// Resolves attempt fates from a [`FaultPlan`].
@@ -141,11 +166,15 @@ pub struct FaultInjector {
 
 impl FaultInjector {
     /// Wrap a plan.
+    ///
+    /// # Panics
+    /// Panics if a probability is outside `[0, 1]`, the probabilities sum
+    /// past 1, or mid-work deaths are enabled with
+    /// `max_work_before_death == 0`.
     pub fn new(plan: FaultPlan) -> Self {
-        assert!(
-            plan.panic_prob + plan.stall_prob + plan.die_mid_work_prob <= 1.0 + 1e-12,
-            "fault probabilities must sum to <= 1"
-        );
+        if let Err(e) = plan.validate() {
+            panic!("{e}");
+        }
         Self {
             plan: Arc::new(plan),
             jobs_started: Arc::new(AtomicUsize::new(0)),
@@ -184,15 +213,11 @@ impl FaultInjector {
             p.seed,
             &[job as u64, phase_tag, task as u64, attempt as u64],
         );
-        let x: f64 = rng.random();
-        if x < p.panic_prob {
-            AttemptFate::Panic
-        } else if x < p.panic_prob + p.stall_prob {
-            AttemptFate::Stall(p.stall_for)
-        } else if x < p.panic_prob + p.stall_prob + p.die_mid_work_prob {
-            AttemptFate::DieMidWork(rng.random_range(0..p.max_work_before_death) + 1)
-        } else {
-            AttemptFate::Healthy
+        match pick_class(&mut rng, &p.classes()) {
+            Some(0) => AttemptFate::Panic,
+            Some(1) => AttemptFate::Stall(p.stall_for),
+            Some(_) => AttemptFate::DieMidWork(rng.random_range(0..p.max_work_before_death) + 1),
+            None => AttemptFate::Healthy,
         }
     }
 }
@@ -299,5 +324,30 @@ mod tests {
     #[should_panic(expected = "sum to <= 1")]
     fn overfull_probabilities_rejected() {
         FaultInjector::new(FaultPlan::new(0).panics(0.7).dies_mid_work(0.7));
+    }
+
+    #[test]
+    #[should_panic(expected = "not a probability")]
+    fn negative_probability_rejected() {
+        FaultInjector::new(
+            FaultPlan::new(3)
+                .panics(-0.5)
+                .stalls(1.0, Duration::from_millis(1)),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "not a probability")]
+    fn nan_probability_rejected() {
+        FaultInjector::new(FaultPlan::new(3).stalls(f64::NAN, Duration::from_millis(1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "max_work_before_death")]
+    fn zero_work_before_death_rejected() {
+        FaultInjector::new(FaultPlan {
+            max_work_before_death: 0,
+            ..FaultPlan::new(1).dies_mid_work(1.0)
+        });
     }
 }

@@ -21,18 +21,56 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crh_core::rng::{hash_rng, Rng};
+use crh_core::rng::{check_classes, hash_rng, pick_class, FaultClass, Rng};
 
 use crate::error::ServeError;
 
-/// `Ok` iff `p` is a usable probability: finite and within `[0, 1]`.
-pub(crate) fn check_prob(name: &str, p: f64) -> Result<(), ServeError> {
-    if p.is_finite() && (0.0..=1.0).contains(&p) {
-        Ok(())
-    } else {
-        Err(ServeError::InvalidFaultPlan(format!(
-            "{name} = {p} is not a probability in [0, 1]"
-        )))
+/// Validate fault classes that share one draw, as a typed error.
+pub(crate) fn check(classes: &[FaultClass<'_>]) -> Result<(), ServeError> {
+    check_classes(classes).map_err(ServeError::InvalidFaultPlan)
+}
+
+/// The fraction of a torn write that reaches the disk: a seeded, strictly
+/// partial prefix, drawn after the fate's class.
+pub(crate) fn torn_keep_frac(rng: &mut impl Rng) -> f64 {
+    0.05 + 0.9 * rng.random::<f64>()
+}
+
+/// A fault budget shared by every clone of its owner, surviving the
+/// simulated restarts they are threaded through: once `max` faults have
+/// fired, every further draw is healthy, so recovery cannot reset the
+/// chaos and every retry loop terminates.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FaultBudget {
+    max: u64,
+    fired: Arc<AtomicU64>,
+}
+
+impl FaultBudget {
+    pub(crate) fn new(max: u64) -> Self {
+        Self {
+            max,
+            fired: Arc::new(AtomicU64::new(0)),
+        }
+    }
+
+    /// Faults fired so far across all clones.
+    pub(crate) fn fired(&self) -> u64 {
+        self.fired.load(Ordering::SeqCst)
+    }
+
+    /// Run `draw` unless the budget is spent, and charge the fate if it
+    /// is not `healthy`. The charge re-checks the budget, so a fault
+    /// whose unit a racing clone spent first turns healthy.
+    pub(crate) fn draw<F: PartialEq>(&self, healthy: F, draw: impl FnOnce() -> F) -> F {
+        if self.fired() >= self.max {
+            return healthy;
+        }
+        let fate = draw();
+        if fate != healthy && self.fired.fetch_add(1, Ordering::SeqCst) >= self.max {
+            return healthy;
+        }
+        fate
     }
 }
 
@@ -167,13 +205,16 @@ impl ServeFaultPlan {
         self
     }
 
-    fn total_prob(&self) -> f64 {
-        self.torn_wal_prob
-            + self.before_fold_prob
-            + self.after_fold_prob
-            + self.snapshot_write_prob
-            + self.snapshot_truncate_prob
-            + self.stall_prob
+    /// The fault classes in draw order (see [`pick_class`]).
+    fn classes(&self) -> [FaultClass<'static>; 6] {
+        [
+            ("torn_wal_prob", self.torn_wal_prob),
+            ("before_fold_prob", self.before_fold_prob),
+            ("after_fold_prob", self.after_fold_prob),
+            ("snapshot_write_prob", self.snapshot_write_prob),
+            ("snapshot_truncate_prob", self.snapshot_truncate_prob),
+            ("stall_prob", self.stall_prob),
+        ]
     }
 
     /// Reject out-of-range probabilities and overfull plans with a typed
@@ -181,19 +222,7 @@ impl ServeFaultPlan {
     /// test literals); this runs when the plan is installed in an
     /// injector, so a bad probability cannot silently skew seeded fates.
     pub fn validate(&self) -> Result<(), ServeError> {
-        check_prob("torn_wal_prob", self.torn_wal_prob)?;
-        check_prob("before_fold_prob", self.before_fold_prob)?;
-        check_prob("after_fold_prob", self.after_fold_prob)?;
-        check_prob("snapshot_write_prob", self.snapshot_write_prob)?;
-        check_prob("snapshot_truncate_prob", self.snapshot_truncate_prob)?;
-        check_prob("stall_prob", self.stall_prob)?;
-        let total = self.total_prob();
-        if total > 1.0 + 1e-12 {
-            return Err(ServeError::InvalidFaultPlan(format!(
-                "fault probabilities must sum to <= 1 (got {total})"
-            )));
-        }
-        Ok(())
+        check(&self.classes())
     }
 }
 
@@ -205,7 +234,7 @@ impl ServeFaultPlan {
 #[derive(Debug, Clone, Default)]
 pub struct ServeFaultInjector {
     plan: Option<Arc<ServeFaultPlan>>,
-    fired: Arc<AtomicU64>,
+    budget: FaultBudget,
 }
 
 impl ServeFaultInjector {
@@ -215,12 +244,9 @@ impl ServeFaultInjector {
     /// Panics if the plan's probabilities sum past 1 or any probability
     /// falls outside `[0, 1]`. Use [`Self::try_new`] for a typed error.
     pub fn new(plan: ServeFaultPlan) -> Self {
-        let valid = plan.validate();
-        assert!(valid.is_ok(), "{valid:?}");
-        Self {
-            plan: Some(Arc::new(plan)),
-            fired: Arc::new(AtomicU64::new(0)),
-        }
+        let injector = Self::try_new(plan);
+        assert!(injector.is_ok(), "{injector:?}");
+        injector.unwrap_or_default()
     }
 
     /// Wrap a plan, reporting an invalid one as a typed error instead of
@@ -228,8 +254,8 @@ impl ServeFaultInjector {
     pub fn try_new(plan: ServeFaultPlan) -> Result<Self, ServeError> {
         plan.validate()?;
         Ok(Self {
+            budget: FaultBudget::new(plan.max_faults),
             plan: Some(Arc::new(plan)),
-            fired: Arc::new(AtomicU64::new(0)),
         })
     }
 
@@ -240,7 +266,7 @@ impl ServeFaultInjector {
 
     /// Faults fired so far across all clones.
     pub fn faults_fired(&self) -> u64 {
-        self.fired.load(Ordering::SeqCst)
+        self.budget.fired()
     }
 
     /// The fate of ingest `attempt` of chunk `chunk`.
@@ -252,54 +278,20 @@ impl ServeFaultInjector {
         let Some(p) = &self.plan else {
             return ServeFate::Healthy;
         };
-        if self.fired.load(Ordering::SeqCst) >= p.max_faults {
-            return ServeFate::Healthy;
-        }
-        let mut rng = hash_rng(p.seed, &[chunk, attempt]);
-        let x: f64 = rng.random();
-        let mut acc = 0.0;
-        let fate = {
-            acc += p.torn_wal_prob;
-            if x < acc {
-                // keep a deterministic, strictly-partial prefix
-                let keep_frac: f64 = 0.05 + 0.9 * rng.random::<f64>();
-                ServeFate::TornWal { keep_frac }
-            } else {
-                acc += p.before_fold_prob;
-                if x < acc {
-                    ServeFate::CrashBeforeFold
-                } else {
-                    acc += p.after_fold_prob;
-                    if x < acc {
-                        ServeFate::CrashAfterFold
-                    } else {
-                        acc += p.snapshot_write_prob;
-                        if x < acc {
-                            ServeFate::CrashDuringSnapshot
-                        } else {
-                            acc += p.snapshot_truncate_prob;
-                            if x < acc {
-                                ServeFate::CrashAfterSnapshotRename
-                            } else {
-                                acc += p.stall_prob;
-                                if x < acc {
-                                    ServeFate::StallFold(p.stall_for)
-                                } else {
-                                    ServeFate::Healthy
-                                }
-                            }
-                        }
-                    }
-                }
+        self.budget.draw(ServeFate::Healthy, || {
+            let mut rng = hash_rng(p.seed, &[chunk, attempt]);
+            match pick_class(&mut rng, &p.classes()) {
+                Some(0) => ServeFate::TornWal {
+                    keep_frac: torn_keep_frac(&mut rng),
+                },
+                Some(1) => ServeFate::CrashBeforeFold,
+                Some(2) => ServeFate::CrashAfterFold,
+                Some(3) => ServeFate::CrashDuringSnapshot,
+                Some(4) => ServeFate::CrashAfterSnapshotRename,
+                Some(_) => ServeFate::StallFold(p.stall_for),
+                None => ServeFate::Healthy,
             }
-        };
-        if fate != ServeFate::Healthy {
-            // charge the budget; re-check in case a racing clone spent it
-            if self.fired.fetch_add(1, Ordering::SeqCst) >= p.max_faults {
-                return ServeFate::Healthy;
-            }
-        }
-        fate
+        })
     }
 }
 
@@ -337,27 +329,20 @@ pub struct PartitionWindow {
 }
 
 impl PartitionWindow {
-    fn severs(&self, from: u32, to: u32, step: u64) -> bool {
-        if step < self.from_step || step >= self.to_step {
-            return false;
-        }
+    /// The fate this window forces on a frame `from → to` during `step`:
+    /// `None` unless the window is active and the link crosses it.
+    fn cut(&self, from: u32, to: u32, step: u64) -> Option<LinkFate> {
         let a = |n: u32| self.side_a >> n & 1 == 1;
-        if a(from) == a(to) {
-            return false;
+        if !(self.from_step..self.to_step).contains(&step) || a(from) == a(to) {
+            return None;
         }
-        // one-way: only B→A requests are cut here; the A→B *reply* loss
-        // is resolved by the caller asking for the reply fate separately
-        !self.one_way || !a(from)
-    }
-
-    fn severs_reply(&self, from: u32, to: u32, step: u64) -> bool {
-        if step < self.from_step || step >= self.to_step {
-            return false;
-        }
-        let a = |n: u32| self.side_a >> n & 1 == 1;
-        // a reply travels to→from; under one-way A→B delivery, replies
-        // from B never make it back into A
-        a(from) != a(to) && self.one_way && a(from)
+        // one-way A→B delivery: a request from A arrives but its reply
+        // (travelling B→A) is lost; a request from B never arrives
+        Some(if self.one_way && a(from) {
+            LinkFate::DropReply
+        } else {
+            LinkFate::Drop
+        })
     }
 }
 
@@ -480,8 +465,7 @@ impl NetFaultPlan {
                 self.seed,
                 &[DELAY_DOMAIN, u64::from(from), u64::from(to), step, frame],
             );
-            let x: f64 = rng.random();
-            if x < self.delay_prob {
+            if rng.random::<f64>() < self.delay_prob {
                 let (lo, hi) = self.delay_steps;
                 let span = hi.saturating_sub(lo).saturating_add(1);
                 delay = delay.max(lo + rng.next_u64() % span);
@@ -494,25 +478,25 @@ impl NetFaultPlan {
     /// Pure in its arguments: replaying the same plan yields the same
     /// chaos, byte for byte.
     pub fn link_fate(&self, from: u32, to: u32, step: u64, frame: u64) -> LinkFate {
-        for w in &self.partitions {
-            if w.severs(from, to, step) {
-                return LinkFate::Drop;
-            }
-            if w.severs_reply(from, to, step) {
-                return LinkFate::DropReply;
-            }
+        if let Some(fate) = self.partitions.iter().find_map(|w| w.cut(from, to, step)) {
+            return fate;
         }
         let mut rng = hash_rng(self.seed, &[u64::from(from), u64::from(to), step, frame]);
-        let x: f64 = rng.random();
-        if x < self.drop_prob {
-            LinkFate::Drop
-        } else if x < self.drop_prob + self.drop_reply_prob {
-            LinkFate::DropReply
-        } else if x < self.drop_prob + self.drop_reply_prob + self.dup_prob {
-            LinkFate::Duplicate
-        } else {
-            LinkFate::Deliver
+        match pick_class(&mut rng, &self.link_classes()) {
+            Some(0) => LinkFate::Drop,
+            Some(1) => LinkFate::DropReply,
+            Some(_) => LinkFate::Duplicate,
+            None => LinkFate::Deliver,
         }
+    }
+
+    /// The link-fate classes in draw order (see [`pick_class`]).
+    fn link_classes(&self) -> [FaultClass<'static>; 3] {
+        [
+            ("drop_prob", self.drop_prob),
+            ("drop_reply_prob", self.drop_reply_prob),
+            ("dup_prob", self.dup_prob),
+        ]
     }
 
     /// Nodes scheduled to die at the start of `step`.
@@ -533,16 +517,8 @@ impl NetFaultPlan {
     /// on construction, so a chaos config cannot silently skew the seeded
     /// drop/dup split (the three classes share one uniform draw).
     pub fn validate(&self) -> Result<(), ServeError> {
-        check_prob("drop_prob", self.drop_prob)?;
-        check_prob("drop_reply_prob", self.drop_reply_prob)?;
-        check_prob("dup_prob", self.dup_prob)?;
-        check_prob("delay_prob", self.delay_prob)?;
-        let total = self.drop_prob + self.drop_reply_prob + self.dup_prob;
-        if total > 1.0 + 1e-12 {
-            return Err(ServeError::InvalidFaultPlan(format!(
-                "link fault probabilities must sum to <= 1 (got {total})"
-            )));
-        }
+        check(&self.link_classes())?;
+        check(&[("delay_prob", self.delay_prob)])?;
         let (lo, hi) = self.delay_steps;
         if lo > hi {
             return Err(ServeError::InvalidFaultPlan(format!(
@@ -588,17 +564,11 @@ pub enum SplitCrash {
 pub struct ShardFaultPlan {
     /// Seed every group's link fates are derived from.
     pub seed: u64,
-    /// Per-group random frame-drop probability.
-    pub drop_prob: f64,
-    /// Per-group lost-reply probability.
-    pub drop_reply_prob: f64,
-    /// Per-group frame-duplication probability.
-    pub dup_prob: f64,
-    /// Per-group frame-delay probability (seeded independently per
-    /// group, like the drop/dup probabilities).
-    pub delay_prob: f64,
-    /// Inclusive `(min, max)` extra steps a delayed frame waits.
-    pub delay_steps: (u64, u64),
+    /// The link-fault template every group starts from, set through the
+    /// builders: its drop, lost-reply, duplication and delay settings and
+    /// `restart_after`. [`plan_for`](Self::plan_for) replaces its seed
+    /// with a per-group draw.
+    link: NetFaultPlan,
     /// `(shard, node, extra_steps)`: chronic stragglers inside a group.
     pub group_stragglers: Vec<(u32, u32, u64)>,
     /// `(shard, window)`: a partition inside that shard's group.
@@ -608,8 +578,6 @@ pub struct ShardFaultPlan {
     /// `(step, shard)`: kill *every* member of `shard` at `step` — the
     /// whole-quorum outage the degraded-read contract is tested under.
     pub quorum_kills: Vec<(u64, u32)>,
-    /// Steps a killed node stays down before restarting from its disk.
-    pub restart_after: u64,
     /// Crash the split coordinator at this stage boundary.
     pub split_crash: Option<SplitCrash>,
 }
@@ -619,33 +587,32 @@ impl ShardFaultPlan {
     pub fn new(seed: u64) -> Self {
         Self {
             seed,
-            restart_after: 4,
+            link: NetFaultPlan::new(0),
             ..Self::default()
         }
     }
 
     /// Set the per-group random frame-drop probability.
     pub fn drops(mut self, p: f64) -> Self {
-        self.drop_prob = p;
+        self.link = self.link.drops(p);
         self
     }
 
     /// Set the per-group lost-reply probability.
     pub fn dropped_replies(mut self, p: f64) -> Self {
-        self.drop_reply_prob = p;
+        self.link = self.link.dropped_replies(p);
         self
     }
 
     /// Set the per-group frame-duplication probability.
     pub fn dups(mut self, p: f64) -> Self {
-        self.dup_prob = p;
+        self.link = self.link.dups(p);
         self
     }
 
     /// Delay a `p` fraction of every group's frames by `min..=max` steps.
     pub fn delays(mut self, p: f64, min: u64, max: u64) -> Self {
-        self.delay_prob = p;
-        self.delay_steps = (min, max);
+        self.link = self.link.delays(p, min, max);
         self
     }
 
@@ -675,7 +642,7 @@ impl ShardFaultPlan {
 
     /// Set how long killed nodes stay down.
     pub fn restart_after(mut self, steps: u64) -> Self {
-        self.restart_after = steps;
+        self.link = self.link.restart_after(steps);
         self
     }
 
@@ -691,34 +658,29 @@ impl ShardFaultPlan {
     /// plan draw independent fates.
     pub fn plan_for(&self, shard: u32, replicas: usize) -> Result<NetFaultPlan, ServeError> {
         let mut rng = hash_rng(self.seed, &[0x5A4D, u64::from(shard)]);
-        let mut p = NetFaultPlan::new(rng.next_u64())
-            .drops(self.drop_prob)
-            .dropped_replies(self.drop_reply_prob)
-            .dups(self.dup_prob)
-            .restart_after(self.restart_after);
-        if self.delay_prob > 0.0 {
-            p = p.delays(self.delay_prob, self.delay_steps.0, self.delay_steps.1);
-        }
+        let mut p = NetFaultPlan {
+            seed: rng.next_u64(),
+            ..self.link.clone()
+        };
         for &(s, node, extra) in &self.group_stragglers {
             if s == shard {
-                p = p.straggler(node, extra);
+                p.stragglers.push((node, extra));
             }
         }
-        for (s, w) in &self.group_partitions {
-            if *s == shard {
-                p = p.partition(*w);
+        for &(s, w) in &self.group_partitions {
+            if s == shard {
+                p.partitions.push(w);
             }
         }
         for &(step, s, node) in &self.group_kills {
             if s == shard {
-                p = p.kill(step, node);
+                p.kills.push((step, node));
             }
         }
         for &(step, s) in &self.quorum_kills {
             if s == shard {
-                for node in 0..replicas as u32 {
-                    p = p.kill(step, node);
-                }
+                p.kills
+                    .extend((0..replicas as u32).map(|node| (step, node)));
             }
         }
         p.validate()?;

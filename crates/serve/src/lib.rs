@@ -95,6 +95,8 @@ pub mod client;
 pub mod core;
 pub mod error;
 pub mod failover;
+#[cfg(test)]
+mod fate_golden;
 pub mod faults;
 pub mod health;
 pub mod proto;

@@ -38,10 +38,10 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use crh_core::persist::{decode_frame, encode_frame};
-use crh_core::rng::{hash_rng, Rng};
+use crh_core::rng::{hash_rng, pick_class, FaultClass, Rng};
 
 use crate::error::ServeError;
-use crate::faults::{check_prob, ServePoint};
+use crate::faults::{check, torn_keep_frac, FaultBudget, ServePoint};
 
 /// Domain tag decorrelating disk fates from the other seeded plans.
 const DISK_DOMAIN: u64 = 0xD15C;
@@ -193,26 +193,33 @@ impl DiskFaultPlan {
     /// Reject out-of-range probabilities and overfull per-kind subsets
     /// with a typed error; runs when the plan is installed in a [`Vfs`].
     pub fn validate(&self) -> Result<(), ServeError> {
-        check_prob("torn_write_prob", self.torn_write_prob)?;
-        check_prob("bit_flip_read_prob", self.bit_flip_read_prob)?;
-        check_prob("lying_fsync_prob", self.lying_fsync_prob)?;
-        check_prob("transient_eio_prob", self.transient_eio_prob)?;
-        check_prob("slow_read_prob", self.slow_read_prob)?;
-        check_prob("slow_write_prob", self.slow_write_prob)?;
-        check_prob("slow_fsync_prob", self.slow_fsync_prob)?;
-        for (kind, class) in [
-            ("write", self.torn_write_prob),
-            ("read", self.bit_flip_read_prob),
-            ("fsync", self.lying_fsync_prob),
-        ] {
-            let total = class + self.transient_eio_prob;
-            if total > 1.0 + 1e-12 {
-                return Err(ServeError::InvalidFaultPlan(format!(
-                    "{kind} fault probabilities must sum to <= 1 (got {total})"
-                )));
+        let eio = ("transient_eio_prob", self.transient_eio_prob);
+        check(&[eio])?;
+        for kind in [OpKind::Write, OpKind::Read, OpKind::Sync] {
+            if let Some(own) = self.own_class(kind) {
+                check(&[own, eio])?;
             }
         }
+        for slow in [
+            ("slow_read_prob", self.slow_read_prob),
+            ("slow_write_prob", self.slow_write_prob),
+            ("slow_fsync_prob", self.slow_fsync_prob),
+        ] {
+            check(&[slow])?;
+        }
         Ok(())
+    }
+
+    /// The fault class only an operation of `kind` draws, ahead of
+    /// transient `EIO` in the same draw (see [`pick_class`]); metadata
+    /// operations have none.
+    fn own_class(&self, kind: OpKind) -> Option<FaultClass<'static>> {
+        match kind {
+            OpKind::Read => Some(("bit_flip_read_prob", self.bit_flip_read_prob)),
+            OpKind::Write => Some(("torn_write_prob", self.torn_write_prob)),
+            OpKind::Sync => Some(("lying_fsync_prob", self.lying_fsync_prob)),
+            OpKind::Meta => None,
+        }
     }
 }
 
@@ -249,8 +256,8 @@ struct VfsState {
     plan: DiskFaultPlan,
     /// Global operation counter: the coordinate every fate is drawn from.
     ops: AtomicU64,
-    /// Budgeted faults fired so far (shared across clones/restarts).
-    fired: AtomicU64,
+    /// Budgeted faults (shared across clones/restarts).
+    budget: FaultBudget,
     /// Latched once the sticky threshold is crossed.
     sticky: AtomicBool,
     /// Latched once the chronic-slow threshold is crossed.
@@ -282,9 +289,9 @@ impl Vfs {
         plan.validate()?;
         Ok(Self {
             state: Some(Arc::new(VfsState {
+                budget: FaultBudget::new(plan.max_faults),
                 plan,
                 ops: AtomicU64::new(0),
-                fired: AtomicU64::new(0),
                 sticky: AtomicBool::new(false),
                 slow: AtomicBool::new(false),
                 durable: Mutex::new(BTreeMap::new()),
@@ -294,9 +301,7 @@ impl Vfs {
 
     /// Budgeted faults fired so far across all clones.
     pub fn faults_fired(&self) -> u64 {
-        self.state
-            .as_ref()
-            .map_or(0, |s| s.fired.load(Ordering::SeqCst))
+        self.state.as_ref().map_or(0, |s| s.budget.fired())
     }
 
     /// Whether the disk has gone sticky-bad.
@@ -338,49 +343,30 @@ impl Vfs {
         };
         let p = &s.plan;
         let op = s.ops.fetch_add(1, Ordering::SeqCst);
-        if let Some(at) = p.sticky_after {
-            if op >= at {
-                s.sticky.store(true, Ordering::SeqCst);
-            }
-        }
-        if s.sticky.load(Ordering::SeqCst) && kind != OpKind::Read {
+        if latch(&s.sticky, p.sticky_after, op) && kind != OpKind::Read {
             return DiskFate::Sticky;
         }
         self.maybe_stall(kind, op);
-        if s.fired.load(Ordering::SeqCst) >= p.max_faults {
-            return DiskFate::Healthy;
-        }
-        let mut rng = hash_rng(p.seed, &[DISK_DOMAIN, op]);
-        let x: f64 = rng.random();
-        let class_prob = match kind {
-            OpKind::Read => p.bit_flip_read_prob,
-            OpKind::Write => p.torn_write_prob,
-            OpKind::Sync => p.lying_fsync_prob,
-            OpKind::Meta => 0.0,
-        };
-        let fate = if x < class_prob {
-            match kind {
-                OpKind::Read => DiskFate::BitFlip,
-                OpKind::Write => {
-                    // keep a deterministic, strictly-partial prefix
-                    let keep_frac: f64 = 0.05 + 0.9 * rng.random::<f64>();
-                    DiskFate::Torn { keep_frac }
-                }
-                OpKind::Sync => DiskFate::Lying,
-                OpKind::Meta => DiskFate::Healthy,
+        s.budget.draw(DiskFate::Healthy, || {
+            let mut rng = hash_rng(p.seed, &[DISK_DOMAIN, op]);
+            let eio = ("transient_eio_prob", p.transient_eio_prob);
+            let Some(own) = p.own_class(kind) else {
+                let x = pick_class(&mut rng, &[eio]);
+                return x.map_or(DiskFate::Healthy, |_| DiskFate::Transient);
+            };
+            match pick_class(&mut rng, &[own, eio]) {
+                Some(0) => match kind {
+                    OpKind::Read => DiskFate::BitFlip,
+                    OpKind::Write => DiskFate::Torn {
+                        keep_frac: torn_keep_frac(&mut rng),
+                    },
+                    OpKind::Sync => DiskFate::Lying,
+                    OpKind::Meta => DiskFate::Healthy,
+                },
+                Some(_) => DiskFate::Transient,
+                None => DiskFate::Healthy,
             }
-        } else if x < class_prob + p.transient_eio_prob {
-            DiskFate::Transient
-        } else {
-            DiskFate::Healthy
-        };
-        if fate != DiskFate::Healthy {
-            // charge the budget; re-check in case a racing clone spent it
-            if s.fired.fetch_add(1, Ordering::SeqCst) >= p.max_faults {
-                return DiskFate::Healthy;
-            }
-        }
-        fate
+        })
     }
 
     /// Gray-failure injection: stall the operation without touching its
@@ -392,12 +378,7 @@ impl Vfs {
     fn maybe_stall(&self, kind: OpKind, op: u64) {
         let Some(s) = &self.state else { return };
         let p = &s.plan;
-        if let Some(at) = p.slow_after {
-            if op >= at {
-                s.slow.store(true, Ordering::SeqCst);
-            }
-        }
-        if s.slow.load(Ordering::SeqCst) {
+        if latch(&s.slow, p.slow_after, op) {
             std::thread::sleep(p.slow_for);
             return;
         }
@@ -419,19 +400,25 @@ impl Vfs {
         ServeError::Io(std::io::Error::other("injected transient EIO"))
     }
 
+    /// Draw the fate of the next operation of `kind`, failing it with a
+    /// transient `EIO` or, for a dead disk, [`ServeError::DiskDegraded`]
+    /// naming `op`. Every other fate is the caller's to act on.
+    fn draw(&self, kind: OpKind, op: &'static str) -> Result<DiskFate, ServeError> {
+        match self.fate(kind) {
+            DiskFate::Transient => Err(Self::transient()),
+            DiskFate::Sticky => Err(ServeError::DiskDegraded { op }),
+            fate => Ok(fate),
+        }
+    }
+
     /// Read a whole file, subject to bit rot and transient `EIO`.
     pub fn read(&self, path: impl AsRef<Path>) -> Result<Vec<u8>, ServeError> {
-        let path = path.as_ref();
-        match self.fate(OpKind::Read) {
-            DiskFate::Transient => return Err(Self::transient()),
-            DiskFate::BitFlip => {
-                let mut bytes = std::fs::read(path)?;
-                self.flip_one_bit(&mut bytes);
-                return Ok(bytes);
-            }
-            _ => {}
+        let rotted = self.draw(OpKind::Read, "read")? == DiskFate::BitFlip;
+        let mut bytes = std::fs::read(path.as_ref())?;
+        if rotted {
+            self.flip_one_bit(&mut bytes);
         }
-        Ok(std::fs::read(path)?)
+        Ok(bytes)
     }
 
     /// Flip one seeded bit in `bytes` (no-op on an empty read).
@@ -486,31 +473,20 @@ impl Vfs {
         let tmp = path.with_extension("tmp");
         {
             let mut f = File::create(&tmp)?;
-            match self.fate(OpKind::Write) {
-                DiskFate::Healthy | DiskFate::BitFlip | DiskFate::Lying => {
-                    f.write_all(bytes)?;
-                }
-                DiskFate::Torn { keep_frac } => {
-                    let keep = torn_prefix_len(bytes.len(), keep_frac);
-                    f.write_all(bytes.get(..keep).unwrap_or(bytes))?;
-                    f.sync_all().ok();
-                    return Err(ServeError::InjectedCrash(ServePoint::DiskWrite));
-                }
-                DiskFate::Transient => return Err(Self::transient()),
-                DiskFate::Sticky => return Err(ServeError::DiskDegraded { op: "write" }),
+            if let DiskFate::Torn { keep_frac } = self.draw(OpKind::Write, "write")? {
+                let keep = torn_prefix_len(bytes.len(), keep_frac);
+                f.write_all(bytes.get(..keep).unwrap_or(bytes))?;
+                f.sync_all().ok();
+                return Err(ServeError::InjectedCrash(ServePoint::DiskWrite));
             }
+            f.write_all(bytes)?;
             f.flush()?;
-            match self.fate(OpKind::Sync) {
-                DiskFate::Healthy | DiskFate::BitFlip | DiskFate::Torn { .. } => {
-                    f.sync_all()?;
-                }
-                // an atomic artifact whose fsync lies is equivalent to
-                // crashing before the rename: simply skip the sync —
-                // the rename below may still survive, which is exactly
-                // the torn-rename ambiguity recovery must handle
-                DiskFate::Lying => {}
-                DiskFate::Transient => return Err(Self::transient()),
-                DiskFate::Sticky => return Err(ServeError::DiskDegraded { op: "fsync" }),
+            // an atomic artifact whose fsync lies is equivalent to
+            // crashing before the rename: simply skip the sync — the
+            // rename below may still survive, which is exactly the
+            // torn-rename ambiguity recovery must handle
+            if self.draw(OpKind::Sync, "fsync")? != DiskFate::Lying {
+                f.sync_all()?;
             }
         }
         self.rename(&tmp, path)?;
@@ -519,11 +495,7 @@ impl Vfs {
 
     /// Rename `from` to `to` (a metadata write: sticky/transient apply).
     pub fn rename(&self, from: impl AsRef<Path>, to: impl AsRef<Path>) -> Result<(), ServeError> {
-        match self.fate(OpKind::Meta) {
-            DiskFate::Transient => return Err(Self::transient()),
-            DiskFate::Sticky => return Err(ServeError::DiskDegraded { op: "rename" }),
-            _ => {}
-        }
+        self.draw(OpKind::Meta, "rename")?;
         std::fs::rename(from.as_ref(), to.as_ref())?;
         if let Some(s) = &self.state {
             let mut durable = relock(&s.durable);
@@ -536,11 +508,7 @@ impl Vfs {
 
     /// Remove a file (a metadata write: sticky/transient apply).
     pub fn remove_file(&self, path: impl AsRef<Path>) -> Result<(), ServeError> {
-        match self.fate(OpKind::Meta) {
-            DiskFate::Transient => return Err(Self::transient()),
-            DiskFate::Sticky => return Err(ServeError::DiskDegraded { op: "unlink" }),
-            _ => {}
-        }
+        self.draw(OpKind::Meta, "unlink")?;
         std::fs::remove_file(path.as_ref())?;
         if let Some(s) = &self.state {
             relock(&s.durable).remove(path.as_ref());
@@ -556,11 +524,7 @@ impl Vfs {
 
     /// Recursively remove a directory tree (metadata write).
     pub fn remove_dir_all(&self, path: impl AsRef<Path>) -> Result<(), ServeError> {
-        match self.fate(OpKind::Meta) {
-            DiskFate::Transient => return Err(Self::transient()),
-            DiskFate::Sticky => return Err(ServeError::DiskDegraded { op: "rmdir" }),
-            _ => {}
-        }
+        self.draw(OpKind::Meta, "rmdir")?;
         std::fs::remove_dir_all(path.as_ref())?;
         if let Some(s) = &self.state {
             relock(&s.durable).retain(|p, _| !p.starts_with(path.as_ref()));
@@ -603,11 +567,7 @@ impl Vfs {
     /// [`ServeError::SnapshotDirSync`] — the caller must treat the
     /// preceding rename as not-yet-durable.
     pub fn sync_parent_dir(&self, path: impl AsRef<Path>) -> Result<(), ServeError> {
-        match self.fate(OpKind::Meta) {
-            DiskFate::Transient => return Err(Self::transient()),
-            DiskFate::Sticky => return Err(ServeError::DiskDegraded { op: "dir-fsync" }),
-            _ => {}
-        }
+        self.draw(OpKind::Meta, "dir-fsync")?;
         sync_parent_dir(path.as_ref())
     }
 
@@ -689,6 +649,14 @@ impl Vfs {
     }
 }
 
+/// Set `flag` once operation `op` reaches `after`; report whether it is set.
+fn latch(flag: &AtomicBool, after: Option<u64>, op: u64) -> bool {
+    if after.is_some_and(|at| op >= at) {
+        flag.store(true, Ordering::SeqCst);
+    }
+    flag.load(Ordering::SeqCst)
+}
+
 /// Clamp a torn write to a strict, non-empty prefix.
 fn torn_prefix_len(total: usize, keep_frac: f64) -> usize {
     ((total as f64 * keep_frac) as usize).clamp(1, total.saturating_sub(1).max(1))
@@ -733,19 +701,13 @@ impl DiskFile {
     /// Read the whole file from the current position, subject to bit rot
     /// and transient `EIO`.
     pub fn read_to_end(&mut self, buf: &mut Vec<u8>) -> Result<usize, ServeError> {
-        match self.vfs.fate(OpKind::Read) {
-            DiskFate::Transient => return Err(Vfs::transient()),
-            DiskFate::BitFlip => {
-                let start = buf.len();
-                let n = self.file.read_to_end(buf)?;
-                if let Some(tail) = buf.get_mut(start..) {
-                    self.vfs.flip_one_bit(tail);
-                }
-                return Ok(n);
-            }
-            _ => {}
+        let rotted = self.vfs.draw(OpKind::Read, "read")? == DiskFate::BitFlip;
+        let start = buf.len();
+        let n = self.file.read_to_end(buf)?;
+        if let Some(tail) = buf.get_mut(start..).filter(|_| rotted) {
+            self.vfs.flip_one_bit(tail);
         }
-        Ok(self.file.read_to_end(buf)?)
+        Ok(n)
     }
 
     /// Write all of `bytes` at the current position. A torn fate writes
@@ -753,17 +715,11 @@ impl DiskFile {
     /// and reports the process crashed
     /// ([`ServeError::InjectedCrash`] at [`ServePoint::DiskWrite`]).
     pub fn write_all(&mut self, bytes: &[u8]) -> Result<(), ServeError> {
-        match self.vfs.fate(OpKind::Write) {
-            DiskFate::Healthy | DiskFate::BitFlip | DiskFate::Lying => {
-                Ok(self.file.write_all(bytes)?)
-            }
-            DiskFate::Torn { keep_frac } => {
-                self.write_torn(bytes, keep_frac)?;
-                Err(ServeError::InjectedCrash(ServePoint::DiskWrite))
-            }
-            DiskFate::Transient => Err(Vfs::transient()),
-            DiskFate::Sticky => Err(ServeError::DiskDegraded { op: "write" }),
+        if let DiskFate::Torn { keep_frac } = self.vfs.draw(OpKind::Write, "write")? {
+            self.write_torn(bytes, keep_frac)?;
+            return Err(ServeError::InjectedCrash(ServePoint::DiskWrite));
         }
+        Ok(self.file.write_all(bytes)?)
     }
 
     /// Deliberately tear a write: put a strict prefix of `bytes` on disk
@@ -792,11 +748,8 @@ impl DiskFile {
     }
 
     fn sync_inner(&mut self, all: bool) -> Result<(), ServeError> {
-        match self.vfs.fate(OpKind::Sync) {
-            DiskFate::Lying => return Ok(()),
-            DiskFate::Transient => return Err(Vfs::transient()),
-            DiskFate::Sticky => return Err(ServeError::DiskDegraded { op: "fsync" }),
-            _ => {}
+        if self.vfs.draw(OpKind::Sync, "fsync")? == DiskFate::Lying {
+            return Ok(());
         }
         if all {
             self.file.sync_all()?;
@@ -810,11 +763,7 @@ impl DiskFile {
 
     /// Truncate (or extend) to `len` bytes (a metadata write).
     pub fn set_len(&mut self, len: u64) -> Result<(), ServeError> {
-        match self.vfs.fate(OpKind::Meta) {
-            DiskFate::Transient => return Err(Vfs::transient()),
-            DiskFate::Sticky => return Err(ServeError::DiskDegraded { op: "truncate" }),
-            _ => {}
-        }
+        self.vfs.draw(OpKind::Meta, "truncate")?;
         self.file.set_len(len)?;
         self.vfs.clamp_durable(&self.path, len);
         Ok(())
@@ -1097,5 +1046,76 @@ mod tests {
         assert_eq!(std::fs::read(&p).unwrap(), b"the original");
         std::fs::remove_file(&p).ok();
         std::fs::remove_file(p.with_extension("tmp")).ok();
+    }
+
+    // Golden digests of the disk fates a seed draws: chaos suites replay
+    // their plans by seed, so a refactor of the draw must leave them
+    // bit-identical. The constants were recorded from the original draw.
+
+    fn push(buf: &mut Vec<u8>, x: u64) {
+        buf.extend_from_slice(&x.to_le_bytes());
+    }
+
+    fn disk_digest(plan: DiskFaultPlan) -> u64 {
+        let vfs = Vfs::faulted(plan).unwrap();
+        let kinds = [
+            OpKind::Write,
+            OpKind::Sync,
+            OpKind::Read,
+            OpKind::Meta,
+            OpKind::Write,
+            OpKind::Read,
+            OpKind::Sync,
+        ];
+        let mut buf = Vec::new();
+        for i in 0..210 {
+            match vfs.fate(kinds[i % kinds.len()]) {
+                DiskFate::Healthy => push(&mut buf, 0),
+                DiskFate::Torn { keep_frac } => {
+                    push(&mut buf, 1);
+                    push(&mut buf, keep_frac.to_bits());
+                }
+                DiskFate::BitFlip => {
+                    push(&mut buf, 2);
+                    let mut bytes = [0u8; 64];
+                    vfs.flip_one_bit(&mut bytes);
+                    for (at, b) in bytes.iter().enumerate() {
+                        if *b != 0 {
+                            push(&mut buf, at as u64);
+                            push(&mut buf, u64::from(*b));
+                        }
+                    }
+                }
+                DiskFate::Lying => push(&mut buf, 3),
+                DiskFate::Transient => push(&mut buf, 4),
+                DiskFate::Sticky => push(&mut buf, 5),
+            }
+        }
+        push(&mut buf, vfs.faults_fired());
+        crh_core::persist::digest64(&buf)
+    }
+
+    #[test]
+    fn disk_fates_match_golden_digests() {
+        let plan = |seed: u64| {
+            DiskFaultPlan::new(seed)
+                .torn_writes(0.2)
+                .bit_rot(0.15)
+                .lying_fsyncs(0.2)
+                .transient_eio(0.1)
+        };
+        let got = [
+            disk_digest(plan(21).max_faults(30).sticky_after(150)),
+            disk_digest(plan(4242).max_faults(30).sticky_after(150)),
+            disk_digest(plan(21).max_faults(u64::MAX)),
+            disk_digest(plan(4242).max_faults(u64::MAX)),
+        ];
+        let want: [u64; 4] = [
+            0xa35b_c15d_20ff_da33,
+            0x1bc2_5577_6cd7_11b1,
+            0xeea3_a031_76d7_8164,
+            0xde48_ea43_f391_b227,
+        ];
+        assert_eq!(got, want, "got {got:#018x?}");
     }
 }
