@@ -1,9 +1,9 @@
 //! Vectorization-friendly loss kernels over columnar claim storage.
 //!
-//! The row-oriented hot loops in [`solver`](crate::solver) spend most of
-//! their time chasing `Value` enums and virtual [`Loss`](crate::loss::Loss)
-//! calls per observation. For the paper's three workhorse losses the same
-//! arithmetic can run as flat sweeps over the dense columns built by
+//! A per-entry loop over the row table spends most of its time chasing
+//! `Value` enums and virtual [`Loss`](crate::loss::Loss) calls per
+//! observation. For the paper's three workhorse losses the same arithmetic
+//! runs as flat sweeps over the dense columns built by
 //! [`columnar`](crate::columnar):
 //!
 //! * **weighted vote** (Eq 9) over dense `u32` ids — [`fit_vote`],
@@ -15,9 +15,12 @@
 //!
 //! ## Bit-identity contract
 //!
-//! Every kernel here reproduces its row-path counterpart **to the bit**, at
-//! every thread count — the determinism suite compares digests against the
-//! row layout directly. Two rules make that work:
+//! Every kernel here reproduces its row-path counterpart — the `Loss`
+//! impl's `fit` or `loss` over the entry's `(SourceId, Value)` slice — **to
+//! the bit**, at every thread count. The determinism suite pins golden
+//! digests recorded from the former row layout, and `tests/fixed_point.rs`
+//! checks every returned truth against `Loss::fit`. Two rules make that
+//! work:
 //!
 //! 1. **Fits replay the row path's fold order.** Observations inside an
 //!    entry are stored in ascending source order, and the fit kernels
@@ -34,8 +37,7 @@
 //! Cross-chunk reduction uses [`pairwise_accumulate`]: a fixed pairwise
 //! tree over the chunk index, a pure function of the chunk count (which is
 //! itself a pure function of the entry count — see [`Pool`]), so the merged
-//! deviation matrix is bit-identical for every thread count and shared by
-//! the row and columnar paths alike.
+//! deviation matrix is bit-identical for every thread count.
 //!
 //! [`Pool`]: crate::par::Pool
 
@@ -49,7 +51,7 @@ use crate::loss::weighted_median_scan;
 /// if** its `fit` and `loss` semantics match the corresponding built-in
 /// formula bit-for-bit — the kernels replace the virtual calls outright.
 /// Anything else (distribution losses, text medoids, ensembles, custom
-/// user losses) keeps the exact row-oriented path.
+/// user losses) runs the per-entry `Loss` calls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelClass {
     /// No fast path: per-entry `Loss::fit` / `Loss::loss` calls.

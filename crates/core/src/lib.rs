@@ -115,9 +115,7 @@ pub mod prelude {
     };
     pub use crate::par::Pool;
     pub use crate::schema::Schema;
-    pub use crate::solver::{
-        Crh, CrhBuilder, CrhResult, DevMatrix, InitStrategy, PropertyNorm, SolverScratch,
-    };
+    pub use crate::solver::{Crh, CrhBuilder, CrhResult, DevMatrix, PropertyNorm, SolverScratch};
     pub use crate::table::{Claim, Entry, ObservationTable, TableBuilder, TruthTable};
     pub use crate::value::{PropertyType, Truth, Value};
     pub use crate::weights::{

@@ -13,14 +13,10 @@ use std::collections::HashMap;
 
 use crate::error::{CrhError, Result};
 use crate::ids::{ObjectId, PropertyId};
-use crate::par::Pool;
-use crate::solver::{
-    fused_fit_dev, objective, source_losses_mat, AnchorBoost, CrhResult, KernelSpec, KernelWeights,
-    PreparedProblem, PropertyNorm, SolverScratch,
-};
-use crate::table::{ObservationTable, TruthTable};
+use crate::solver::{fused_solve, AnchorBoost, CrhResult, LoopSettings, PreparedProblem};
+use crate::table::ObservationTable;
 use crate::value::Value;
-use crate::weights::{LogMax, WeightAssigner};
+use crate::weights::WeightAssigner;
 
 /// CRH with a set of anchored (known) entry truths.
 ///
@@ -33,20 +29,14 @@ use crate::weights::{LogMax, WeightAssigner};
 pub struct SemiSupervisedCrh {
     anchors: HashMap<(ObjectId, PropertyId), Value>,
     anchor_boost: Option<f64>,
-    assigner: Box<dyn WeightAssigner>,
-    max_iters: usize,
-    tol: f64,
-    property_norm: PropertyNorm,
-    count_normalize: bool,
-    threads: usize,
-    columnar: bool,
+    settings: LoopSettings,
 }
 
 impl std::fmt::Debug for SemiSupervisedCrh {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SemiSupervisedCrh")
             .field("anchors", &self.anchors.len())
-            .field("assigner", &self.assigner.name())
+            .field("assigner", &self.settings.assigner.name())
             .finish()
     }
 }
@@ -63,13 +53,7 @@ impl SemiSupervisedCrh {
         Ok(Self {
             anchors,
             anchor_boost: None,
-            assigner: Box::new(LogMax),
-            max_iters: 100,
-            tol: 1e-6,
-            property_norm: PropertyNorm::SumToOne,
-            count_normalize: true,
-            threads: 0,
-            columnar: true,
+            settings: LoopSettings::default(),
         })
     }
 
@@ -77,20 +61,13 @@ impl SemiSupervisedCrh {
     /// the exact sequential path; results are bit-identical for every
     /// value.
     pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n;
-        self
-    }
-
-    /// Toggle the columnar fast-path kernels (default on); results are
-    /// bit-identical either way.
-    pub fn columnar(mut self, on: bool) -> Self {
-        self.columnar = on;
+        self.settings.threads = n;
         self
     }
 
     /// Replace the weight assigner.
     pub fn weight_assigner(mut self, a: impl WeightAssigner + 'static) -> Self {
-        self.assigner = Box::new(a);
+        self.settings.assigner = Box::new(a);
         self
     }
 
@@ -108,101 +85,28 @@ impl SemiSupervisedCrh {
 
     /// Cap the number of iterations.
     pub fn max_iters(mut self, n: usize) -> Self {
-        self.max_iters = n;
+        self.settings.max_iters = n;
         self
     }
 
     /// Run Algorithm 1 with the anchored entries held fixed and their loss
-    /// terms boosted.
-    ///
-    /// The loop is fused like [`Crh::run`](crate::solver::Crh::run): one
-    /// entry-sharded sweep per iteration fits (and pins) the truths and
-    /// accumulates the boosted deviations that price the convergence check
-    /// and feed the next iteration's weight update.
+    /// terms boosted: the fused loop of
+    /// [`Crh::run`](crate::solver::Crh::run), whose sweep also pins the
+    /// anchors and scales their deviations.
     pub fn run(&self, table: &ObservationTable) -> Result<CrhResult> {
         // validate anchor types against the schema
         for ((_, p), v) in &self.anchors {
             table.schema().check_value(*p, v)?;
         }
-        let prepared = PreparedProblem::new_with_layout(table, &HashMap::new(), self.columnar)?;
-        let k = table.num_sources();
+        let prepared = PreparedProblem::new(table, &HashMap::new())?;
         let boost = self
             .anchor_boost
             .unwrap_or_else(|| (table.num_entries() as f64 / self.anchors.len() as f64).max(1.0));
-        let pool = Pool::new(self.threads);
-        let mut scratch = SolverScratch::for_table(table);
-        let mut truths = TruthTable::new(Vec::new());
-        fn spec<'a>(
-            w: &'a [f64],
-            anchors: &'a HashMap<(ObjectId, PropertyId), Value>,
-            boost: f64,
-        ) -> KernelSpec<'a> {
-            KernelSpec {
-                weights: KernelWeights::Shared(w),
-                anchors: Some(AnchorBoost { anchors, boost }),
-                dev_block_of: None,
-                num_dev_blocks: 1,
-            }
-        }
-        let uniform = vec![1.0f64; k];
-        fused_fit_dev(
-            &prepared,
-            &spec(&uniform, &self.anchors, boost),
-            &pool,
-            &mut truths,
-            &mut scratch,
-        );
-
-        let mut weights = uniform;
-        let mut trace = Vec::new();
-        let mut converged = false;
-        let mut iterations = 0;
-        for it in 0..self.max_iters {
-            iterations = it + 1;
-            // Step I from the carried boosted deviations.
-            let losses = source_losses_mat(
-                scratch.dev(),
-                table.source_counts(),
-                self.property_norm,
-                self.count_normalize,
-            );
-            weights = self.assigner.assign(&losses);
-
-            // Step II (with anchor pinning) fused with the deviation pass.
-            fused_fit_dev(
-                &prepared,
-                &spec(&weights, &self.anchors, boost),
-                &pool,
-                &mut truths,
-                &mut scratch,
-            );
-
-            let losses = source_losses_mat(
-                scratch.dev(),
-                table.source_counts(),
-                self.property_norm,
-                self.count_normalize,
-            );
-            let f = objective(&weights, &losses);
-            if let Some(&prev) = trace.last() {
-                let prev: f64 = prev;
-                trace.push(f);
-                if (prev - f).abs() <= self.tol * prev.abs().max(1.0) {
-                    converged = true;
-                    break;
-                }
-            } else {
-                trace.push(f);
-            }
-        }
-
-        Ok(CrhResult {
-            truths,
-            weights,
-            objective_trace: trace,
-            iterations,
-            converged,
-        })
+        let anchors = AnchorBoost {
+            anchors: &self.anchors,
+            boost,
+        };
+        fused_solve(&prepared, &self.settings, None, Some(anchors)).map(CrhResult::from_single)
     }
 }
 

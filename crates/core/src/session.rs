@@ -16,7 +16,7 @@ use crate::loss::Loss;
 use crate::par::Pool;
 use crate::solver::{
     deviation_matrix, deviation_matrix_into, fit_all_into, fit_and_deviations_into, objective,
-    source_losses, source_losses_mat, PreparedProblem, PropertyNorm, SolverScratch,
+    source_losses, source_losses_mat, within_tol, PreparedProblem, PropertyNorm, SolverScratch,
 };
 use crate::table::{ObservationTable, TruthTable};
 use crate::weights::{LogMax, WeightAssigner};
@@ -127,7 +127,8 @@ impl<'t> CrhSession<'t> {
 
     /// Run until the relative objective decrease falls below `tol` or
     /// `max_iters` full iterations have been performed. Returns the final
-    /// objective.
+    /// objective. The first iteration's decrease is measured against the
+    /// objective of the state the session starts from.
     ///
     /// A NaN or negative tolerance is rejected with
     /// [`CrhError::InvalidParameter`] — it would make the convergence
@@ -170,7 +171,6 @@ impl<'t> CrhSession<'t> {
             self.count_normalize,
         );
         let mut f = objective(&self.weights, &losses);
-        let mut prev = f64::INFINITY;
         for _ in 0..max_iters {
             if cancel.is_cancelled() {
                 return Err(CrhError::Cancelled);
@@ -192,11 +192,10 @@ impl<'t> CrhSession<'t> {
                 self.property_norm,
                 self.count_normalize,
             );
-            f = objective(&self.weights, &losses);
-            if (prev - f).abs() <= tol * prev.abs().max(1.0) {
+            let prev = std::mem::replace(&mut f, objective(&self.weights, &losses));
+            if within_tol(prev, f, tol) {
                 break;
             }
-            prev = f;
         }
         Ok(f)
     }
@@ -293,14 +292,12 @@ mod tests {
         let f_fused = fused.run_to_convergence(1e-8, 50).unwrap();
 
         let mut manual = CrhSession::new(&tab).unwrap();
-        let mut prev = f64::INFINITY;
         let mut f_manual = manual.objective();
         for _ in 0..50 {
-            f_manual = manual.step();
-            if (prev - f_manual).abs() <= 1e-8 * prev.abs().max(1.0) {
+            let prev = std::mem::replace(&mut f_manual, manual.step());
+            if within_tol(prev, f_manual, 1e-8) {
                 break;
             }
-            prev = f_manual;
         }
 
         assert_eq!(fused.iterations(), manual.iterations());
