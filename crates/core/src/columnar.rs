@@ -737,6 +737,162 @@ mod tests {
         assert_eq!(plan.class[cond.index()], KernelClass::Vote);
     }
 
+    /// A `Num` column over `rows` (`None` = missing slot), presorted the
+    /// way the plan presorts median columns.
+    fn presorted_column(rows: &[Vec<Option<f64>>], k: usize) -> NumColumn {
+        let mut col = NumColumn {
+            rows: (0..rows.len() as u32).collect(),
+            values: vec![0.0; rows.len() * k],
+            valid: Bitmap::zeroed(rows.len(), k),
+            order: Vec::new(),
+        };
+        for (r, row) in rows.iter().enumerate() {
+            for (s, v) in row.iter().enumerate() {
+                if let Some(x) = *v {
+                    col.values[r * k + s] = x;
+                    col.valid.set(r, s);
+                }
+            }
+        }
+        col.presort(k);
+        col
+    }
+
+    #[test]
+    fn presort_equals_stable_total_cmp_sort() {
+        use crate::rng::{Pcg64, Rng};
+        // ties, both zeros, subnormals and extremes: every class of value
+        // whose total order differs from a naive comparison
+        let pool = [
+            -0.0,
+            0.0,
+            1.0,
+            1.0,
+            -1.0,
+            2.5,
+            f64::MIN_POSITIVE / 4.0,
+            -f64::MIN_POSITIVE / 4.0,
+            5e-324,
+            -5e-324,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            -1e300,
+        ];
+        let mut rng = Pcg64::seed_from_u64(0x9E5087);
+        for k in [1usize, 2, 9, 63, 64, 65, 70, 130] {
+            let mut rows: Vec<Vec<Option<f64>>> = vec![vec![None; k]];
+            for _ in 0..300 {
+                let density = rng.next_u64() % 5;
+                rows.push(
+                    (0..k)
+                        .map(|_| {
+                            (rng.next_u64() % 4 < density)
+                                .then(|| pool[(rng.next_u64() % pool.len() as u64) as usize])
+                        })
+                        .collect(),
+                );
+            }
+            rows.push(vec![Some(-0.0); k]);
+            rows.push((0..k).map(|s| Some([0.0, -0.0][s % 2])).collect());
+            let col = presorted_column(&rows, k);
+            for (r, row) in rows.iter().enumerate() {
+                let mut want: Vec<u32> = (0..k as u32)
+                    .filter(|&s| row[s as usize].is_some())
+                    .collect();
+                let x = |s: u32| row[s as usize].unwrap_or(0.0);
+                want.sort_by(|&a, &b| x(a).total_cmp(&x(b)));
+                assert_eq!(col.order_row(r, k), want.as_slice(), "k={k} row={r}");
+            }
+        }
+    }
+
+    #[test]
+    fn build_error_precedence_follows_entry_order() {
+        let mut schema = Schema::new();
+        let temp = schema.add_continuous("temp");
+        let hum = schema.add_continuous("hum");
+        let cond = schema.add_categorical("cond");
+        let claim = |object: u32, property, source: u32, value| Claim {
+            object: ObjectId(object),
+            property,
+            source: SourceId(source),
+            value,
+        };
+        let build = |claims: Vec<Claim>| {
+            ColumnarTable::build(&ObservationTable::from_claims(schema.clone(), claims).unwrap())
+        };
+
+        // a NaN inside a type-mixed property degrades to Mixed, whether
+        // the NaN comes before or after the type confusion
+        for (nan_obj, cat_obj) in [(0, 1), (1, 0)] {
+            let col = build(vec![
+                claim(nan_obj, temp, 0, Value::Num(f64::NAN)),
+                claim(cat_obj, temp, 0, Value::Cat(3)),
+                claim(0, hum, 0, Value::Num(1.0)),
+            ])
+            .unwrap();
+            assert!(matches!(
+                col.column(temp.index()),
+                PropertyColumn::Mixed { .. }
+            ));
+            assert!(matches!(col.column(hum.index()), PropertyColumn::Num(_)));
+        }
+
+        // a NaN in a Num column is that property's error, even with a
+        // type-mixed property ahead of it in entry order
+        let err = build(vec![
+            claim(0, temp, 0, Value::Num(f64::INFINITY)),
+            claim(0, temp, 1, Value::Cat(2)),
+            claim(1, hum, 0, Value::Num(2.0)),
+            claim(1, hum, 1, Value::Num(f64::NAN)),
+        ])
+        .unwrap_err();
+        assert!(
+            matches!(err, CrhError::NonFiniteValue { property, value } if property == hum && value.is_nan()),
+            "{err:?}"
+        );
+
+        // two failing properties: the first failing entry wins, and inside
+        // that entry the first failing source
+        let err = build(vec![
+            claim(1, temp, 0, Value::Num(f64::NAN)),
+            claim(0, hum, 2, Value::Num(f64::NAN)),
+            claim(0, hum, 1, Value::Num(f64::NEG_INFINITY)),
+            claim(0, hum, 0, Value::Num(3.0)),
+        ])
+        .unwrap_err();
+        assert!(
+            matches!(err, CrhError::NonFiniteValue { property, value } if property == hum && value == f64::NEG_INFINITY),
+            "{err:?}"
+        );
+        let err = build(vec![
+            claim(0, temp, 0, Value::Num(f64::INFINITY)),
+            claim(1, hum, 0, Value::Num(f64::NAN)),
+        ])
+        .unwrap_err();
+        assert!(
+            matches!(err, CrhError::NonFiniteValue { property, value } if property == temp && value == f64::INFINITY),
+            "{err:?}"
+        );
+        // an out-of-range code and a non-finite value: entry order again
+        let err = build(vec![
+            claim(1, temp, 0, Value::Num(f64::NAN)),
+            claim(0, cond, 0, Value::Cat(MISSING_CODE)),
+        ])
+        .unwrap_err();
+        assert!(matches!(err, CrhError::CapacityExceeded { .. }), "{err:?}");
+        let err = build(vec![
+            claim(0, temp, 0, Value::Num(f64::NAN)),
+            claim(0, cond, 0, Value::Cat(MISSING_CODE)),
+        ])
+        .unwrap_err();
+        assert!(
+            matches!(err, CrhError::NonFiniteValue { property, .. } if property == temp),
+            "{err:?}"
+        );
+    }
+
     #[test]
     fn dictionary_capacity_guard() {
         // Dictionary::build can't realistically see 2^32 strings; the

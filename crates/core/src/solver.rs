@@ -1316,6 +1316,97 @@ mod tests {
     }
 
     #[test]
+    fn plan_stats_equal_compute_entry_stats_bitwise() {
+        use crate::rng::{Pcg64, Rng};
+        use crate::table::Claim;
+        let mut rng = Pcg64::seed_from_u64(0x57A75);
+        for case in 0..24u32 {
+            let mut schema = Schema::new();
+            let temp = schema.add_continuous("t");
+            let cond = schema.add_categorical("c");
+            let gate = schema.add_text("g");
+            let mixed = schema.add_continuous("m");
+            for l in ["a", "b", "c"] {
+                schema.intern(cond, l).unwrap();
+            }
+            let k = 1 + rng.next_u64() % 9;
+            let pick =
+                |rng: &mut Pcg64, xs: &[f64]| xs[(rng.next_u64() % xs.len() as u64) as usize];
+            let nums = [-0.0, 0.0, 1.5, -2.25, 1e-310, 3.0, 1e12, 0.1];
+            let mut claims = Vec::new();
+            for o in 0..1 + (rng.next_u64() % 40) as u32 {
+                for s in 0..k as u32 {
+                    let mut push = |property, value| {
+                        claims.push(Claim {
+                            object: ObjectId(o),
+                            property,
+                            source: SourceId(s),
+                            value,
+                        })
+                    };
+                    // object 0: every temp claim is -0.0; object 1: one claim
+                    let temp_value = match o {
+                        0 => Some(-0.0),
+                        1 => (s == 0).then(|| pick(&mut rng, &nums)),
+                        _ => (rng.next_u64() % 4 != 0).then(|| pick(&mut rng, &nums)),
+                    };
+                    if let Some(x) = temp_value {
+                        push(temp, Value::Num(x));
+                    }
+                    if rng.next_u64() % 3 != 0 {
+                        push(cond, Value::Cat((rng.next_u64() % 3) as u32));
+                    }
+                    if rng.next_u64() % 3 == 0 {
+                        push(
+                            gate,
+                            Value::Text(["x", "", "yz"][(rng.next_u64() % 3) as usize].into()),
+                        );
+                    }
+                    if (o, s) == (0, 0) || rng.next_u64() % 2 == 0 {
+                        // type confusion only `from_claims` lets through
+                        let v = if (o, s) == (0, 0) || rng.next_u64() % 3 == 0 {
+                            Value::Cat(1)
+                        } else {
+                            Value::Num(pick(&mut rng, &nums))
+                        };
+                        push(mixed, v);
+                    }
+                }
+            }
+            let table = ObservationTable::from_claims(schema, claims).unwrap();
+            let prepared = PreparedProblem::new(&table, &HashMap::new()).unwrap();
+            assert!(matches!(
+                prepared.plan.table.column(mixed.index()),
+                PropertyColumn::Mixed { .. }
+            ));
+            let want = compute_entry_stats(&table);
+            assert_eq!(prepared.stats.len(), want.len());
+            for (i, (got, want)) in prepared.stats.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    got.mean.to_bits(),
+                    want.mean.to_bits(),
+                    "case {case} entry {i} mean"
+                );
+                assert_eq!(
+                    got.std.to_bits(),
+                    want.std.to_bits(),
+                    "case {case} entry {i} std"
+                );
+                assert_eq!(got.count, want.count, "case {case} entry {i} count");
+                assert_eq!(
+                    got.domain_size, want.domain_size,
+                    "case {case} entry {i} domain"
+                );
+            }
+            let all_neg_zero = table.entry_id(ObjectId(0), temp).unwrap();
+            assert_eq!(
+                want[all_neg_zero.index()].mean.to_bits(),
+                (-0.0f64).to_bits()
+            );
+        }
+    }
+
+    #[test]
     fn crh_downweights_the_liar() {
         let table = lying_source_table();
         let res = CrhBuilder::new().build().unwrap().run(&table).unwrap();
