@@ -41,8 +41,9 @@ use std::sync::Arc;
 
 use crate::error::{CrhError, Result};
 use crate::ids::EntryId;
-use crate::kernels::KernelClass;
+use crate::kernels::{for_each_valid, KernelClass};
 use crate::loss::Loss;
+use crate::stats::{entry_stats, EntryStats};
 use crate::table::ObservationTable;
 use crate::value::{PropertyType, Value};
 
@@ -87,9 +88,10 @@ impl Dictionary {
     where
         I: IntoIterator<Item = &'a str>,
     {
-        let mut labels: Vec<String> = labels.into_iter().map(str::to_owned).collect();
-        labels.sort_unstable();
-        labels.dedup();
+        let mut distinct: Vec<&str> = labels.into_iter().collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let labels: Vec<String> = distinct.into_iter().map(str::to_owned).collect();
         // validate the last rank; all earlier ranks fit a fortiori
         if let Some(last) = labels.len().checked_sub(1) {
             checked_code(last, "text dictionary codes")?;
@@ -208,6 +210,14 @@ impl PropertyColumn {
             PropertyColumn::Mixed { rows } => rows,
         }
     }
+
+    fn into_rows(self) -> Vec<u32> {
+        match self {
+            PropertyColumn::Num(c) => c.rows,
+            PropertyColumn::Coded(c) => c.rows,
+            PropertyColumn::Mixed { rows } => rows,
+        }
+    }
 }
 
 impl NumColumn {
@@ -233,11 +243,14 @@ impl NumColumn {
         self.order.get(row * k..row * k + len).unwrap_or(&[])
     }
 
-    /// Build every row's [`order_row`](Self::order_row). The stable sort
-    /// over ascending source ids keeps ties in source order, exactly what
-    /// [`weighted_median`](crate::loss::weighted_median) does to the row
-    /// path's source-ordered observations; values never change during a
-    /// solve, so this runs once per table instead of once per sweep.
+    /// Build every row's [`order_row`](Self::order_row): valid slots in
+    /// ascending [`f64::total_cmp`] order, ties in ascending source id —
+    /// exactly what [`weighted_median`](crate::loss::weighted_median)'s
+    /// stable sort does to the row path's source-ordered observations.
+    /// Values never change during a solve, so this runs once per table.
+    /// A row of at most [`RANK_MAX`] valid slots places each slot at its
+    /// rank (the count of slots ordered before it) on integer keys; wider
+    /// rows take a stable sort on the same keys.
     fn presort(&mut self, k: usize) {
         let NumColumn {
             rows,
@@ -250,15 +263,39 @@ impl NumColumn {
             let vals = &values[row * k..(row + 1) * k];
             let slots = &mut order[row * k..(row + 1) * k];
             let mut len = 0;
-            for s in 0..k {
-                if valid.get(row, s) {
-                    slots[len] = s as u32;
-                    len += 1;
-                }
+            for_each_valid(valid.row(row), |s| {
+                slots[len] = s as u32;
+                len += 1;
+            });
+            if len > RANK_MAX {
+                slots[..len].sort_by_key(|&s| total_key(vals[s as usize]));
+                continue;
             }
-            slots[..len].sort_by(|&a, &b| vals[a as usize].total_cmp(&vals[b as usize]));
+            let mut src = [0u32; RANK_MAX];
+            let mut keys = [0i64; RANK_MAX];
+            for (j, &s) in slots[..len].iter().enumerate() {
+                src[j] = s;
+                keys[j] = total_key(vals[s as usize]);
+            }
+            let keys = &keys[..len];
+            for (j, &key) in keys.iter().enumerate() {
+                // earlier slots are lower source ids: they go first on a tie
+                let before = keys[..j].iter().filter(|&&x| x <= key).count()
+                    + keys[j + 1..].iter().filter(|&&x| x < key).count();
+                slots[before] = src[j];
+            }
         }
     }
+}
+
+/// Widest row [`NumColumn::presort`] ranks in place; wider rows sort.
+const RANK_MAX: usize = 16;
+
+/// `x`'s position in [`f64::total_cmp`] order as a signed integer: the
+/// sign-magnitude bits of a negative value flipped to two's complement.
+fn total_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
 impl CodedColumn {
@@ -283,6 +320,54 @@ impl CodedColumn {
     }
 }
 
+/// One property's column while [`ColumnarTable::build_with_stats`] walks
+/// the table: preallocated to its final row count, filled in entry order.
+struct Fill<'t> {
+    column: PropertyColumn,
+    /// The schema domain size `L_m`, for the entry stats.
+    domain_size: usize,
+    /// A text property: codes wait for the dictionary.
+    text: bool,
+    /// A claim's type differs from the property's.
+    mixed: bool,
+    /// The property's first failing claim: its entry index and error.
+    error: Option<(usize, CrhError)>,
+    /// Text claims by dense slot.
+    labels: Vec<(usize, &'t str)>,
+}
+
+impl Fill<'_> {
+    fn new(ptype: PropertyType, domain_size: usize, rows: usize, k: usize) -> Self {
+        let column = match ptype {
+            PropertyType::Continuous => PropertyColumn::Num(NumColumn {
+                rows: Vec::with_capacity(rows),
+                values: vec![0.0; rows * k],
+                valid: Bitmap::zeroed(rows, k),
+                order: Vec::new(),
+            }),
+            PropertyType::Categorical | PropertyType::Text => PropertyColumn::Coded(CodedColumn {
+                rows: Vec::with_capacity(rows),
+                codes: vec![MISSING_CODE; rows * k],
+                valid: Bitmap::zeroed(rows, k),
+                domain: if ptype == PropertyType::Text {
+                    0
+                } else {
+                    domain_size
+                },
+                dict: None,
+            }),
+        };
+        Self {
+            column,
+            domain_size,
+            text: ptype == PropertyType::Text,
+            mixed: false,
+            error: None,
+            labels: Vec::new(),
+        }
+    }
+}
+
 /// The columnar mirror of an [`ObservationTable`]: one [`PropertyColumn`]
 /// per property, sharing the table's entry and source id spaces.
 #[derive(Debug, Clone)]
@@ -299,137 +384,149 @@ impl ColumnarTable {
     /// [`PropertyColumn::Mixed`] rather than failing, preserving the row
     /// path's semantics for them.
     pub fn build(table: &ObservationTable) -> Result<Self> {
+        Self::build_with_stats(table).map(|(columnar, _)| columnar)
+    }
+
+    /// [`build`](Self::build), plus every entry's [`EntryStats`] in entry
+    /// order, in one walk of the observations. Each column is sized from
+    /// a count over the entries, which reads no observation; the walk
+    /// then fills values, codes and validity bits and collects each
+    /// entry's continuous values for
+    /// [`compute_entry_stats`](crate::stats::compute_entry_stats)'s float
+    /// program. A property that turns out type-mixed becomes
+    /// [`PropertyColumn::Mixed`] after the walk and its failures are
+    /// dropped; of the others, the first failing entry in entry order is
+    /// the error.
+    pub(crate) fn build_with_stats(table: &ObservationTable) -> Result<(Self, Vec<EntryStats>)> {
         let k = table.num_sources();
-        let m = table.num_properties();
         let n = table.num_entries();
         checked_code(n, "columnar entry rows")?;
 
-        // Pass 1: per-property row counts and uniform-type detection.
-        let ptypes: Vec<PropertyType> = table.schema().properties().map(|(_, d)| d.ptype).collect();
-        let mut counts = vec![0usize; m];
-        let mut mixed = vec![false; m];
-        for i in 0..n {
-            let e = EntryId::from_index(i);
-            let p = table.entry(e).property.index();
-            counts[p] += 1;
-            let want = ptypes[p];
-            for (_, v) in table.observations(e) {
-                if v.property_type() != want {
-                    mixed[p] = true;
-                }
-            }
+        let mut counts = vec![0usize; table.num_properties()];
+        for (_, entry, _) in table.iter_entries() {
+            counts[entry.property.index()] += 1;
         }
+        let schema = table.schema();
+        let mut fills: Vec<Fill<'_>> = schema
+            .properties()
+            .zip(counts)
+            .map(|((pid, def), rows)| {
+                let domain_size = schema.domain(pid).map_or(0, |d| d.len());
+                Fill::new(def.ptype, domain_size, rows, k)
+            })
+            .collect();
 
-        // Pass 2: build each column in entry order.
-        let mut columns: Vec<PropertyColumn> = Vec::with_capacity(m);
-        for (pid, def) in table.schema().properties() {
-            let p = pid.index();
-            let rows_hint = counts[p];
-            if mixed[p] {
-                columns.push(PropertyColumn::Mixed {
-                    rows: Vec::with_capacity(rows_hint),
-                });
-                continue;
-            }
-            match def.ptype {
-                PropertyType::Continuous => columns.push(PropertyColumn::Num(NumColumn {
-                    rows: Vec::with_capacity(rows_hint),
-                    values: Vec::with_capacity(rows_hint * k),
-                    valid: Bitmap::zeroed(rows_hint, k),
-                    order: Vec::new(),
-                })),
-                PropertyType::Categorical | PropertyType::Text => {
-                    let dict = if def.ptype == PropertyType::Text {
-                        Some(Dictionary::build(Self::text_labels(table, p))?)
-                    } else {
-                        None
-                    };
-                    let schema_domain = table.schema().domain(pid).map_or(0, |d| d.len());
-                    columns.push(PropertyColumn::Coded(CodedColumn {
-                        rows: Vec::with_capacity(rows_hint),
-                        codes: Vec::with_capacity(rows_hint * k),
-                        valid: Bitmap::zeroed(rows_hint, k),
-                        domain: dict.as_ref().map_or(schema_domain, Dictionary::len),
-                        dict,
-                    }))
-                }
-            }
-        }
-
-        for i in 0..n {
-            let e = EntryId::from_index(i);
-            let entry = table.entry(e);
-            let p = entry.property.index();
-            let row_id = checked_code(i, "columnar entry rows")?;
-            match &mut columns[p] {
-                PropertyColumn::Mixed { rows } => rows.push(row_id),
+        let mut stats = Vec::with_capacity(n);
+        let mut nums: Vec<f64> = Vec::new();
+        for (e, entry, obs) in table.iter_entries() {
+            let i = e.index();
+            let Fill {
+                column,
+                domain_size,
+                text,
+                mixed,
+                error,
+                labels,
+            } = &mut fills[entry.property.index()];
+            nums.clear();
+            match column {
                 PropertyColumn::Num(col) => {
                     let row = col.rows.len();
-                    col.rows.push(row_id);
-                    col.values.resize((row + 1) * k, 0.0);
-                    let base = row * k;
-                    for (s, v) in table.observations(e) {
-                        // unreachable fallback: pass 1 proved the type
-                        let x = v.as_num().unwrap_or(0.0);
-                        if !x.is_finite() {
-                            return Err(CrhError::NonFiniteValue {
-                                property: entry.property,
-                                value: x,
-                            });
+                    col.rows.push(i as u32);
+                    for (s, v) in obs {
+                        let Value::Num(x) = *v else {
+                            *mixed = true;
+                            continue;
+                        };
+                        nums.push(x);
+                        if !x.is_finite() && error.is_none() {
+                            *error = Some((
+                                i,
+                                CrhError::NonFiniteValue {
+                                    property: entry.property,
+                                    value: x,
+                                },
+                            ));
                         }
-                        col.values[base + s.index()] = x;
+                        col.values[row * k + s.index()] = x;
                         col.valid.set(row, s.index());
                     }
                 }
                 PropertyColumn::Coded(col) => {
                     let row = col.rows.len();
-                    col.rows.push(row_id);
-                    col.codes.resize((row + 1) * k, MISSING_CODE);
-                    let base = row * k;
-                    for (s, v) in table.observations(e) {
-                        let code = match (v, &col.dict) {
-                            (Value::Cat(c), _) => *c,
-                            (Value::Text(t), Some(dict)) => match dict.code(t) {
-                                Some(c) => c,
-                                None => MISSING_CODE, // unreachable: dict built from these claims
-                            },
-                            _ => MISSING_CODE, // unreachable: pass 1 proved the type
-                        };
-                        if code == MISSING_CODE {
-                            return Err(CrhError::CapacityExceeded {
-                                what: "dense property codes",
-                                limit: MISSING_CODE as u64,
-                            });
+                    col.rows.push(i as u32);
+                    for (s, v) in obs {
+                        let slot = row * k + s.index();
+                        match v {
+                            Value::Cat(MISSING_CODE) if !*text => {
+                                if error.is_none() {
+                                    *error = Some((
+                                        i,
+                                        CrhError::CapacityExceeded {
+                                            what: "dense property codes",
+                                            limit: MISSING_CODE as u64,
+                                        },
+                                    ));
+                                }
+                            }
+                            Value::Cat(c) if !*text => {
+                                col.domain = col.domain.max(*c as usize + 1);
+                                col.codes[slot] = *c;
+                            }
+                            // coded once the dictionary is known
+                            Value::Text(t) if *text => labels.push((slot, t)),
+                            other => {
+                                if let Value::Num(x) = other {
+                                    nums.push(*x);
+                                }
+                                *mixed = true;
+                                continue;
+                            }
                         }
-                        col.domain = col.domain.max(code as usize + 1);
-                        col.codes[base + s.index()] = code;
                         col.valid.set(row, s.index());
                     }
                 }
+                PropertyColumn::Mixed { .. } => {}
             }
+            stats.push(entry_stats(&nums, obs.len(), *domain_size));
         }
 
-        Ok(Self {
-            columns,
-            num_sources: k,
-        })
-    }
-
-    fn text_labels(table: &ObservationTable, p: usize) -> Vec<&str> {
-        let n = table.num_entries();
-        let mut out = Vec::new();
-        for i in 0..n {
-            let e = EntryId::from_index(i);
-            if table.entry(e).property.index() != p {
+        let mut first_error: Option<(usize, CrhError)> = None;
+        let mut columns = Vec::with_capacity(fills.len());
+        for fill in fills {
+            if fill.mixed {
+                columns.push(PropertyColumn::Mixed {
+                    rows: fill.column.into_rows(),
+                });
                 continue;
             }
-            for (_, v) in table.observations(e) {
-                if let Some(t) = v.as_text() {
-                    out.push(t);
+            if let Some((i, err)) = fill.error {
+                if first_error.as_ref().is_none_or(|(j, _)| i < *j) {
+                    first_error = Some((i, err));
                 }
             }
+            let mut column = fill.column;
+            if let (PropertyColumn::Coded(col), true) = (&mut column, fill.text) {
+                let dict = Dictionary::build(fill.labels.iter().map(|&(_, t)| t))?;
+                for (slot, t) in fill.labels {
+                    // every label was interned above
+                    col.codes[slot] = dict.code(t).unwrap_or(MISSING_CODE);
+                }
+                col.domain = dict.len();
+                col.dict = Some(dict);
+            }
+            columns.push(column);
         }
-        out
+        if let Some((_, err)) = first_error {
+            return Err(err);
+        }
+        Ok((
+            Self {
+                columns,
+                num_sources: k,
+            },
+            stats,
+        ))
     }
 
     /// Number of sources (the dense width `K` of every column row).
@@ -495,7 +592,16 @@ impl ColumnarPlan {
     /// Build the mirror, resolve each property's kernel class against its
     /// configured loss and presort the median columns.
     pub fn new(table: &ObservationTable, losses: &[Arc<dyn Loss>]) -> Result<Self> {
-        let mut columnar = ColumnarTable::build(table)?;
+        Self::with_stats(table, losses).map(|(plan, _)| plan)
+    }
+
+    /// [`new`](Self::new), plus the entry stats of
+    /// [`ColumnarTable::build_with_stats`]'s walk.
+    pub(crate) fn with_stats(
+        table: &ObservationTable,
+        losses: &[Arc<dyn Loss>],
+    ) -> Result<(Self, Vec<EntryStats>)> {
+        let (mut columnar, stats) = ColumnarTable::build_with_stats(table)?;
         let class: Vec<KernelClass> = losses
             .iter()
             .enumerate()
@@ -518,10 +624,13 @@ impl ColumnarPlan {
                 col.presort(k);
             }
         }
-        Ok(Self {
-            table: columnar,
-            class,
-        })
+        Ok((
+            Self {
+                table: columnar,
+                class,
+            },
+            stats,
+        ))
     }
 }
 

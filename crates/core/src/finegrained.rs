@@ -245,6 +245,7 @@ impl ObjectGroupedCrh {
             },
             &pool,
             &mut truths,
+            &mut scratch.fit,
         );
 
         let mut trace: Vec<f64> = Vec::new();
@@ -276,6 +277,7 @@ impl ObjectGroupedCrh {
                 },
                 &pool,
                 &mut truths,
+                &mut scratch.fit,
             );
 
             let prev = trace.last().copied();

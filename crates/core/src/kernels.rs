@@ -106,7 +106,7 @@ impl FitScratch {
 /// Visit the set bits of `valid` in ascending order — ascending source id,
 /// the exact iteration order of a row-path observation slice.
 #[inline]
-fn for_each_valid(valid: &[u64], mut f: impl FnMut(usize)) {
+pub(crate) fn for_each_valid(valid: &[u64], mut f: impl FnMut(usize)) {
     for (wi, &word) in valid.iter().enumerate() {
         let mut bits = word;
         while bits != 0 {

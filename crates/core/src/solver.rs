@@ -61,7 +61,7 @@ use crate::ids::{EntryId, ObjectId, PropertyId};
 use crate::kernels::{self, FitScratch, KernelClass};
 use crate::loss::{default_loss_for, Loss};
 use crate::par::Pool;
-use crate::stats::{compute_entry_stats, EntryStats};
+use crate::stats::EntryStats;
 use crate::table::{ObservationTable, TruthTable};
 use crate::value::{Truth, Value};
 use crate::weights::{LogMax, WeightAssigner};
@@ -306,11 +306,11 @@ impl<'t> PreparedProblem<'t> {
                 None => losses.push(default_loss_for(def.ptype).into()),
             }
         }
-        let plan = ColumnarPlan::new(table, &losses)?;
+        let (plan, stats) = ColumnarPlan::with_stats(table, &losses)?;
         Ok(Self {
             table,
             losses,
-            stats: compute_entry_stats(table),
+            stats,
             plan,
         })
     }
@@ -388,9 +388,9 @@ pub struct SolverScratch {
     /// Chunk-major partial deviations: chunk `c` owns
     /// `partials[c * rows * cols ..][.. rows * cols]`.
     partials: Vec<f64>,
-    /// One columnar fit scratch (vote tallies, median pair buffer) per
-    /// chunk, so the fused kernel stays allocation-free in steady state.
-    fit: Vec<FitScratch>,
+    /// One columnar fit scratch (vote tallies) per chunk, so the fused and
+    /// fit-only kernels stay allocation-free in steady state.
+    pub(crate) fit: Vec<FitScratch>,
 }
 
 impl SolverScratch {
@@ -964,12 +964,13 @@ fn fit_chunk(
 }
 
 /// Fit-only pass (Eq 3): entry-sharded truth update into the reusable
-/// `truths` buffer.
+/// `truths` buffer. `fit` holds one scratch per chunk, grown if short.
 pub(crate) fn fit_kernel(
     prepared: &PreparedProblem<'_>,
     weights: &KernelWeights<'_>,
     pool: &Pool,
     truths: &mut TruthTable,
+    fit: &mut Vec<FitScratch>,
 ) {
     let table = prepared.table;
     let n = table.num_entries();
@@ -977,23 +978,20 @@ pub(crate) fn fit_kernel(
     truths.resize_for_fit(n);
 
     let ranges = Pool::chunk_ranges(n);
-    let mut jobs: Vec<(std::ops::Range<usize>, &mut [Truth])> = Vec::with_capacity(ranges.len());
+    if fit.len() < ranges.len() {
+        fit.resize(ranges.len(), FitScratch::default());
+    }
+    let mut jobs: Vec<(std::ops::Range<usize>, &mut [Truth], &mut FitScratch)> =
+        Vec::with_capacity(ranges.len());
     let mut rest = truths.as_mut_slice();
-    for range in ranges {
+    for (range, fit) in ranges.into_iter().zip(fit.iter_mut()) {
         let (cells, tail) = std::mem::take(&mut rest).split_at_mut(range.len());
         rest = tail;
-        jobs.push((range, cells));
+        jobs.push((range, cells, fit));
     }
 
-    pool.run_jobs(&mut jobs, |(range, cells)| {
-        fit_chunk(
-            prepared,
-            weights,
-            k,
-            range,
-            cells,
-            &mut FitScratch::default(),
-        );
+    pool.run_jobs(&mut jobs, |(range, cells, fit)| {
+        fit_chunk(prepared, weights, k, range, cells, fit);
     });
 }
 
@@ -1252,7 +1250,13 @@ pub fn fit_all_into(
     pool: &Pool,
     truths: &mut TruthTable,
 ) {
-    fit_kernel(prepared, &KernelWeights::Shared(weights), pool, truths);
+    fit_kernel(
+        prepared,
+        &KernelWeights::Shared(weights),
+        pool,
+        truths,
+        &mut Vec::new(),
+    );
 }
 
 #[cfg(test)]
@@ -1318,6 +1322,7 @@ mod tests {
     #[test]
     fn plan_stats_equal_compute_entry_stats_bitwise() {
         use crate::rng::{Pcg64, Rng};
+        use crate::stats::compute_entry_stats;
         use crate::table::Claim;
         let mut rng = Pcg64::seed_from_u64(0x57A75);
         for case in 0..24u32 {
@@ -1348,23 +1353,23 @@ mod tests {
                     let temp_value = match o {
                         0 => Some(-0.0),
                         1 => (s == 0).then(|| pick(&mut rng, &nums)),
-                        _ => (rng.next_u64() % 4 != 0).then(|| pick(&mut rng, &nums)),
+                        _ => (!rng.next_u64().is_multiple_of(4)).then(|| pick(&mut rng, &nums)),
                     };
                     if let Some(x) = temp_value {
                         push(temp, Value::Num(x));
                     }
-                    if rng.next_u64() % 3 != 0 {
+                    if !rng.next_u64().is_multiple_of(3) {
                         push(cond, Value::Cat((rng.next_u64() % 3) as u32));
                     }
-                    if rng.next_u64() % 3 == 0 {
+                    if rng.next_u64().is_multiple_of(3) {
                         push(
                             gate,
                             Value::Text(["x", "", "yz"][(rng.next_u64() % 3) as usize].into()),
                         );
                     }
-                    if (o, s) == (0, 0) || rng.next_u64() % 2 == 0 {
+                    if (o, s) == (0, 0) || rng.next_u64().is_multiple_of(2) {
                         // type confusion only `from_claims` lets through
-                        let v = if (o, s) == (0, 0) || rng.next_u64() % 3 == 0 {
+                        let v = if (o, s) == (0, 0) || rng.next_u64().is_multiple_of(3) {
                             Value::Cat(1)
                         } else {
                             Value::Num(pick(&mut rng, &nums))

@@ -52,7 +52,21 @@ pub fn mean_std(xs: &[f64]) -> (f64, f64) {
     (mean, var.sqrt())
 }
 
-/// Compute [`EntryStats`] for every entry of `table`, in entry order.
+/// The [`EntryStats`] of an entry with `count` observations whose
+/// continuous values, in source order, are `nums`.
+pub(crate) fn entry_stats(nums: &[f64], count: usize, domain_size: usize) -> EntryStats {
+    let (mean, std) = mean_std(nums);
+    EntryStats {
+        std: std.max(STD_FLOOR),
+        mean,
+        count,
+        domain_size,
+    }
+}
+
+/// Compute [`EntryStats`] for every entry of `table`, in entry order. The
+/// solver gets the same stats from the columnar build walk
+/// ([`PreparedProblem::stats`](crate::solver::PreparedProblem::stats)).
 pub fn compute_entry_stats(table: &ObservationTable) -> Vec<EntryStats> {
     let mut out = Vec::with_capacity(table.num_entries());
     let mut nums: Vec<f64> = Vec::new();
@@ -63,14 +77,8 @@ pub fn compute_entry_stats(table: &ObservationTable) -> Vec<EntryStats> {
                 nums.push(*x);
             }
         }
-        let (mean, std) = mean_std(&nums);
         let domain_size = table.schema().domain(entry.property).map_or(0, |d| d.len());
-        out.push(EntryStats {
-            std: std.max(STD_FLOOR),
-            mean,
-            count: obs.len(),
-            domain_size,
-        });
+        out.push(entry_stats(&nums, obs.len(), domain_size));
     }
     out
 }

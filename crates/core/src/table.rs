@@ -131,27 +131,18 @@ impl ObservationTable {
         if claims.is_empty() {
             return Err(CrhError::EmptyTable);
         }
-        // Group by (object, property), then each group by source. Both sorts
-        // are stable, so a source's claims on one entry stay in arrival order
-        // and keep-last means "the final claim of each source run". On input
-        // that is already ordered the second sort is a linear check.
-        claims.sort_by_key(|c| (c.object, c.property));
-        for group in claims.chunk_by_mut(|a, b| (a.object, a.property) == (b.object, b.property)) {
-            group.sort_by_key(|c| c.source);
-        }
+        // One stable sort by (object, property, source): a source's claims
+        // on one entry stay in arrival order, so keep-last means "the final
+        // claim of each source run" — each later claim of the run overwrites
+        // the one before it. On already-ordered input the sort is a single
+        // linear check.
+        claims.sort_by_key(|c| (c.object, c.property, c.source));
 
         let mut entries: Vec<Entry> = Vec::new();
         let mut offsets = Vec::new();
         let mut obs: Vec<(SourceId, Value)> = Vec::with_capacity(claims.len());
         let mut source_counts: Vec<usize> = Vec::new();
-        let mut claims = claims.into_iter().peekable();
-        while let Some(c) = claims.next() {
-            let superseded = claims.peek().is_some_and(|d| {
-                (d.object, d.property, d.source) == (c.object, c.property, c.source)
-            });
-            if superseded {
-                continue;
-            }
+        for c in claims {
             let key = Entry {
                 object: c.object,
                 property: c.property,
@@ -159,6 +150,9 @@ impl ObservationTable {
             if entries.last() != Some(&key) {
                 entries.push(key);
                 offsets.push(obs.len());
+            } else if let Some(last) = obs.last_mut().filter(|(s, _)| *s == c.source) {
+                last.1 = c.value;
+                continue;
             }
             let s = c.source.index();
             if s >= source_counts.len() {
