@@ -17,19 +17,30 @@
 //!    On smaller hosts the timings are still recorded so the artifact
 //!    shows honest numbers for that hardware.
 //!
+//! A `prepare` group times the per-table set-up a single-sweep I-CRH
+//! fold pays before and around its one sweep, per 100-city weather day
+//! (one stream chunk, cycling through 32 days) and on the 30-city ×
+//! 32-day table: the table build (`from_claims`, including the clone of
+//! its input claims and schema), the solver plan (`PreparedProblem::new`)
+//! and one `ICrhState::process_chunk`.
+//!
 //! `CRH_BENCH_QUICK=1` drops the largest size and the perf gates (CI's
 //! build-test job smoke-tests the target this way); the bench-core job
 //! runs the full sweep with `CRH_BENCH_JSON=BENCH_core.json` and uploads
 //! the artifact.
+
+use std::collections::HashMap;
 
 use crh_bench::microbench::{BenchmarkId, Harness, Throughput};
 use crh_core::ids::{ObjectId, SourceId};
 use crh_core::persist::{digest64, Enc};
 use crh_core::rng::{Pcg64, Rng};
 use crh_core::schema::Schema;
-use crh_core::solver::{CrhBuilder, CrhResult};
-use crh_core::table::{ObservationTable, TableBuilder};
+use crh_core::solver::{CrhBuilder, CrhResult, PreparedProblem};
+use crh_core::table::{Claim, ObservationTable, TableBuilder};
 use crh_core::value::Value;
+use crh_data::generators::weather::{generate, WeatherConfig};
+use crh_stream::ICrh;
 
 /// Object counts for the size sweep; entries ≈ 4 × objects, observations
 /// ≈ 34 × objects. The last size is ~1M entries / ~8.5M observations.
@@ -182,7 +193,82 @@ fn bench_core(c: &mut Harness) {
     }
 }
 
+/// Seeded weather claims, `cities` × `days` at the paper's missing rate,
+/// one chunk per day (`per_day`) or one chunk for the whole table, each in
+/// the (object, property, source) order the generator and the daemon
+/// send.
+fn weather_chunks(cities: usize, days: usize, per_day: bool) -> (Schema, Vec<Vec<Claim>>) {
+    let ds = generate(&WeatherConfig {
+        cities,
+        days,
+        missing_rate: 0.072,
+        truth_rate: 1.0,
+        seed: 0x7EA7_0001,
+    });
+    let claim = |(object, property, source, value)| Claim {
+        object,
+        property,
+        source,
+        value,
+    };
+    let chunks = if per_day {
+        let days = ds.split_by_day().unwrap();
+        days.into_iter()
+            .map(|(_, day)| day.into_iter().map(claim).collect())
+            .collect()
+    } else {
+        let all = ds.table.iter_entries().flat_map(|(_, entry, obs)| {
+            obs.iter()
+                .map(move |(s, v)| (entry.object, entry.property, *s, v.clone()))
+        });
+        vec![all.map(claim).collect()]
+    };
+    (ds.table.schema().clone(), chunks)
+}
+
+/// The `prepare` group. The stream input cycles through 32 different days,
+/// as a stream does; one day repeated would let the branch predictor learn
+/// its data and flatter branchy code.
+fn bench_prepare(c: &mut Harness) {
+    for (name, cities, per_day) in [("day100", 100, true), ("weather30x32", 30, false)] {
+        let (schema, chunks) = weather_chunks(cities, 32, per_day);
+        let tables: Vec<ObservationTable> = chunks
+            .iter()
+            .map(|claims| ObservationTable::from_claims(schema.clone(), claims.clone()).unwrap())
+            .collect();
+        let claims_per_chunk = chunks.iter().map(Vec::len).sum::<usize>() / chunks.len();
+        let mut g = c.benchmark_group("prepare");
+        g.throughput(Throughput::Elements(claims_per_chunk as u64));
+        let mut next = 0usize;
+        let mut cycle = move |n: usize| {
+            next = (next + 1) % n;
+            next
+        };
+        g.bench_function(format!("from_claims/{name}"), |b| {
+            b.iter(|| {
+                let claims = chunks[cycle(chunks.len())].clone();
+                ObservationTable::from_claims(schema.clone(), claims).unwrap()
+            })
+        });
+        g.bench_function(format!("plan/{name}"), |b| {
+            b.iter(|| {
+                let table = &tables[cycle(tables.len())];
+                PreparedProblem::new(table, &HashMap::new()).unwrap()
+            })
+        });
+        let mut state = ICrh::new(0.9).unwrap().threads(1).start();
+        g.bench_function(format!("process_chunk/{name}"), |b| {
+            b.iter(|| {
+                let table = &tables[cycle(tables.len())];
+                state.process_chunk(table).unwrap()
+            })
+        });
+        g.finish();
+    }
+}
+
 fn main() {
     let mut h = Harness::from_env();
+    bench_prepare(&mut h);
     bench_core(&mut h);
 }

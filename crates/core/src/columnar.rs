@@ -211,10 +211,10 @@ impl PropertyColumn {
         }
     }
 
-    fn into_rows(self) -> Vec<u32> {
+    fn rows_mut(&mut self) -> &mut Vec<u32> {
         match self {
-            PropertyColumn::Num(c) => c.rows,
-            PropertyColumn::Coded(c) => c.rows,
+            PropertyColumn::Num(c) => &mut c.rows,
+            PropertyColumn::Coded(c) => &mut c.rows,
             PropertyColumn::Mixed { rows } => rows,
         }
     }
@@ -321,51 +321,18 @@ impl CodedColumn {
 }
 
 /// One property's column while [`ColumnarTable::build_with_stats`] walks
-/// the table: preallocated to its final row count, filled in entry order.
+/// the table: allocated at its final row count, filled in entry order.
 struct Fill<'t> {
     column: PropertyColumn,
+    ptype: PropertyType,
     /// The schema domain size `L_m`, for the entry stats.
     domain_size: usize,
-    /// A text property: codes wait for the dictionary.
-    text: bool,
     /// A claim's type differs from the property's.
     mixed: bool,
     /// The property's first failing claim: its entry index and error.
     error: Option<(usize, CrhError)>,
-    /// Text claims by dense slot.
+    /// Text claims by dense slot, coded once the dictionary is known.
     labels: Vec<(usize, &'t str)>,
-}
-
-impl Fill<'_> {
-    fn new(ptype: PropertyType, domain_size: usize, rows: usize, k: usize) -> Self {
-        let column = match ptype {
-            PropertyType::Continuous => PropertyColumn::Num(NumColumn {
-                rows: Vec::with_capacity(rows),
-                values: vec![0.0; rows * k],
-                valid: Bitmap::zeroed(rows, k),
-                order: Vec::new(),
-            }),
-            PropertyType::Categorical | PropertyType::Text => PropertyColumn::Coded(CodedColumn {
-                rows: Vec::with_capacity(rows),
-                codes: vec![MISSING_CODE; rows * k],
-                valid: Bitmap::zeroed(rows, k),
-                domain: if ptype == PropertyType::Text {
-                    0
-                } else {
-                    domain_size
-                },
-                dict: None,
-            }),
-        };
-        Self {
-            column,
-            domain_size,
-            text: ptype == PropertyType::Text,
-            mixed: false,
-            error: None,
-            labels: Vec::new(),
-        }
-    }
 }
 
 /// The columnar mirror of an [`ObservationTable`]: one [`PropertyColumn`]
@@ -412,7 +379,31 @@ impl ColumnarTable {
             .zip(counts)
             .map(|((pid, def), rows)| {
                 let domain_size = schema.domain(pid).map_or(0, |d| d.len());
-                Fill::new(def.ptype, domain_size, rows, k)
+                let column = match def.ptype {
+                    PropertyType::Continuous => PropertyColumn::Num(NumColumn {
+                        rows: Vec::with_capacity(rows),
+                        values: vec![0.0; rows * k],
+                        valid: Bitmap::zeroed(rows, k),
+                        order: Vec::new(),
+                    }),
+                    PropertyType::Categorical | PropertyType::Text => {
+                        PropertyColumn::Coded(CodedColumn {
+                            rows: Vec::with_capacity(rows),
+                            codes: vec![MISSING_CODE; rows * k],
+                            valid: Bitmap::zeroed(rows, k),
+                            domain: domain_size,
+                            dict: None,
+                        })
+                    }
+                };
+                Fill {
+                    column,
+                    ptype: def.ptype,
+                    domain_size,
+                    mixed: false,
+                    error: None,
+                    labels: Vec::new(),
+                }
             })
             .collect();
 
@@ -420,84 +411,56 @@ impl ColumnarTable {
         let mut nums: Vec<f64> = Vec::new();
         for (e, entry, obs) in table.iter_entries() {
             let i = e.index();
-            let Fill {
-                column,
-                domain_size,
-                text,
-                mixed,
-                error,
-                labels,
-            } = &mut fills[entry.property.index()];
+            let fill = &mut fills[entry.property.index()];
+            let rows = fill.column.rows_mut();
+            let row = rows.len();
+            rows.push(i as u32);
             nums.clear();
-            match column {
-                PropertyColumn::Num(col) => {
-                    let row = col.rows.len();
-                    col.rows.push(i as u32);
-                    for (s, v) in obs {
-                        let Value::Num(x) = *v else {
-                            *mixed = true;
-                            continue;
-                        };
-                        nums.push(x);
-                        if !x.is_finite() && error.is_none() {
-                            *error = Some((
-                                i,
-                                CrhError::NonFiniteValue {
-                                    property: entry.property,
-                                    value: x,
-                                },
-                            ));
+            for (s, v) in obs {
+                if let Value::Num(x) = v {
+                    nums.push(*x);
+                }
+                let slot = row * k + s.index();
+                match (&mut fill.column, v, fill.ptype) {
+                    (PropertyColumn::Num(col), &Value::Num(x), _) => {
+                        if !x.is_finite() {
+                            let property = entry.property;
+                            let err = CrhError::NonFiniteValue { property, value: x };
+                            fill.error.get_or_insert((i, err));
                         }
-                        col.values[row * k + s.index()] = x;
+                        col.values[slot] = x;
                         col.valid.set(row, s.index());
                     }
-                }
-                PropertyColumn::Coded(col) => {
-                    let row = col.rows.len();
-                    col.rows.push(i as u32);
-                    for (s, v) in obs {
-                        let slot = row * k + s.index();
-                        match v {
-                            Value::Cat(MISSING_CODE) if !*text => {
-                                if error.is_none() {
-                                    *error = Some((
-                                        i,
-                                        CrhError::CapacityExceeded {
-                                            what: "dense property codes",
-                                            limit: MISSING_CODE as u64,
-                                        },
-                                    ));
-                                }
-                            }
-                            Value::Cat(c) if !*text => {
-                                col.domain = col.domain.max(*c as usize + 1);
-                                col.codes[slot] = *c;
-                            }
-                            // coded once the dictionary is known
-                            Value::Text(t) if *text => labels.push((slot, t)),
-                            other => {
-                                if let Value::Num(x) = other {
-                                    nums.push(*x);
-                                }
-                                *mixed = true;
-                                continue;
-                            }
+                    (PropertyColumn::Coded(col), &Value::Cat(c), PropertyType::Categorical) => {
+                        if c == MISSING_CODE {
+                            let what = "dense property codes";
+                            let err = CrhError::CapacityExceeded {
+                                what,
+                                limit: MISSING_CODE as u64,
+                            };
+                            fill.error.get_or_insert((i, err));
                         }
+                        col.domain = col.domain.max(c as usize + 1);
+                        col.codes[slot] = c;
                         col.valid.set(row, s.index());
                     }
+                    (PropertyColumn::Coded(col), Value::Text(t), PropertyType::Text) => {
+                        fill.labels.push((slot, t));
+                        col.valid.set(row, s.index());
+                    }
+                    _ => fill.mixed = true,
                 }
-                PropertyColumn::Mixed { .. } => {}
             }
-            stats.push(entry_stats(&nums, obs.len(), *domain_size));
+            stats.push(entry_stats(&nums, obs.len(), fill.domain_size));
         }
 
         let mut first_error: Option<(usize, CrhError)> = None;
         let mut columns = Vec::with_capacity(fills.len());
         for fill in fills {
+            let mut column = fill.column;
             if fill.mixed {
-                columns.push(PropertyColumn::Mixed {
-                    rows: fill.column.into_rows(),
-                });
+                let rows = std::mem::take(column.rows_mut());
+                columns.push(PropertyColumn::Mixed { rows });
                 continue;
             }
             if let Some((i, err)) = fill.error {
@@ -505,8 +468,7 @@ impl ColumnarTable {
                     first_error = Some((i, err));
                 }
             }
-            let mut column = fill.column;
-            if let (PropertyColumn::Coded(col), true) = (&mut column, fill.text) {
+            if let (PropertyColumn::Coded(col), PropertyType::Text) = (&mut column, fill.ptype) {
                 let dict = Dictionary::build(fill.labels.iter().map(|&(_, t)| t))?;
                 for (slot, t) in fill.labels {
                     // every label was interned above

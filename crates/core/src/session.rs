@@ -15,8 +15,9 @@ use crate::ids::PropertyId;
 use crate::loss::Loss;
 use crate::par::Pool;
 use crate::solver::{
-    deviation_matrix, deviation_matrix_into, fit_all_into, fit_and_deviations_into, objective,
-    source_losses, source_losses_mat, within_tol, PreparedProblem, PropertyNorm, SolverScratch,
+    deviation_matrix, deviation_matrix_into, fit_all_into, fit_and_deviations_into, fit_kernel,
+    objective, source_losses, source_losses_mat, within_tol, KernelWeights, PreparedProblem,
+    PropertyNorm, SolverScratch,
 };
 use crate::table::{ObservationTable, TruthTable};
 use crate::weights::{LogMax, WeightAssigner};
@@ -113,7 +114,13 @@ impl<'t> CrhSession<'t> {
 
     /// Step II (Eq 3): refresh every entry's truth from the current weights.
     pub fn step_truths(&mut self) {
-        fit_all_into(&self.prepared, &self.weights, &self.pool, &mut self.truths);
+        fit_kernel(
+            &self.prepared,
+            &KernelWeights::Shared(&self.weights),
+            &self.pool,
+            &mut self.truths,
+            &mut self.scratch.fit,
+        );
         self.iterations += 1;
     }
 
