@@ -291,8 +291,9 @@ impl NumColumn {
 /// Widest row [`NumColumn::presort`] ranks in place; wider rows sort.
 const RANK_MAX: usize = 16;
 
-/// `x`'s position in [`f64::total_cmp`] order as a signed integer: the
-/// sign-magnitude bits of a negative value flipped to two's complement.
+/// `x`'s position in [`f64::total_cmp`] order as a signed integer: a
+/// negative value's magnitude bits are flipped, so a larger magnitude
+/// sorts lower, as `total_cmp` itself does.
 fn total_key(x: f64) -> i64 {
     let bits = x.to_bits() as i64;
     bits ^ (((bits >> 63) as u64) >> 1) as i64
