@@ -321,7 +321,7 @@ impl CodedColumn {
     }
 }
 
-/// One property's column while [`ColumnarTable::build_with_stats`] walks
+/// One property's column while [`ColumnarTable::build`] walks
 /// the table: allocated at its final row count, filled in entry order.
 struct Fill<'t> {
     column: PropertyColumn,
@@ -345,27 +345,20 @@ pub struct ColumnarTable {
 }
 
 impl ColumnarTable {
-    /// Mirror `table` column-by-property. Strictly validates what the row
-    /// store tolerates: non-finite continuous claims are rejected
-    /// ([`CrhError::NonFiniteValue`]) and oversized id spaces report
-    /// [`CrhError::CapacityExceeded`]. Type-mixed properties degrade to
-    /// [`PropertyColumn::Mixed`] rather than failing, preserving the row
-    /// path's semantics for them.
-    pub fn build(table: &ObservationTable) -> Result<Self> {
-        Self::build_with_stats(table).map(|(columnar, _)| columnar)
-    }
-
-    /// [`build`](Self::build), plus every entry's [`EntryStats`] in entry
-    /// order, in one walk of the observations. Each column is sized from
-    /// a count over the entries, which reads no observation; the walk
-    /// then fills values, codes and validity bits and collects each
-    /// entry's continuous values for
+    /// Mirror `table` column-by-property, and return every entry's
+    /// [`EntryStats`] in entry order, in one walk of the observations.
+    /// Each column is sized from a count over the entries, which reads no
+    /// observation; the walk then fills values, codes and validity bits
+    /// and collects each entry's continuous values for
     /// [`compute_entry_stats`](crate::stats::compute_entry_stats)'s float
-    /// program. A property that turns out type-mixed becomes
-    /// [`PropertyColumn::Mixed`] after the walk and its failures are
-    /// dropped; of the others, the first failing entry in entry order is
-    /// the error.
-    pub(crate) fn build_with_stats(table: &ObservationTable) -> Result<(Self, Vec<EntryStats>)> {
+    /// program. Strictly validates what the row store tolerates:
+    /// non-finite continuous claims are rejected
+    /// ([`CrhError::NonFiniteValue`]) and oversized id spaces report
+    /// [`CrhError::CapacityExceeded`]. A property that turns out
+    /// type-mixed becomes [`PropertyColumn::Mixed`] after the walk and its
+    /// failures are dropped, preserving the row path's semantics for it;
+    /// of the others, the first failing entry in entry order is the error.
+    pub fn build(table: &ObservationTable) -> Result<(Self, Vec<EntryStats>)> {
         let k = table.num_sources();
         let n = table.num_entries();
         checked_code(n, "columnar entry rows")?;
@@ -553,18 +546,13 @@ pub struct ColumnarPlan {
 
 impl ColumnarPlan {
     /// Build the mirror, resolve each property's kernel class against its
-    /// configured loss and presort the median columns.
-    pub fn new(table: &ObservationTable, losses: &[Arc<dyn Loss>]) -> Result<Self> {
-        Self::with_stats(table, losses).map(|(plan, _)| plan)
-    }
-
-    /// [`new`](Self::new), plus the entry stats of
-    /// [`ColumnarTable::build_with_stats`]'s walk.
-    pub(crate) fn with_stats(
+    /// configured loss and presort the median columns. Also returns the
+    /// entry stats of [`ColumnarTable::build`]'s walk.
+    pub fn new(
         table: &ObservationTable,
         losses: &[Arc<dyn Loss>],
     ) -> Result<(Self, Vec<EntryStats>)> {
-        let (mut columnar, stats) = ColumnarTable::build_with_stats(table)?;
+        let (mut columnar, stats) = ColumnarTable::build(table)?;
         let class: Vec<KernelClass> = losses
             .iter()
             .enumerate()
@@ -638,7 +626,7 @@ mod tests {
             }
         }
         let table = b.build().unwrap();
-        let col = ColumnarTable::build(&table).unwrap();
+        let col = ColumnarTable::build(&table).unwrap().0;
 
         let mut seen = 0usize;
         for p in 0..col.num_columns() {
@@ -669,7 +657,7 @@ mod tests {
         b.add(ObjectId(1), gate, SourceId(0), Value::Text("a".into()))
             .unwrap();
         let t1 = b.build().unwrap();
-        let c1 = ColumnarTable::build(&t1).unwrap();
+        let c1 = ColumnarTable::build(&t1).unwrap().0;
         let PropertyColumn::Coded(col) = c1.column(0) else {
             panic!("text property must be coded");
         };
@@ -691,7 +679,7 @@ mod tests {
         b.add(ObjectId(0), gate, SourceId(0), Value::Text("b".into()))
             .unwrap();
         let t2 = b.build().unwrap();
-        let c2 = ColumnarTable::build(&t2).unwrap();
+        let c2 = ColumnarTable::build(&t2).unwrap().0;
         let PropertyColumn::Coded(col2) = c2.column(0) else {
             panic!("text property must be coded");
         };
@@ -741,7 +729,7 @@ mod tests {
             },
         ];
         let table = ObservationTable::from_claims(schema, claims).unwrap();
-        let col = ColumnarTable::build(&table).unwrap();
+        let col = ColumnarTable::build(&table).unwrap().0;
         assert!(matches!(
             col.column(temp.index()),
             PropertyColumn::Mixed { .. }
@@ -784,7 +772,7 @@ mod tests {
             .properties()
             .map(|(_, d)| Arc::from(default_loss_for(d.ptype)))
             .collect();
-        let plan = ColumnarPlan::new(&table, &losses).unwrap();
+        let plan = ColumnarPlan::new(&table, &losses).unwrap().0;
         assert_eq!(plan.class[cond.index()], KernelClass::Generic);
     }
 
@@ -802,7 +790,7 @@ mod tests {
             .properties()
             .map(|(_, d)| Arc::from(default_loss_for(d.ptype)))
             .collect();
-        let plan = ColumnarPlan::new(&table, &losses).unwrap();
+        let plan = ColumnarPlan::new(&table, &losses).unwrap().0;
         // paper defaults: absolute (median) for continuous, 0-1 (vote) for
         // categorical
         assert_eq!(plan.class[temp.index()], KernelClass::Median);
@@ -893,6 +881,7 @@ mod tests {
         };
         let build = |claims: Vec<Claim>| {
             ColumnarTable::build(&ObservationTable::from_claims(schema.clone(), claims).unwrap())
+                .map(|(columnar, _)| columnar)
         };
 
         // a NaN inside a type-mixed property degrades to Mixed, whether

@@ -370,7 +370,7 @@ mod tests {
             .collect();
         let table = ObservationTable::from_claims(schema, claims).unwrap();
         let losses: Vec<Arc<dyn Loss>> = vec![Arc::new(AbsoluteLoss)];
-        let plan = ColumnarPlan::new(&table, &losses).unwrap();
+        let plan = ColumnarPlan::new(&table, &losses).unwrap().0;
         assert_eq!(plan.class[0], KernelClass::Median);
         let PropertyColumn::Num(col) = plan.table.column(0) else {
             panic!("continuous property must be a Num column");

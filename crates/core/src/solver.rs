@@ -306,7 +306,7 @@ impl<'t> PreparedProblem<'t> {
                 None => losses.push(default_loss_for(def.ptype).into()),
             }
         }
-        let (plan, stats) = ColumnarPlan::with_stats(table, &losses)?;
+        let (plan, stats) = ColumnarPlan::new(table, &losses)?;
         Ok(Self {
             table,
             losses,
