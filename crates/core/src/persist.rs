@@ -35,7 +35,7 @@ pub enum PersistError {
         /// Magic actually found.
         got: [u8; 4],
     },
-    /// The format version is newer than this build understands.
+    /// The format version is one this build does not read.
     UnsupportedVersion(u32),
     /// The file ends before the declared payload (torn/partial write).
     Truncated {

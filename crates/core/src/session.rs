@@ -14,32 +14,30 @@ use crate::error::{CrhError, Result};
 use crate::ids::PropertyId;
 use crate::loss::Loss;
 use crate::par::Pool;
+#[cfg(test)]
+use crate::solver::within_tol;
 use crate::solver::{
-    deviation_matrix, deviation_matrix_into, fit_all_into, fit_and_deviations_into, fit_kernel,
-    objective, source_losses, source_losses_mat, within_tol, KernelWeights, PreparedProblem,
-    PropertyNorm, SolverScratch,
+    deviation_matrix, deviation_matrix_into, fit_all_into, fit_kernel, objective, KernelWeights,
+    LoopSettings, LoopState, PreparedProblem,
 };
 use crate::table::{ObservationTable, TruthTable};
-use crate::weights::{LogMax, WeightAssigner};
+use crate::weights::WeightAssigner;
 
 /// A stateful CRH solving session over one table.
 pub struct CrhSession<'t> {
     prepared: PreparedProblem<'t>,
-    assigner: Box<dyn WeightAssigner>,
-    property_norm: PropertyNorm,
-    count_normalize: bool,
-    weights: Vec<f64>,
-    truths: TruthTable,
-    iterations: usize,
-    pool: Pool,
-    scratch: SolverScratch,
+    /// The Step-I scheme and normalization; the stopping rule is set per
+    /// [`run_to_convergence_with`](Self::run_to_convergence_with) call.
+    settings: LoopSettings,
+    /// One weight vector, the truths, the scratch and the kernel pool.
+    state: LoopState,
 }
 
 impl std::fmt::Debug for CrhSession<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CrhSession")
-            .field("iterations", &self.iterations)
-            .field("weights", &self.weights)
+            .field("iterations", &self.state.iterations)
+            .field("weights", &self.weights())
             .finish()
     }
 }
@@ -57,21 +55,12 @@ impl<'t> CrhSession<'t> {
         overrides: &HashMap<PropertyId, Arc<dyn Loss>>,
     ) -> Result<Self> {
         let prepared = PreparedProblem::new(table, overrides)?;
-        let weights = vec![1.0; table.num_sources()];
-        let pool = Pool::default();
-        let mut truths = TruthTable::new(Vec::new());
-        fit_all_into(&prepared, &weights, &pool, &mut truths);
-        let scratch = SolverScratch::for_table(table);
+        let mut state = LoopState::uniform(table, 1, Pool::default());
+        fit_all_into(&prepared, &state.weights[0], &state.pool, &mut state.truths);
         Ok(Self {
             prepared,
-            assigner: Box::new(LogMax),
-            property_norm: PropertyNorm::SumToOne,
-            count_normalize: true,
-            weights,
-            truths,
-            iterations: 0,
-            pool,
-            scratch,
+            settings: LoopSettings::default(),
+            state,
         })
     }
 
@@ -79,12 +68,12 @@ impl<'t> CrhSession<'t> {
     /// exact sequential path. The knob trades wall clock only — results are
     /// bit-identical for every value.
     pub fn set_threads(&mut self, threads: usize) {
-        self.pool = Pool::new(threads);
+        self.state.pool = Pool::new(threads);
     }
 
     /// Replace the weight assigner (may be called between steps).
     pub fn set_weight_assigner(&mut self, a: impl WeightAssigner + 'static) {
-        self.assigner = Box::new(a);
+        self.settings.assigner = Box::new(a);
     }
 
     /// Warm-start the weights (e.g. from a previous run or an I-CRH stream).
@@ -94,34 +83,44 @@ impl<'t> CrhSession<'t> {
             self.prepared.table.num_sources(),
             "weight vector must cover every source"
         );
-        self.weights = weights;
+        self.state.weights[0] = weights;
     }
 
     /// Step I (Eq 2): refresh the weights from the current truths.
     /// Returns the per-source (normalized) losses the weights were derived
     /// from.
     pub fn step_weights(&mut self) -> Vec<f64> {
-        deviation_matrix_into(&self.prepared, &self.truths, &self.pool, &mut self.scratch);
-        let losses = source_losses_mat(
-            self.scratch.dev(),
-            self.prepared.table.source_counts(),
-            self.property_norm,
-            self.count_normalize,
-        );
-        self.weights = self.assigner.assign(&losses);
+        let losses = self.price();
+        self.state.weights[0] = self.settings.assigner.assign(&losses);
         losses
+    }
+
+    /// The per-source losses of the current truths, leaving their
+    /// deviations in the scratch.
+    fn price(&mut self) -> Vec<f64> {
+        let state = &mut self.state;
+        deviation_matrix_into(
+            &self.prepared,
+            &state.truths,
+            &state.pool,
+            &mut state.scratch,
+        );
+        let counts = self.prepared.table.source_counts();
+        self.settings
+            .losses(state.scratch.dev().iter_rows(), counts)
     }
 
     /// Step II (Eq 3): refresh every entry's truth from the current weights.
     pub fn step_truths(&mut self) {
+        let state = &mut self.state;
         fit_kernel(
             &self.prepared,
-            &KernelWeights::Shared(&self.weights),
-            &self.pool,
-            &mut self.truths,
-            &mut self.scratch.fit,
+            &KernelWeights::Shared(&state.weights[0]),
+            &state.pool,
+            &mut state.truths,
+            &mut state.scratch.fit,
         );
-        self.iterations += 1;
+        state.iterations += 1;
     }
 
     /// One full iteration (Step I then Step II); returns the objective
@@ -151,12 +150,14 @@ impl<'t> CrhSession<'t> {
     /// with [`CrhError::Cancelled`], leaving the session's partial state
     /// intact and reusable.
     ///
-    /// The loop is fused the same way as [`Crh::run`](crate::solver::Crh::run):
-    /// each iteration performs one fit + deviation sweep, and the losses
-    /// that price the convergence check feed the next iteration's weight
-    /// update. Results are identical to driving [`step`](Self::step) in a
-    /// loop (pinned by test); only the redundant second deviation pass per
-    /// iteration is gone.
+    /// The session prices its current state once and hands it to the loop
+    /// behind [`Crh::run`](crate::solver::Crh::run), which compares the
+    /// first iteration's objective with that price: each iteration
+    /// performs one fit + deviation sweep, and the losses that price the
+    /// convergence check feed the next iteration's weight update. Results
+    /// are identical to driving [`step`](Self::step) in a loop (pinned by
+    /// test); only the redundant second deviation pass per iteration is
+    /// gone.
     pub fn run_to_convergence_with(
         &mut self,
         tol: f64,
@@ -168,76 +169,43 @@ impl<'t> CrhSession<'t> {
                 "convergence tolerance must be >= 0, got {tol}"
             )));
         }
-        // Price the current truths once — the initial objective and the
-        // first iteration's Step-I input.
-        deviation_matrix_into(&self.prepared, &self.truths, &self.pool, &mut self.scratch);
-        let mut losses = source_losses_mat(
-            self.scratch.dev(),
-            self.prepared.table.source_counts(),
-            self.property_norm,
-            self.count_normalize,
-        );
-        let mut f = objective(&self.weights, &losses);
-        for _ in 0..max_iters {
-            if cancel.is_cancelled() {
-                return Err(CrhError::Cancelled);
-            }
-            // Step I from the carried deviations.
-            self.weights = self.assigner.assign(&losses);
-            // Step II fused with the deviation pass for the next check.
-            fit_and_deviations_into(
-                &self.prepared,
-                &self.weights,
-                &self.pool,
-                &mut self.truths,
-                &mut self.scratch,
-            );
-            self.iterations += 1;
-            losses = source_losses_mat(
-                self.scratch.dev(),
-                self.prepared.table.source_counts(),
-                self.property_norm,
-                self.count_normalize,
-            );
-            let prev = std::mem::replace(&mut f, objective(&self.weights, &losses));
-            if within_tol(prev, f, tol) {
-                break;
-            }
-        }
-        Ok(f)
+        let losses = self.price();
+        let f = objective(self.weights(), &losses);
+        self.settings.max_iters = max_iters;
+        self.settings.tol = tol;
+        let (trace, _) =
+            (self.state).descend(&self.prepared, &self.settings, None, None, Some(f), cancel)?;
+        Ok(trace.last().copied().unwrap_or(f))
     }
 
     /// The current objective `Σ_k w_k L_k` under the session's
     /// normalization settings.
     pub fn objective(&self) -> f64 {
-        let dev = deviation_matrix(&self.prepared, &self.truths);
-        let losses = source_losses(
-            &dev,
-            self.prepared.table.source_counts(),
-            self.property_norm,
-            self.count_normalize,
-        );
-        objective(&self.weights, &losses)
+        let dev = deviation_matrix(&self.prepared, &self.state.truths);
+        let counts = self.prepared.table.source_counts();
+        let losses = self.settings.losses(dev.iter().map(Vec::as_slice), counts);
+        objective(self.weights(), &losses)
     }
 
     /// Current source weights.
     pub fn weights(&self) -> &[f64] {
-        &self.weights
+        &self.state.weights[0]
     }
 
     /// Current truth estimates.
     pub fn truths(&self) -> &TruthTable {
-        &self.truths
+        &self.state.truths
     }
 
     /// Full iterations performed so far.
     pub fn iterations(&self) -> usize {
-        self.iterations
+        self.state.iterations
     }
 
     /// Finish the session, yielding the truths and weights.
     pub fn finish(self) -> (TruthTable, Vec<f64>) {
-        (self.truths, self.weights)
+        let weights = self.state.weights.into_iter().next().unwrap_or_default();
+        (self.state.truths, weights)
     }
 }
 

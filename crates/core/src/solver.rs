@@ -55,6 +55,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use crate::cancel::CancelToken;
 use crate::columnar::{ColumnarPlan, PropertyColumn};
 use crate::error::{CrhError, Result};
 use crate::ids::{EntryId, ObjectId, PropertyId};
@@ -128,8 +129,8 @@ impl LoopSettings {
 
 /// The stopping rule of every solver loop (§2.5): the objective's decrease
 /// relative to the previous iteration, `|f_prev − f| / max(|f_prev|, 1)`,
-/// is at most `tol`.
-pub(crate) fn within_tol(prev: f64, f: f64, tol: f64) -> bool {
+/// is at most `tol`. The MapReduce and out-of-core drivers stop on it too.
+pub fn within_tol(prev: f64, f: f64, tol: f64) -> bool {
     (prev - f).abs() / prev.abs().max(1.0) <= tol
 }
 
@@ -1147,14 +1148,102 @@ fn loop_spec<'a>(
     KernelSpec { weights, anchors }
 }
 
+/// What Algorithm 1 carries between iterations: one weight vector per
+/// Step-I group, the truths, the scratch whose deviations price them, the
+/// kernel pool and the iterations run so far.
+pub(crate) struct LoopState {
+    pub(crate) weights: Vec<Vec<f64>>,
+    pub(crate) truths: TruthTable,
+    pub(crate) scratch: SolverScratch,
+    pub(crate) pool: Pool,
+    pub(crate) iterations: usize,
+}
+
+impl LoopState {
+    /// `groups` weight vectors of 1 for every source of `table`, no truths.
+    pub(crate) fn uniform(table: &ObservationTable, groups: usize, pool: Pool) -> Self {
+        Self {
+            weights: vec![vec![1.0; table.num_sources()]; groups],
+            truths: TruthTable::new(Vec::new()),
+            scratch: SolverScratch::for_table(table),
+            pool,
+            iterations: 0,
+        }
+    }
+
+    /// Algorithm 1's iteration (lines 2-9), the one loop behind
+    /// [`fused_solve`] and `CrhSession::run_to_convergence_with`. Entered
+    /// with `scratch.dev()` pricing `truths`, each of at most `max_iters`
+    /// iterations polls `cancel`, runs Step I per group and one fused
+    /// Step II and deviation sweep, and stops once the objective summed over
+    /// groups is [`within_tol`] of the previous one (`prev` prices the entry
+    /// state, `None` skips the first check). Returns the objective trace
+    /// and whether the tolerance was met.
+    pub(crate) fn descend(
+        &mut self,
+        prepared: &PreparedProblem<'_>,
+        settings: &LoopSettings,
+        groups: Option<&PropertyGroups<'_>>,
+        anchors: Option<AnchorBoost<'_>>,
+        mut prev: Option<f64>,
+        cancel: &CancelToken,
+    ) -> Result<(Vec<f64>, bool)> {
+        let losses = |dev: &DevMatrix, g: usize| match groups {
+            Some(gr) => settings.losses(
+                gr.members[g].iter().map(|p| dev.row(p.index())),
+                &gr.counts[g],
+            ),
+            None => settings.losses(dev.iter_rows(), prepared.table.source_counts()),
+        };
+        let mut trace: Vec<f64> = Vec::new();
+        for _ in 0..settings.max_iters {
+            if cancel.is_cancelled() {
+                return Err(CrhError::Cancelled);
+            }
+            // Step I (line 3, Eq 2) per group from the carried deviations.
+            for (g, w) in self.weights.iter_mut().enumerate() {
+                *w = settings.assigner.assign(&losses(self.scratch.dev(), g));
+            }
+            // Step II (lines 4-8, Eq 3) fused with the deviation pass.
+            self.sweep(prepared, groups, anchors);
+            self.iterations += 1;
+            // Convergence check (line 9) on the objective summed over groups.
+            let f = (self.weights.iter().enumerate()).fold(0.0, |f, (g, w)| {
+                f + objective(w, &losses(self.scratch.dev(), g))
+            });
+            trace.push(f);
+            if prev.is_some_and(|p| within_tol(p, f, settings.tol)) {
+                return Ok((trace, true));
+            }
+            prev = Some(f);
+        }
+        Ok((trace, false))
+    }
+
+    /// One fused fit + deviation sweep under the current weights.
+    fn sweep(
+        &mut self,
+        prepared: &PreparedProblem<'_>,
+        groups: Option<&PropertyGroups<'_>>,
+        anchors: Option<AnchorBoost<'_>>,
+    ) {
+        let spec = loop_spec(&self.weights, groups, anchors);
+        fused_fit_dev(
+            prepared,
+            &spec,
+            &self.pool,
+            &mut self.truths,
+            &mut self.scratch,
+        );
+    }
+}
+
 /// Algorithm 1 as one fused loop, shared by [`Crh::run`], the fine-grained
-/// and the semi-supervised variant. Line 1 initializes the truths with a
-/// uniform-weight fit (voting / averaging / median, depending on the loss,
-/// §2.5 "Initialization"); that sweep also prices them. Each iteration
-/// then runs Step I from the carried deviations and one fused Step II +
-/// deviation sweep, whose losses price the convergence check and feed the
-/// next Step I. `groups = None` learns one weight vector from every
-/// property; `anchors` pins known truths and boosts their loss terms.
+/// and the semi-supervised variant. Line 1's uniform-weight fit (voting /
+/// averaging / median, §2.5 "Initialization") also prices the truths for
+/// the first Step I, whose objective is compared with nothing. `groups =
+/// None` learns one weight vector from every property; `anchors` pins
+/// known truths and boosts their loss terms.
 pub(crate) fn fused_solve(
     prepared: &PreparedProblem<'_>,
     settings: &LoopSettings,
@@ -1162,52 +1251,20 @@ pub(crate) fn fused_solve(
     anchors: Option<AnchorBoost<'_>>,
 ) -> Result<FineGrainedResult> {
     let table = prepared.table;
-    let k = table.num_sources();
-    if k == 0 {
+    if table.num_sources() == 0 {
         return Err(CrhError::EmptyTable);
     }
-    let losses = |dev: &DevMatrix, g: usize| match groups {
-        Some(gr) => settings.losses(
-            gr.members[g].iter().map(|p| dev.row(p.index())),
-            &gr.counts[g],
-        ),
-        None => settings.losses(dev.iter_rows(), table.source_counts()),
-    };
-    let pool = Pool::new(settings.threads);
-    let mut scratch = SolverScratch::for_table(table);
-    let mut truths = TruthTable::new(Vec::new());
-    let mut weights = vec![vec![1.0f64; k]; groups.map_or(1, |g| g.members.len())];
-    let spec = loop_spec(&weights, groups, anchors);
-    fused_fit_dev(prepared, &spec, &pool, &mut truths, &mut scratch);
-
-    let mut trace: Vec<f64> = Vec::new();
-    let mut converged = false;
-    let mut iterations = 0;
-    for it in 0..settings.max_iters {
-        iterations = it + 1;
-        // Step I (line 3, Eq 2) per group from the carried deviations.
-        for (g, w) in weights.iter_mut().enumerate() {
-            *w = settings.assigner.assign(&losses(scratch.dev(), g));
-        }
-        // Step II (lines 4-8, Eq 3) fused with the deviation pass.
-        let spec = loop_spec(&weights, groups, anchors);
-        fused_fit_dev(prepared, &spec, &pool, &mut truths, &mut scratch);
-        // Convergence check (line 9) on the objective summed over groups.
-        let f = (weights.iter().enumerate())
-            .fold(0.0, |f, (g, w)| f + objective(w, &losses(scratch.dev(), g)));
-        let prev = trace.last().copied();
-        trace.push(f);
-        if prev.is_some_and(|prev| within_tol(prev, f, settings.tol)) {
-            converged = true;
-            break;
-        }
-    }
-
+    let num_groups = groups.map_or(1, |g| g.members.len());
+    let mut state = LoopState::uniform(table, num_groups, Pool::new(settings.threads));
+    state.sweep(prepared, groups, anchors);
+    let never = CancelToken::new();
+    let (objective_trace, converged) =
+        state.descend(prepared, settings, groups, anchors, None, &never)?;
     Ok(FineGrainedResult {
-        truths,
-        weights,
-        objective_trace: trace,
-        iterations,
+        truths: state.truths,
+        weights: state.weights,
+        objective_trace,
+        iterations: state.iterations,
         converged,
     })
 }

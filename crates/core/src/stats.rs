@@ -53,8 +53,9 @@ pub fn mean_std(xs: &[f64]) -> (f64, f64) {
 }
 
 /// The [`EntryStats`] of an entry with `count` observations whose
-/// continuous values, in source order, are `nums`.
-pub(crate) fn entry_stats(nums: &[f64], count: usize, domain_size: usize) -> EntryStats {
+/// continuous values, in source order, are `nums`; the out-of-core driver
+/// and the solver's columnar build share it.
+pub fn entry_stats(nums: &[f64], count: usize, domain_size: usize) -> EntryStats {
     let (mean, std) = mean_std(nums);
     EntryStats {
         std: std.max(STD_FLOOR),

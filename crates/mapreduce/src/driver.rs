@@ -1,7 +1,8 @@
 //! Parallel CRH: the two MapReduce jobs and the iterative wrapper (§2.7),
 //! with durable iteration-level checkpointing.
 //!
-//! Each iteration runs:
+//! It runs Algorithm 1 in the order of [`Crh::run`](crh_core::solver::Crh::run),
+//! with two MapReduce jobs:
 //!
 //! 1. **Truth computation** (§2.7.2) — one MapReduce job keyed by entry id:
 //!    mappers re-key the `(eID, v, sID)` tuples, reducers solve Eq (3) per
@@ -9,35 +10,37 @@
 //! 2. **Source weight assignment** (§2.7.3) — one MapReduce job: mappers
 //!    compute partial errors against the truths side file and emit
 //!    `((property, sID), error)`, a Combiner pre-sums them per mapper, and
-//!    reducers aggregate. The wrapper (§2.7.4) turns the small aggregated
-//!    deviation matrix into new weights and rewrites the weights side file.
+//!    reducers aggregate. The wrapper (§2.7.4) normalizes the small
+//!    aggregated deviation matrix into per-source losses.
 //!
-//! Iteration stops when the estimated truths stop changing or the iteration
-//! cap is hit ("until the estimated truths converge or the iteration number
-//! meets the threshold").
+//! An uncounted first truth job fits at weight 1 for every source, and a
+//! weight job prices it. Each iteration then assigns new weights from the
+//! carried losses (Step I), runs the truth job and the weight job, and
+//! stops once the objective `Σ_k w_k L_k` is [`within_tol`] of the
+//! previous iteration's or the iteration cap is hit.
 //!
 //! ## Checkpoint/resume
 //!
 //! With a [`CheckpointConfig`], the driver persists `(iteration, weights,
 //! truths)` after each completed iteration as a CRC-framed, atomically
-//! replaced file ([`crh_core::persist`]). A run killed mid-iteration can
-//! continue from the last frame via
-//! [`resume_from_checkpoint`](ParallelCrh::resume_from_checkpoint); the
-//! frame stores `f64` bits exactly, and the next iteration's inputs (weight
-//! side file, truth side file, previous decisions) are reconstructed
-//! bit-for-bit, so a resumed run's final truths and weights are identical
-//! to an uninterrupted one — the chaos tests assert this to the bit.
+//! replaced file ([`crh_core::persist`]): the iteration's Step-I weights
+//! and the truths fit under them. A run killed mid-iteration can continue
+//! from the last frame via
+//! [`resume_from_checkpoint`](ParallelCrh::resume_from_checkpoint), which
+//! runs the weight job once on the stored truths to rebuild the losses and
+//! the objective the next iteration needs. The frame stores `f64` bits
+//! exactly, so a resumed run's final truths and weights are identical to an
+//! uninterrupted one — the chaos tests assert this to the bit.
 
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::Duration;
 
-use crh_core::ids::SourceId;
+use crh_core::ids::{EntryId, SourceId};
 use crh_core::persist::{read_frame, write_frame, Dec, Enc, PersistError};
-use crh_core::solver::{source_losses, PreparedProblem, PropertyNorm};
+use crh_core::solver::{objective, source_losses, within_tol, PreparedProblem, PropertyNorm};
 use crh_core::table::{ObservationTable, TruthTable};
 use crh_core::value::{Truth, Value};
 use crh_core::weights::{LogMax, WeightAssigner};
@@ -59,8 +62,9 @@ pub struct ClaimRecord {
 
 /// Magic bytes of a parallel-CRH checkpoint frame.
 const CKPT_MAGIC: [u8; 4] = *b"CRHC";
-/// Current checkpoint format version.
-const CKPT_VERSION: u32 = 1;
+/// Current checkpoint format version. Version 1 stored the weights the
+/// weight job derived from the truths, which this driver does not read.
+const CKPT_VERSION: u32 = 2;
 
 /// Where and how often to persist iteration checkpoints.
 #[derive(Debug, Clone)]
@@ -93,7 +97,7 @@ impl CheckpointConfig {
 struct CheckpointState {
     /// 0-based index of the last fully completed iteration.
     iteration: usize,
-    /// Source weights as written by that iteration's weight job.
+    /// That iteration's Step-I weights, which its truth job read.
     weights: Vec<f64>,
     /// Truths estimated by that iteration's truth job.
     truths: Vec<Truth>,
@@ -111,7 +115,10 @@ fn save_checkpoint(path: &Path, state: &CheckpointState) -> Result<(), PersistEr
 }
 
 fn load_checkpoint(path: &Path) -> Result<CheckpointState, PersistError> {
-    let (_version, payload) = read_frame(path, CKPT_MAGIC, CKPT_VERSION)?;
+    let (version, payload) = read_frame(path, CKPT_MAGIC, CKPT_VERSION)?;
+    if version != CKPT_VERSION {
+        return Err(PersistError::UnsupportedVersion(version));
+    }
     let mut d = Dec::new(&payload);
     let iteration = d.u64()? as usize;
     let weights = d.f64s()?;
@@ -136,8 +143,10 @@ pub struct ParallelCrh {
     pub job: JobConfig,
     /// Iteration cap.
     pub max_iters: usize,
-    /// Convergence threshold: the fraction of entries whose truth may still
-    /// change while being considered converged (0 = exact stability).
+    /// Relative-objective tolerance of the stopping rule, as
+    /// [`CrhBuilder::tolerance`](crh_core::solver::CrhBuilder::tolerance):
+    /// stop once `|f_prev − f| / max(|f_prev|, 1) <= tol`. A negative value
+    /// never stops early.
     pub tol: f64,
     /// Cross-property normalization (§2.5).
     pub property_norm: PropertyNorm,
@@ -154,7 +163,7 @@ impl Default for ParallelCrh {
         Self {
             job: JobConfig::default(),
             max_iters: 10,
-            tol: 0.0,
+            tol: 1e-6,
             property_norm: PropertyNorm::SumToOne,
             count_normalize: true,
             checkpoint: None,
@@ -183,11 +192,13 @@ pub struct ParallelCrhResult {
     pub weights: Vec<f64>,
     /// Iterations performed (including any replayed from a checkpoint).
     pub iterations: usize,
-    /// Whether truths stabilized before the cap.
+    /// Whether the tolerance was met before the cap.
     pub converged: bool,
-    /// Per-iteration stats of the truth-computation job.
+    /// Stats of each truth-computation job this run executed, in order; a
+    /// fresh run's first entry is the uncounted uniform-weight fit.
     pub truth_job_stats: Vec<JobStats>,
-    /// Per-iteration stats of the weight-assignment job.
+    /// Stats of each weight-assignment job this run executed, in order; the
+    /// first entry prices the starting truths (fresh or resumed).
     pub weight_job_stats: Vec<JobStats>,
     /// End-to-end wall time.
     pub wall_time: Duration,
@@ -278,21 +289,9 @@ impl ParallelCrh {
         self.validate()?;
 
         let k = table.num_sources();
-        let num_entries = table.num_entries();
-
-        // Job-setup metadata: losses, per-entry stats, entry -> property.
-        let prepared = Arc::new(PreparedProblem::new(table, &HashMap::new())?);
-        let entry_property: Arc<Vec<u32>> = Arc::new(
-            (0..num_entries)
-                .map(|e| {
-                    table
-                        .entry(crh_core::ids::EntryId::from_index(e))
-                        .property
-                        .0
-                })
-                .collect(),
-        );
-
+        // Job-setup metadata: losses and per-entry stats.
+        let prepared = PreparedProblem::new(table, &HashMap::new())?;
+        let property = |entry: u32| table.entry(EntryId(entry)).property;
         // Input tuples (eID, v, sID).
         let claims: Vec<ClaimRecord> = table
             .iter_claims()
@@ -303,109 +302,96 @@ impl ParallelCrh {
             })
             .collect();
 
-        // Weights side file, "initially … set uniformly (1/K for all
-        // sources)" — or, on resume, exactly the checkpointed state.
-        let resumed_from = resume.as_ref().map(|s| s.iteration);
-        let start_iter = resume.as_ref().map_or(0, |s| s.iteration + 1);
-        let weights_file;
-        let truths_file: SideFile<Vec<Truth>>;
-        let mut prev_points: Option<Vec<Value>>;
-        match resume {
-            Some(state) => {
-                prev_points = Some(state.truths.iter().map(Truth::point).collect());
-                weights_file = SideFile::new(state.weights);
-                truths_file = SideFile::new(state.truths);
-            }
-            None => {
-                prev_points = None;
-                weights_file = SideFile::new(vec![1.0 / k as f64; k]);
-                truths_file = SideFile::new(Vec::new());
-            }
-        }
-
+        // ---- Job 1: truth computation, keyed by entry id ----
         let mut truth_job_stats = Vec::new();
-        let mut weight_job_stats = Vec::new();
-        let mut converged = false;
-        let mut iterations = start_iter;
-        let mut checkpoints_written = 0usize;
-
-        for it in start_iter..self.max_iters {
-            iterations = it + 1;
-
-            // ---- Job 1: truth computation, keyed by entry id ----
-            let weights_snapshot = weights_file.read();
-            let prep = Arc::clone(&prepared);
-            let ep = Arc::clone(&entry_property);
-            let (truth_pairs, stats1) = map_reduce(
+        let mut truth_job = |weights: &SideFile<Vec<f64>>| -> Result<_, MapReduceError> {
+            let weights = weights.read();
+            let (truths, stats) = map_reduce(
                 &self.job,
                 &claims,
                 |rec: &ClaimRecord, emit: &mut dyn FnMut(u32, (u32, Value))| {
                     emit(rec.entry, (rec.source, rec.value.clone()));
                 },
                 no_combiner::<u32, (u32, Value)>(),
-                |entry: &u32, values: Vec<(u32, Value)>| {
+                |&entry: &u32, values: Vec<(u32, Value)>| {
                     let mut obs: Vec<(SourceId, Value)> =
                         values.into_iter().map(|(s, v)| (SourceId(s), v)).collect();
                     obs.sort_by_key(|(s, _)| *s);
-                    let e = *entry as usize;
-                    let loss = &prep.losses[ep[e] as usize];
-                    loss.fit(&obs, &weights_snapshot, &prep.stats[e])
+                    let stats = &prepared.stats[entry as usize];
+                    prepared.loss(property(entry)).fit(&obs, &weights, stats)
                 },
             )?;
-            truth_job_stats.push(stats1);
-            debug_assert_eq!(truth_pairs.len(), num_entries);
-            let truths: Vec<Truth> = truth_pairs.into_iter().map(|(_, t)| t).collect();
+            truth_job_stats.push(stats);
+            Ok(truths.into_iter().map(|(_, t)| t).collect())
+        };
 
-            // convergence check on hard decisions
-            let points: Vec<Value> = truths.iter().map(Truth::point).collect();
-            if let Some(prev) = &prev_points {
-                let changed = prev
-                    .iter()
-                    .zip(&points)
-                    .filter(|(a, b)| !a.matches(b))
-                    .count();
-                if (changed as f64) <= self.tol * num_entries as f64 {
-                    truths_file.write(truths);
-                    converged = true;
-                    break;
-                }
-            }
-            prev_points = Some(points);
-            truths_file.write(truths);
-
-            // ---- Job 2: weight assignment, keyed by (property, source) ----
-            let truths_snapshot = truths_file.read();
-            let prep = Arc::clone(&prepared);
-            let ep = Arc::clone(&entry_property);
-            let (err_pairs, stats2) = map_reduce(
+        // ---- Job 2: weight assignment, keyed by (property, source) ----
+        // The wrapper assembles the (M x K) deviation matrix and normalizes
+        // it into the per-source losses that price the truths and feed the
+        // next Step I (§2.7.4).
+        let mut weight_job_stats = Vec::new();
+        let mut weight_job = |truths: &SideFile<Vec<Truth>>| -> Result<_, MapReduceError> {
+            let truths = truths.read();
+            let (errors, stats) = map_reduce(
                 &self.job,
                 &claims,
                 |rec: &ClaimRecord, emit: &mut dyn FnMut((u32, u32), f64)| {
-                    let e = rec.entry as usize;
-                    let loss = &prep.losses[ep[e] as usize];
-                    let err = loss.loss(&truths_snapshot[e], &rec.value, &prep.stats[e]);
-                    emit((ep[e], rec.source), err);
+                    let (e, p) = (rec.entry as usize, property(rec.entry));
+                    let err = prepared
+                        .loss(p)
+                        .loss(&truths[e], &rec.value, &prepared.stats[e]);
+                    emit((p.0, rec.source), err);
                 },
                 // the §2.7.3 Combiner: pre-sum partial errors per mapper
                 Some(|_k: &(u32, u32), vs: Vec<f64>| vs.into_iter().sum::<f64>()),
                 |_k, vs| vs.into_iter().sum::<f64>(),
             )?;
-            weight_job_stats.push(stats2);
-
-            // wrapper: assemble the (M x K) deviation matrix, normalize,
-            // assign weights, rewrite the side file (§2.7.4)
-            let m = table.num_properties();
-            let mut dev = vec![vec![0.0f64; k]; m];
-            for ((prop, source), err) in err_pairs {
+            weight_job_stats.push(stats);
+            let mut dev = vec![vec![0.0f64; k]; table.num_properties()];
+            for ((prop, source), err) in errors {
                 dev[prop as usize][source as usize] = err;
             }
-            let losses = source_losses(
+            Ok(source_losses(
                 &dev,
                 table.source_counts(),
                 self.property_norm,
                 self.count_normalize,
-            );
+            ))
+        };
+
+        // Weights side file, "initially … set uniformly": the uncounted
+        // first truth job fits at weight 1 for every source. On resume the
+        // side files hold exactly the checkpointed iteration's state, and
+        // the weight job below re-prices it for the stopping rule.
+        let resumed_from = resume.as_ref().map(|s| s.iteration);
+        let (start_iter, weights_file, truths_file) = match resume {
+            Some(state) => (
+                state.iteration + 1,
+                SideFile::new(state.weights),
+                SideFile::new(state.truths),
+            ),
+            None => {
+                let weights_file = SideFile::new(vec![1.0; k]);
+                let truths = truth_job(&weights_file)?;
+                (0, weights_file, SideFile::new(truths))
+            }
+        };
+        let mut losses = weight_job(&truths_file)?;
+        let mut prev = resumed_from.map(|_| objective(&weights_file.read(), &losses));
+
+        let mut converged = false;
+        let mut iterations = start_iter;
+        let mut checkpoints_written = 0usize;
+        for it in start_iter..self.max_iters {
+            iterations = it + 1;
             weights_file.write(self.assigner.assign(&losses));
+            truths_file.write(truth_job(&weights_file)?);
+            losses = weight_job(&truths_file)?;
+            let f = objective(&weights_file.read(), &losses);
+            converged = prev.replace(f).is_some_and(|p| within_tol(p, f, self.tol));
+            if converged {
+                break;
+            }
 
             // ---- durable iteration checkpoint ----
             if let Some(ck) = &self.checkpoint {
@@ -421,9 +407,8 @@ impl ParallelCrh {
             }
         }
 
-        let cells = truths_file.read().as_ref().clone();
         Ok(ParallelCrhResult {
-            truths: TruthTable::new(cells),
+            truths: TruthTable::new(truths_file.read().as_ref().clone()),
             weights: weights_file.read().as_ref().clone(),
             iterations,
             converged,
@@ -517,9 +502,10 @@ mod tests {
     fn stats_recorded_per_iteration() {
         let table = lying_source_table(5);
         let res = ParallelCrh::default().run(&table).unwrap();
-        assert_eq!(res.truth_job_stats.len(), res.iterations);
-        // the last iteration short-circuits before the weight job
-        assert!(res.weight_job_stats.len() >= res.iterations - 1);
+        // one truth job and one weight job per iteration, plus the
+        // uncounted uniform-weight fit and its pricing
+        assert_eq!(res.truth_job_stats.len(), res.iterations + 1);
+        assert_eq!(res.weight_job_stats.len(), res.iterations + 1);
         assert!(res.wall_time > Duration::ZERO);
         // truth job shuffles one record per observation
         assert_eq!(
@@ -639,6 +625,40 @@ mod tests {
             matches!(
                 err,
                 MapReduceError::Persist(PersistError::CrcMismatch { .. })
+            ),
+            "{err}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn version_1_checkpoint_is_refused() {
+        // version 1 stored the weights derived from the truths, not the
+        // weights they were fit under; resuming from one would misread it
+        let table = lying_source_table(4);
+        let path = tmp("v1");
+        let state = CheckpointState {
+            iteration: 0,
+            weights: vec![1.0; table.num_sources()],
+            truths: ParallelCrh::default()
+                .max_iters(1)
+                .run(&table)
+                .unwrap()
+                .truths
+                .iter()
+                .map(|(_, t)| t.clone())
+                .collect(),
+        };
+        save_checkpoint(&path, &state).unwrap();
+        let (_, payload) = read_frame(&path, CKPT_MAGIC, CKPT_VERSION).unwrap();
+        write_frame(&path, CKPT_MAGIC, 1, &payload).unwrap();
+        let err = ParallelCrh::default()
+            .resume_from_checkpoint(&table, &path)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                MapReduceError::Persist(PersistError::UnsupportedVersion(1))
             ),
             "{err}"
         );
