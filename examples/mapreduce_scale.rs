@@ -42,6 +42,7 @@ fn main() {
         res.converged,
         res.wall_time.as_secs_f64()
     );
+    // entry 0 is the uncounted uniform-weight fit and its pricing
     for (i, (ts, ws)) in res
         .truth_job_stats
         .iter()
@@ -50,7 +51,7 @@ fn main() {
     {
         println!(
             "  iter {}: truth job shuffled {} records in {:.3}s; weight job combined {} -> {} records in {:.3}s",
-            i + 1,
+            i,
             ts.shuffled_records,
             ts.total_time().as_secs_f64(),
             ws.map_output_records,
@@ -66,12 +67,9 @@ fn main() {
             .collect::<Vec<_>>()
     );
 
-    // Cross-check against the sequential solver. The parallel driver
-    // iterates until the hard decisions are a fixed point; run the
-    // sequential solver to a matching precision (its default 1e-6
-    // objective tolerance can stop a few weight updates short of it).
+    // Cross-check against the sequential solver: both run Algorithm 1
+    // from weight 1 and stop at the same 1e-6 objective tolerance.
     let seq = CrhBuilder::new()
-        .tolerance(1e-12)
         .build()
         .expect("config")
         .run(&ds.table)

@@ -73,11 +73,9 @@ fn parallel_crh_matches_sequential_on_weather() {
     cfg.cities = 6;
     cfg.days = 8;
     let ds = generate(&cfg);
-    // run both solvers to the same fixed point: the parallel driver
-    // stops when the hard decisions stabilize (give it headroom beyond
-    // its default 10 rounds), and the sequential solver's default 1e-6
-    // objective tolerance can stop a few weight updates short of that
-    // point, so tighten it
+    // the parallel driver stops at its default 1e-6 objective tolerance
+    // (given headroom beyond its default 10 rounds); the sequential solver
+    // runs to a tighter one
     let seq = CrhBuilder::new()
         .tolerance(1e-12)
         .build()
