@@ -80,8 +80,8 @@ fn bench_replication(c: &mut Harness) {
                 c.step().unwrap();
             }
             for i in 0..n_chunks {
-                let (_, seq) = c.client_ingest(&chunk(i)).unwrap();
-                while !c.is_committed(seq) {
+                let w = c.client_ingest(&chunk(i)).unwrap();
+                while !c.acked(w) {
                     c.step().unwrap();
                 }
             }
@@ -106,8 +106,8 @@ fn bench_replication(c: &mut Harness) {
                 c.step().unwrap();
             }
             assert_eq!(c.primary(), Some(0), "unexpected first primary");
-            let (_, seq) = c.client_ingest(&chunk(0)).unwrap();
-            while !c.is_committed(seq) {
+            let w = c.client_ingest(&chunk(0)).unwrap();
+            while !c.acked(w) {
                 c.step().unwrap();
             }
             while c.now() < 20 {

@@ -219,13 +219,13 @@ fn bench_sim_split(c: &mut Harness, quick: bool) {
                 let payload = chunk(object, i);
                 let shard = sim.shard_of(object);
                 // the first ingest rides out each group's initial election
-                let seq = loop {
+                let w = loop {
                     match sim.ingest_shard(shard, &payload) {
-                        Ok((_, s)) => break s,
+                        Ok(w) => break w,
                         Err(_) => sim.step().unwrap(),
                     }
                 };
-                while !sim.is_committed(shard, seq) {
+                while !sim.acked(shard, w) {
                     sim.step().unwrap();
                 }
             }

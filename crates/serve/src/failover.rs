@@ -20,7 +20,15 @@ use std::collections::BTreeMap;
 use crate::core::{ChunkClaim, ServeConfig};
 use crate::error::ServeError;
 use crate::faults::{LinkFate, NetFaultPlan};
+use crate::proto::Response;
 use crate::replicate::{ReplicaConfig, ReplicaNode, Role};
+
+/// Steps a simulated write waits for its quorum: the daemon's default 2 s at 20 ms a tick.
+const SIM_COMMIT_WAIT: u64 = 100;
+
+/// A write from [`SimCluster::client_ingest`]: the staging node's index
+/// and that node's `(epoch, seq)` key for it.
+pub type SimWrite = (usize, (u64, u64));
 
 /// Pick the election winner from `votes`: node id → `(last_epoch,
 /// durable)`. The best `(last_epoch, durable)` wins — a log extended by
@@ -56,7 +64,7 @@ struct DelayedFrame {
 /// whose time has come are delivered, then every alive node ticks and
 /// its outgoing frames are routed through the [`NetFaultPlan`] —
 /// delivered, dropped, duplicated, delayed, or processed with the reply
-/// lost.
+/// lost. After each step it collects every alive node's decided writes.
 pub struct SimCluster {
     nodes: Vec<Option<ReplicaNode>>,
     setups: Vec<(ReplicaConfig, ServeConfig)>,
@@ -65,6 +73,8 @@ pub struct SimCluster {
     step: u64,
     frames_sent: u64,
     pending: Vec<DelayedFrame>,
+    /// What each client write's staging node answered.
+    answers: BTreeMap<SimWrite, Response>,
 }
 
 impl SimCluster {
@@ -95,6 +105,7 @@ impl SimCluster {
             step: 0,
             frames_sent: 0,
             pending: Vec::new(),
+            answers: BTreeMap::new(),
         })
     }
 
@@ -159,23 +170,29 @@ impl SimCluster {
             .or_else(|| self.alive().into_iter().next())
     }
 
-    /// Submit a client chunk to the current primary. Returns the node it
-    /// landed on and the assigned sequence, or the node's typed refusal.
-    pub fn client_ingest(&mut self, claims: &[ChunkClaim]) -> Result<(usize, u64), ServeError> {
-        let Some(i) = self.primary() else {
-            return Err(ServeError::NotPrimary { hint: None });
-        };
-        let Some(node) = self.nodes.get_mut(i).and_then(Option::as_mut) else {
-            return Err(ServeError::NotPrimary { hint: None });
-        };
-        let seq = node.client_ingest(claims)?;
-        Ok((i, seq))
+    /// Submit a client chunk to the current primary, which stages it to
+    /// wait `SIM_COMMIT_WAIT` steps for its quorum. Returns the write,
+    /// or the node's typed refusal (nothing staged).
+    pub fn client_ingest(&mut self, claims: &[ChunkClaim]) -> Result<SimWrite, ServeError> {
+        let no_primary = || ServeError::NotPrimary { hint: None };
+        let i = self.primary().ok_or_else(no_primary)?;
+        let node = self.nodes.get_mut(i).and_then(Option::as_mut);
+        let key = node
+            .ok_or_else(no_primary)?
+            .client_ingest(claims, self.step + SIM_COMMIT_WAIT)?;
+        Ok((i, key))
     }
 
-    /// Whether chunk `seq` is quorum-committed according to any alive
-    /// node (commit knowledge propagates, so the primary learns first).
-    pub fn is_committed(&self, seq: u64) -> bool {
-        self.nodes.iter().flatten().any(|n| n.is_committed(seq))
+    /// What the client of `write` was told once its node decided it:
+    /// `Ack`, or a `NotPrimary` / `NotReplicated` error frame. A node
+    /// killed holding the write never answers, as after a `kill -9`.
+    pub fn told(&self, write: SimWrite) -> Option<&Response> {
+        self.answers.get(&write)
+    }
+
+    /// Whether the client of `write` was told `Ack`.
+    pub fn acked(&self, write: SimWrite) -> bool {
+        matches!(self.told(write), Some(Response::Ack { .. }))
     }
 
     /// Advance one step: kills, restarts, then a full tick-and-route
@@ -218,6 +235,13 @@ impl SimCluster {
             }
             if let Some(slot) = self.nodes.get_mut(i) {
                 *slot = Some(sender);
+            }
+        }
+        for (i, node) in self.nodes.iter_mut().enumerate() {
+            let Some(node) = node else { continue };
+            for (key, answer) in node.take_decided(now, false) {
+                let resp = answer.unwrap_or_else(|e| Response::from_error(&e));
+                self.answers.insert((i, key), resp);
             }
         }
         Ok(())
@@ -399,11 +423,11 @@ mod tests {
             c.step().unwrap();
         }
         let p = c.primary().expect("a primary emerges unprompted");
-        let (_, seq) = c.client_ingest(&chunk(0)).unwrap();
+        let w = c.client_ingest(&chunk(0)).unwrap();
         for _ in 0..6 {
             c.step().unwrap();
         }
-        assert!(c.is_committed(seq));
+        assert!(c.acked(w));
         let digest = c.settle(0, 64).unwrap();
         for i in 0..c.len() {
             assert_eq!(c.node(i).unwrap().state_digest(), digest);
@@ -520,11 +544,11 @@ mod tests {
             c.step().unwrap();
         }
         c.primary().expect("a primary emerges despite the jitter");
-        let (_, seq) = c.client_ingest(&chunk(0)).unwrap();
+        let w = c.client_ingest(&chunk(0)).unwrap();
         let mut committed_at = None;
         for s in 0..32 {
             c.step().unwrap();
-            if c.is_committed(seq) {
+            if c.acked(w) {
                 committed_at = Some(s);
                 break;
             }
@@ -546,11 +570,11 @@ mod tests {
         let old = c.primary().expect("initial primary");
         let old_epoch = c.node(old).unwrap().epoch();
         // feed some committed data first
-        let (_, seq) = c.client_ingest(&chunk(0)).unwrap();
+        let w = c.client_ingest(&chunk(0)).unwrap();
         for _ in 0..6 {
             c.step().unwrap();
         }
-        assert!(c.is_committed(seq));
+        assert!(c.acked(w));
 
         // kill it (restart far beyond the test horizon)
         c.plan = std::mem::take(&mut c.plan).kill(c.now() + 1, old as u32);
@@ -567,12 +591,13 @@ mod tests {
         let p = promoted.expect("a survivor takes over");
         assert!(c.node(p).unwrap().epoch() > old_epoch);
         // and the committed chunk survived the failover
-        assert!(c.node(p).unwrap().is_committed(seq));
+        let (_, (_, seq)) = w;
+        assert!(seq < c.node(p).unwrap().commit());
         // new primary accepts writes
-        let (_, seq2) = c.client_ingest(&chunk(1)).unwrap();
+        let w2 = c.client_ingest(&chunk(1)).unwrap();
         for _ in 0..8 {
             c.step().unwrap();
         }
-        assert!(c.is_committed(seq2));
+        assert!(c.acked(w2));
     }
 }

@@ -30,7 +30,8 @@
 //!    drops, one-way partitions, duplicated frames, timed kills).
 //! 5. **Replication and failover** ([`replicate`], [`failover`],
 //!    [`server::HaServer`]) — the primary ships every WAL record to
-//!    followers and acks a write only after a quorum has fsynced it;
+//!    followers; the staging node acks a write once a quorum fsynced it
+//!    ([`ReplicaNode::take_decided`], one rule for daemon and simulator);
 //!    followers serve staleness-bounded reads, promotion after a
 //!    heartbeat loss is deterministic (highest replicated sequence,
 //!    ties to the lowest node id), and [`ClusterClient`] fails over
@@ -115,7 +116,7 @@ pub use core::{
     ServeConfig, ServeCore, SolveOutcome,
 };
 pub use error::ServeError;
-pub use failover::{elect, SimCluster};
+pub use failover::{elect, SimCluster, SimWrite};
 pub use faults::{
     LinkFate, NetFaultPlan, PartitionWindow, ServeFate, ServeFaultInjector, ServeFaultPlan,
     ServePoint, ShardFaultPlan, SplitCrash,

@@ -17,11 +17,13 @@
 //!   splits its log into a *folded* prefix (absorbed into [`ServeCore`],
 //!   irreversible) and a *staged* tail (fsync'd in a separate staging
 //!   WAL, still revocable). `durable = folded + staged`.
-//! - **Commit.** The primary folds and acknowledges a chunk only once a
-//!   quorum of nodes (itself included) reports the chunk durable *and
-//!   verified consistent with its log* — so a fold can never later be
+//! - **Commit.** The primary folds a chunk only once a quorum of nodes
+//!   (itself included) reports the chunk durable *and verified
+//!   consistent with its log* — so a fold can never later be
 //!   contradicted. Followers fold only up to the commit bound the
-//!   primary advertises, clamped to their verified prefix.
+//!   primary advertises, clamped to their verified prefix. The node that
+//!   staged a client write decides its answer, with deadlines in ticks,
+//!   for the daemon and the simulator alike ([`take_decided`]).
 //! - **Election.** A follower that misses heartbeats for its (node-id
 //!   staggered) timeout campaigns with a proposed `epoch`. Peers grant
 //!   at most one campaign per epoch, reporting `(last_epoch, durable)`;
@@ -52,6 +54,7 @@
 //! [`handle`]: ReplicaNode::handle
 //! [`on_reply`]: ReplicaNode::on_reply
 //! [`tick`]: ReplicaNode::tick
+//! [`take_decided`]: ReplicaNode::take_decided
 
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -279,6 +282,9 @@ pub struct ReplicaNode {
     /// Set when a frame revealed records this node is missing; cleared
     /// once the log is contiguous again.
     needs_catchup: bool,
+    /// Client writes staged here and not yet answered: `(epoch, seq)` →
+    /// the tick at which an unreplicated write times out.
+    pending: BTreeMap<(u64, u64), u64>,
     // primary-only (BTreeMap: iteration order feeds frame emission and
     // election maths, which must be deterministic under the simulator)
     match_synced: BTreeMap<u32, u64>,
@@ -371,6 +377,7 @@ impl ReplicaNode {
             last_push: 0,
             primary_head: 0,
             needs_catchup: false,
+            pending: BTreeMap::new(),
             match_synced: BTreeMap::new(),
             next_send: BTreeMap::new(),
             promote_pending: Vec::new(),
@@ -422,11 +429,6 @@ impl ReplicaNode {
         self.core.chunks_seen() + self.staged.len() as u64
     }
 
-    /// Whether chunk `seq` is quorum-committed (safe to acknowledge).
-    pub fn is_committed(&self, seq: u64) -> bool {
-        seq < self.commit
-    }
-
     /// Where a rejected client should try instead, if known.
     pub fn leader_hint(&self) -> Option<u32> {
         self.leader.filter(|&l| l != self.cfg.node_id)
@@ -455,7 +457,7 @@ impl ReplicaNode {
 
     /// How many cluster members are known to hold chunk `seq` durable
     /// and leader-consistent (this node's own log included).
-    pub fn ack_count(&self, seq: u64) -> usize {
+    fn ack_count(&self, seq: u64) -> usize {
         let own = usize::from(self.synced > seq);
         own + self
             .cfg
@@ -463,11 +465,6 @@ impl ReplicaNode {
             .iter()
             .filter(|p| self.match_synced.get(p).is_some_and(|&m| m > seq))
             .count()
-    }
-
-    /// The configured commit quorum.
-    pub fn quorum(&self) -> usize {
-        self.cfg.quorum
     }
 
     /// Force a snapshot of the folded state (clean-shutdown path).
@@ -533,16 +530,10 @@ impl ReplicaNode {
             .map_or(self.last_folded_epoch, |s| s.epoch)
     }
 
-    /// Whether it is safe to acknowledge the write this node staged at
-    /// `seq` while it was primary in `epoch`. Quorum commit alone is not
-    /// enough: if the node was deposed after staging, a new primary may
-    /// have committed a *different* record at the same sequence — the
-    /// client's bytes were discarded and must be retried, not acked. A
-    /// primary's own log can only be truncated by deposition, so "still
-    /// primary in the same epoch" guarantees the committed record at
-    /// `seq` is the one the client staged.
-    pub fn ack_safe(&self, seq: u64, epoch: u64) -> bool {
-        self.role == Role::Primary && self.epoch == epoch && self.is_committed(seq)
+    /// Whether the write this node staged at `seq` while primary in
+    /// `epoch` is committed and still this primary's to vouch for.
+    fn ack_safe(&self, seq: u64, epoch: u64) -> bool {
+        self.role == Role::Primary && self.epoch == epoch && seq < self.commit
     }
 
     /// Durably record the current `(epoch, last_folded_epoch)` pair.
@@ -566,10 +557,14 @@ impl ReplicaNode {
     // ---- client path ---------------------------------------------------
 
     /// Accept a client chunk: validate, assign the next sequence number,
-    /// stage it durably, and return the sequence. The chunk is *not yet
-    /// committed* — poll [`is_committed`](Self::is_committed) (the
-    /// commit advances as acks arrive) before acknowledging the client.
-    pub fn client_ingest(&mut self, claims: &[ChunkClaim]) -> Result<u64, ServeError> {
+    /// stage it durably and keep it pending until tick `deadline`. An
+    /// `Err` means nothing was staged; else the `(epoch, seq)` key names
+    /// the write in [`take_decided`](Self::take_decided).
+    pub fn client_ingest(
+        &mut self,
+        claims: &[ChunkClaim],
+        deadline: u64,
+    ) -> Result<(u64, u64), ServeError> {
         if self.role != Role::Primary {
             return Err(ServeError::NotPrimary {
                 hint: self.leader_hint(),
@@ -595,9 +590,55 @@ impl ReplicaNode {
         self.push_retention(entry.clone());
         self.staged.push_back(entry);
         self.synced = seq + 1;
+        let key = (self.epoch, seq);
+        self.pending.insert(key, deadline);
+        // staged: from here the pending write answers the client, so a failed
+        // fold only deposes a degraded primary
         self.advance_commit()
-            .map_err(|e| self.depose_if_degraded(e))?;
-        Ok(seq)
+            .map_err(|e| self.depose_if_degraded(e))
+            .ok();
+        Ok(key)
+    }
+
+    /// Drain the pending client writes whose answer is now decided,
+    /// keyed by `(epoch, seq)`; call it after every state change. The
+    /// ack condition is `ack_safe`, not bare commit: if this node is
+    /// deposed during the wait, its staged record is truncated and the
+    /// new primary may commit *different* bytes at the same sequence.
+    /// Acking would report a discarded write as durable, so a deposed
+    /// node answers `NotPrimary` and the client retries against the new
+    /// primary. Once `now` reaches the deadline (or on `stopping`), the
+    /// record is durable here but the client must treat it as un-acked:
+    /// `NotReplicated`.
+    pub fn take_decided(
+        &mut self,
+        now: u64,
+        stopping: bool,
+    ) -> Vec<((u64, u64), Result<Response, ServeError>)> {
+        let mut decided = Vec::new();
+        for ((epoch, seq), deadline) in std::mem::take(&mut self.pending) {
+            let answer = if self.ack_safe(seq, epoch) {
+                Ok(Response::Ack {
+                    seq,
+                    chunks_seen: self.commit,
+                })
+            } else if self.role != Role::Primary || self.epoch != epoch {
+                Err(ServeError::NotPrimary {
+                    hint: self.leader_hint(),
+                })
+            } else if stopping || now >= deadline {
+                Err(ServeError::NotReplicated {
+                    seq,
+                    acked: self.ack_count(seq),
+                    quorum: self.cfg.quorum,
+                })
+            } else {
+                self.pending.insert((epoch, seq), deadline);
+                continue;
+            };
+            decided.push(((epoch, seq), answer));
+        }
+        decided
     }
 
     // ---- time ----------------------------------------------------------
@@ -1382,8 +1423,8 @@ mod tests {
         let frames = n.tick(100).unwrap();
         assert!(frames.is_empty(), "no peers to talk to: {frames:?}");
         assert_eq!(n.role(), Role::Primary);
-        let seq = n.client_ingest(&chunk(0)).unwrap();
-        assert!(n.is_committed(seq));
+        let (_, seq) = n.client_ingest(&chunk(0), u64::MAX).unwrap();
+        assert!(seq < n.commit());
         assert_eq!(n.core().chunks_seen(), 1);
     }
 
@@ -1405,17 +1446,17 @@ mod tests {
             matches!(resp, Response::ReplAck { epoch: 3, .. }),
             "{resp:?}"
         );
-        let err = f.client_ingest(&chunk(0)).unwrap_err();
+        let err = f.client_ingest(&chunk(0), u64::MAX).unwrap_err();
         assert!(
             matches!(err, ServeError::NotPrimary { hint: Some(0) }),
             "{err}"
         );
     }
 
-    #[test]
-    fn replicate_then_commit_folds_on_the_follower() {
-        let mut p = node("ship_p", 0, &[0, 1]);
-        let mut f = node("ship_f", 1, &[0, 1]);
+    /// Node 0 of `{0, 1}`, elected primary at tick 100, and its follower.
+    fn elected_pair(tag: &str) -> (ReplicaNode, ReplicaNode) {
+        let mut p = node(tag, 0, &[0, 1]);
+        let mut f = node(tag, 1, &[0, 1]);
         // election timeout → self-campaign, probing the peer
         let frames = p.tick(100).unwrap();
         let q = frames
@@ -1425,19 +1466,30 @@ mod tests {
         let vote = f.handle(0, query, 100);
         p.on_reply(1, &vote, 100).unwrap();
         assert_eq!(p.role(), Role::Primary);
+        (p, f)
+    }
 
-        let seq = p.client_ingest(&chunk(0)).unwrap();
-        assert!(!p.is_committed(seq), "quorum of 2 needs the follower");
-
-        // one push/ack round replicates; a second propagates the commit
-        for now in 101..104 {
+    /// Tick `p` through `ticks`, delivering every frame to `f` and every
+    /// reply back to `p`.
+    fn pump(p: &mut ReplicaNode, f: &mut ReplicaNode, ticks: std::ops::Range<u64>) {
+        for now in ticks {
             for (dest, req) in p.tick(now).unwrap() {
                 assert_eq!(dest, 1);
                 let resp = f.handle(0, &req, now);
                 p.on_reply(1, &resp, now).unwrap();
             }
         }
-        assert!(p.is_committed(seq));
+    }
+
+    #[test]
+    fn replicate_then_commit_folds_on_the_follower() {
+        let (mut p, mut f) = elected_pair("ship");
+        let (_, seq) = p.client_ingest(&chunk(0), u64::MAX).unwrap();
+        assert!(seq >= p.commit(), "quorum of 2 needs the follower");
+
+        // one push/ack round replicates; a second propagates the commit
+        pump(&mut p, &mut f, 101..104);
+        assert!(seq < p.commit());
         assert_eq!(p.core().chunks_seen(), 1);
         assert_eq!(f.core().chunks_seen(), 1);
         assert_eq!(p.state_digest(), f.state_digest());
@@ -1561,7 +1613,7 @@ mod tests {
         // the folded bytes are the new primary's, not the stale ones
         let mut solo = node("trunc_ref", 9, &[9]);
         solo.tick(100).unwrap();
-        solo.client_ingest(&chunk(8)).unwrap();
+        solo.client_ingest(&chunk(8), u64::MAX).unwrap();
         assert_eq!(f.state_digest(), solo.state_digest());
     }
 
@@ -1628,8 +1680,8 @@ mod tests {
         let mut p = node("acksafe", 0, &[0]);
         p.tick(100).unwrap(); // self-promote (quorum of one)
         let epoch = p.epoch();
-        let seq = p.client_ingest(&chunk(0)).unwrap();
-        assert!(p.is_committed(seq));
+        let (_, seq) = p.client_ingest(&chunk(0), u64::MAX).unwrap();
+        assert!(seq < p.commit());
         assert!(p.ack_safe(seq, epoch));
         assert!(!p.ack_safe(seq, epoch + 1), "wrong epoch must not ack");
         // a newer primary deposes this node: committed-or-not, the
@@ -1647,6 +1699,65 @@ mod tests {
         );
         assert_eq!(p.role(), Role::Follower);
         assert!(!p.ack_safe(seq, epoch), "deposed node must not ack");
+    }
+
+    #[test]
+    fn commit_past_seq_in_the_staged_epoch_acks() {
+        let (mut p, mut f) = elected_pair("ack");
+        let (epoch, seq) = p.client_ingest(&chunk(0), u64::MAX).unwrap();
+        pump(&mut p, &mut f, 101..104);
+        assert!(seq < p.commit());
+        match p.take_decided(104, false).as_slice() {
+            [((e, s), Ok(Response::Ack { seq: acked, .. }))] => {
+                assert_eq!((*e, *s, *acked), (epoch, seq, seq));
+            }
+            other => panic!("expected an ack, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn deposed_mid_wait_answers_not_primary_despite_the_commit() {
+        let (mut p, mut f) = elected_pair("deposed");
+        let (epoch, seq) = p.client_ingest(&chunk(0), u64::MAX).unwrap();
+        pump(&mut p, &mut f, 101..104);
+        p.handle(
+            1,
+            &Request::Heartbeat {
+                token: 0,
+                epoch: epoch + 1,
+                node: 1,
+                commit: 0,
+                head: 0,
+            },
+            10_000,
+        );
+        assert!(seq < p.commit(), "the commit bound passed seq");
+        assert!(matches!(
+            p.take_decided(10_000, false).as_slice(),
+            [(_, Err(ServeError::NotPrimary { .. }))]
+        ));
+    }
+
+    #[test]
+    fn deadline_with_a_partial_quorum_answers_not_replicated() {
+        let (mut p, _f) = elected_pair("partial");
+        // staged on the primary only: no follower has acked it yet
+        let (_, seq) = p.client_ingest(&chunk(0), 105).unwrap();
+        assert!(p.take_decided(104, false).is_empty(), "keep waiting");
+        match p.take_decided(105, false).as_slice() {
+            [(
+                _,
+                Err(ServeError::NotReplicated {
+                    seq: s,
+                    acked,
+                    quorum,
+                }),
+            )] => {
+                assert_eq!((*s, *acked, *quorum), (seq, 1, 2));
+                assert_eq!((*acked, *quorum), (p.ack_count(seq), p.cfg.quorum));
+            }
+            other => panic!("expected NotReplicated, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1782,6 +1893,56 @@ mod tests {
         panic!("no seed injected its fault into a staging append");
     }
 
+    /// A fold that fails after the staging append must not refuse the
+    /// chunk: it is staged and committed, so an error answer would send
+    /// the client to retry a write that is already in the log. Its
+    /// pending write answers it instead.
+    #[test]
+    fn failed_fold_after_staging_is_answered_by_the_pending_write() {
+        for seed in 0..64 {
+            let d = dir(&format!("foldfail_{seed}"), 0);
+            let vfs =
+                Vfs::faulted(DiskFaultPlan::new(seed).transient_eio(0.05).max_faults(1)).unwrap();
+            let serve = ServeConfig::new(schema(), 0.5, &d).vfs(vfs.clone());
+            let opened = ReplicaNode::open(ReplicaConfig::new(0, &[0]), serve);
+            let Ok((mut n, _)) = opened else {
+                std::fs::remove_dir_all(&d).ok();
+                continue;
+            };
+            // quorum of one: self-promote, then every write commits as
+            // soon as it is staged
+            if n.tick(100).is_err() || n.role() != Role::Primary || vfs.faults_fired() > 0 {
+                std::fs::remove_dir_all(&d).ok();
+                continue;
+            }
+            for step in 0..16 {
+                let durable = n.durable();
+                let staged = n.client_ingest(&chunk(step), u64::MAX);
+                if vfs.faults_fired() == 0 {
+                    staged.unwrap();
+                    continue;
+                }
+                if n.durable() == durable {
+                    // the fault hit the staging append: refused, nothing staged
+                    assert!(staged.is_err(), "seed {seed}: {staged:?}");
+                    break;
+                }
+                let key = staged.unwrap_or_else(|e| {
+                    panic!("seed {seed}: staged chunk {step} was refused: {e}")
+                });
+                let decided = n.take_decided(100, false);
+                let acked = decided
+                    .iter()
+                    .any(|(k, a)| *k == key && matches!(a, Ok(Response::Ack { .. })));
+                assert!(acked, "seed {seed}: {decided:?}");
+                std::fs::remove_dir_all(&d).ok();
+                return;
+            }
+            std::fs::remove_dir_all(&d).ok();
+        }
+        panic!("no seed injected its fault after a staging append");
+    }
+
     #[test]
     fn catch_up_beyond_retention_ships_a_snapshot() {
         let mut p = node("snapcat", 0, &[0, 1]);
@@ -1791,7 +1952,7 @@ mod tests {
         p.tick(100).unwrap();
         assert_eq!(p.role(), Role::Primary);
         for step in 0..6 {
-            p.client_ingest(&chunk(step)).unwrap();
+            p.client_ingest(&chunk(step), u64::MAX).unwrap();
         }
         let resp = p.handle(
             1,

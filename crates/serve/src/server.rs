@@ -618,7 +618,11 @@ pub struct HaConfig {
     /// `(node_id, address)` of every *other* member.
     pub peer_addrs: Vec<(u32, String)>,
     /// How long an ingest waits for the commit quorum before answering
-    /// [`ServeError::NotReplicated`].
+    /// [`ServeError::NotReplicated`]. The node counts the wait in ticks:
+    /// a write not acked by the `ceil(commit_wait / tick)`-th tick (at
+    /// least the first) after it was staged expires on that tick, so
+    /// expiry lands on a tick boundary. An ack still leaves as soon as
+    /// the reply that commits the write has been handled.
     pub commit_wait: Duration,
     /// This member's shard identity in a sharded topology: the shard it
     /// serves plus the bootstrap route table, adopted (and durably
@@ -649,15 +653,6 @@ struct ShardState {
     store: ShardMapStore,
 }
 
-/// A client write staged on this node and waiting for its quorum.
-struct PendingWrite {
-    seq: u64,
-    /// The epoch the record was staged in: the reign it belongs to.
-    epoch: u64,
-    deadline: Instant,
-    reply: mpsc::SyncSender<Response>,
-}
-
 /// Everything the replica owner thread holds by value.
 struct Replica {
     node: ReplicaNode,
@@ -665,45 +660,9 @@ struct Replica {
     shard: Option<ShardState>,
     /// Logical replication time, advanced once per [`HaConfig::tick`].
     now: u64,
-    waiting: Vec<PendingWrite>,
-}
-
-/// The answer owed to a client whose write `node` staged at `seq` while
-/// primary in `epoch`, or `None` while it should keep waiting.
-///
-/// The ack condition is [`ReplicaNode::ack_safe`], not bare
-/// `is_committed`: if this node is deposed during the wait, its staged
-/// record is truncated and the new primary may commit *different* bytes
-/// at the same sequence — a commit bound passing `seq` then says nothing
-/// about the client's write. Acking it would report a discarded write as
-/// durable, so a deposed node answers `NotPrimary` instead and the
-/// client retries against the new primary. Once `expired` (deadline or
-/// shutdown), the record is durable here but the client must treat it
-/// as un-acked: `NotReplicated`.
-fn write_outcome(
-    node: &ReplicaNode,
-    seq: u64,
-    epoch: u64,
-    expired: bool,
-) -> Option<Result<Response, ServeError>> {
-    if node.ack_safe(seq, epoch) {
-        return Some(Ok(Response::Ack {
-            seq,
-            chunks_seen: node.commit(),
-        }));
-    }
-    if node.role() != Role::Primary || node.epoch() != epoch {
-        return Some(Err(ServeError::NotPrimary {
-            hint: node.leader_hint(),
-        }));
-    }
-    expired.then(|| {
-        Err(ServeError::NotReplicated {
-            seq,
-            acked: node.ack_count(seq),
-            quorum: node.quorum(),
-        })
-    })
+    /// Reply channels of the client writes the node holds pending, under
+    /// the node's `(epoch, seq)` key.
+    replies: BTreeMap<(u64, u64), mpsc::SyncSender<Response>>,
 }
 
 fn unsharded() -> ServeError {
@@ -716,58 +675,41 @@ fn follower_lag(node: &ReplicaNode) -> Option<u64> {
 
 impl Replica {
     /// Stage a client chunk durably (after the shard check, for a
-    /// shard-routed write) and queue its reply until the quorum decides
-    /// it (see [`write_outcome`]).
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "a client's wall-clock budget only bounds how long its write waits for the quorum; the node never reads it"
-    )]
+    /// shard-routed write) to wait `ticks` for its quorum, and keep its
+    /// reply until the node decides it.
     fn stage(
         &mut self,
         claims: &[ChunkClaim],
         shard_check: Option<(u32, u64)>,
-        wait: Duration,
+        ticks: u64,
         reply: mpsc::SyncSender<Response>,
     ) {
         let staged = shard_check
             .map_or(Ok(()), |(shard, version)| {
                 self.check_shard(shard, version, claims.iter().map(|c| c.object))
             })
-            .and_then(|()| self.node.client_ingest(claims));
+            .and_then(|()| {
+                self.node
+                    .client_ingest(claims, self.now.saturating_add(ticks))
+            });
         match staged {
-            Ok(seq) => self.waiting.push(PendingWrite {
-                seq,
-                epoch: self.node.epoch(),
-                // the budget only shortens how long this hop waits for
-                // the quorum; once staged, running out keeps
-                // NotReplicated semantics
-                deadline: Instant::now() + wait,
-                reply,
-            }),
+            Ok(key) => {
+                self.replies.insert(key, reply);
+            }
             Err(e) => {
                 reply.try_send(Response::from_error(&e)).ok();
             }
         }
     }
 
-    /// Answer every pending write whose outcome is now decided.
+    /// Answer every pending write the node has now decided.
     fn answer_writes(&mut self, stopping: bool) {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "a client's wall-clock budget only bounds how long its write waits for the quorum; the node never reads it"
-        )]
-        let now = Instant::now();
-        let node = &self.node;
-        self.waiting.retain(|w| {
-            match write_outcome(node, w.seq, w.epoch, stopping || now >= w.deadline) {
-                Some(answer) => {
-                    let resp = answer.unwrap_or_else(|e| Response::from_error(&e));
-                    w.reply.try_send(resp).ok();
-                    false
-                }
-                None => true,
+        for (key, answer) in self.node.take_decided(self.now, stopping) {
+            if let Some(reply) = self.replies.remove(&key) {
+                let resp = answer.unwrap_or_else(|e| Response::from_error(&e));
+                reply.try_send(resp).ok();
             }
-        });
+        }
     }
 
     fn read(&self, read: Read) -> Response {
@@ -929,8 +871,10 @@ impl HaShared {
         shard_check: Option<(u32, u64)>,
     ) -> Result<Response, ServeError> {
         let wait = clamp_wait(self.cfg.commit_wait, budget);
+        let ticks = wait.as_nanos().div_ceil(self.cfg.tick.as_nanos().max(1));
+        let ticks = u64::try_from(ticks).unwrap_or(u64::MAX).max(1);
         let (reply, answer) = mpsc::sync_channel(1);
-        let stage: Task<Replica> = Box::new(move |r| r.stage(&claims, shard_check, wait, reply));
+        let stage: Task<Replica> = Box::new(move |r| r.stage(&claims, shard_check, ticks, reply));
         self.tasks
             .send(stage)
             .map_err(|_| ServeError::ShuttingDown)?;
@@ -1054,10 +998,10 @@ impl FrontEnd for HaShared {
 ///   next [`HaConfig::tick`], advances the node, and hands each frame
 ///   the node emits to a bounded per-peer queue with a non-blocking
 ///   push;
-/// - a client write is staged on the owner, which then keeps its reply
-///   in a waiting list and answers it as soon as the quorum decides it
-///   (`write_outcome`, re-checked after every state change) — the
-///   owner's wake-up covers the earliest pending deadline;
+/// - a client write is staged on the owner and kept pending in the node
+///   with a deadline in ticks; the owner holds only its reply channel
+///   and sends whatever [`ReplicaNode::take_decided`] returns after
+///   every state change;
 /// - one **peer sender** thread per peer owns that peer's persistent
 ///   [`Client`] connection, drains its queue, ships frames, and sends
 ///   each reply back to the owner. A stalled or black-holing peer
@@ -1118,7 +1062,7 @@ impl HaServer {
             node,
             shard,
             now: 0,
-            waiting: Vec::new(),
+            replies: BTreeMap::new(),
         };
 
         let owner_thread = {
@@ -1233,12 +1177,7 @@ fn replica_owner(
     }
     let mut next_tick = Instant::now() + shared.cfg.tick;
     while !shared.is_shutdown() {
-        let wake = r
-            .waiting
-            .iter()
-            .map(|w| w.deadline)
-            .fold(next_tick, Instant::min);
-        if let Ok(task) = inbox.recv_timeout(wake.saturating_duration_since(Instant::now())) {
+        if let Ok(task) = inbox.recv_timeout(next_tick.saturating_duration_since(Instant::now())) {
             task(&mut r);
         }
         if Instant::now() >= next_tick {
@@ -1308,107 +1247,6 @@ fn peer_sender(shared: &HaShared, dest: u32, addr: &str, rx: &mpsc::Receiver<(u6
                 // broken connection; reconnect for the next frame
                 conn = None;
             }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::failover::SimCluster;
-    use crate::faults::NetFaultPlan;
-    use crh_core::value::Value;
-
-    fn cluster(tag: &str, n: usize) -> SimCluster {
-        let mut schema = Schema::new();
-        schema.add_continuous("temperature");
-        let base = std::env::temp_dir().join(format!("crh_owner_{tag}_{}", std::process::id()));
-        std::fs::remove_dir_all(&base).ok();
-        let mut c = SimCluster::new(
-            n,
-            |id| ServeConfig::new(schema.clone(), 0.5, base.join(format!("n{id}"))),
-            NetFaultPlan::new(0),
-        )
-        .unwrap();
-        for _ in 0..12 {
-            c.step().unwrap();
-        }
-        c
-    }
-
-    fn chunk() -> Vec<ChunkClaim> {
-        (0..3u32)
-            .map(|s| ChunkClaim {
-                object: 0,
-                property: 0,
-                source: s,
-                value: Value::Num(10.0 + f64::from(s)),
-            })
-            .collect()
-    }
-
-    #[test]
-    fn commit_past_seq_in_the_staged_epoch_acks() {
-        let mut c = cluster("ack", 3);
-        let (p, seq) = c.client_ingest(&chunk()).unwrap();
-        let epoch = c.node(p).unwrap().epoch();
-        c.settle(0, 64).unwrap();
-        let node = c.node(p).unwrap();
-        assert!(node.is_committed(seq));
-        match write_outcome(node, seq, epoch, false) {
-            Some(Ok(Response::Ack { seq: s, .. })) => assert_eq!(s, seq),
-            other => panic!("expected an ack, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn deposed_mid_wait_answers_not_primary_despite_the_commit() {
-        let mut c = cluster("deposed", 3);
-        let (p, seq) = c.client_ingest(&chunk()).unwrap();
-        c.settle(0, 64).unwrap();
-        let node = c.node_mut(p).unwrap();
-        let epoch = node.epoch();
-        let other = (0..3).find(|&n| n != node.node_id()).unwrap();
-        node.handle(
-            other,
-            &Request::Heartbeat {
-                token: 0,
-                epoch: epoch + 1,
-                node: other,
-                commit: 0,
-                head: 0,
-            },
-            10_000,
-        );
-        assert!(node.is_committed(seq), "the commit bound passed seq");
-        assert!(matches!(
-            write_outcome(node, seq, epoch, false),
-            Some(Err(ServeError::NotPrimary { .. }))
-        ));
-    }
-
-    #[test]
-    fn deadline_with_a_partial_quorum_answers_not_replicated() {
-        let mut c = cluster("partial", 3);
-        let p = c.primary().unwrap();
-        let node = c.node_mut(p).unwrap();
-        // staged on the primary only: no follower has acked it yet
-        let seq = node.client_ingest(&chunk()).unwrap();
-        let epoch = node.epoch();
-        assert!(
-            write_outcome(node, seq, epoch, false).is_none(),
-            "keep waiting"
-        );
-        match write_outcome(node, seq, epoch, true) {
-            Some(Err(ServeError::NotReplicated {
-                seq: s,
-                acked,
-                quorum,
-            })) => {
-                assert_eq!((s, acked, quorum), (seq, 1, 2));
-                assert_eq!((acked, quorum), (node.ack_count(seq), node.quorum()));
-            }
-            other => panic!("expected NotReplicated, got {other:?}"),
         }
     }
 }

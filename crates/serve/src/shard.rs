@@ -27,7 +27,7 @@ use crh_core::value::Truth;
 
 use crate::core::{decode_chunk, ChunkClaim, ServeConfig, ServeCore};
 use crate::error::ServeError;
-use crate::failover::SimCluster;
+use crate::failover::{SimCluster, SimWrite};
 use crate::faults::{ShardFaultPlan, SplitCrash};
 use crate::proto::{decode_exact, Request, Response, Wire};
 use crate::vfs::Vfs;
@@ -418,11 +418,6 @@ impl ShardedSim {
         self.groups.get(&shard)
     }
 
-    /// Mutably borrow one shard's group.
-    pub fn group_mut(&mut self, shard: u32) -> Option<&mut SimCluster> {
-        self.groups.get_mut(&shard)
-    }
-
     /// Advance every group one step, in shard order (determinism).
     pub fn step(&mut self) -> Result<(), ServeError> {
         for group in self.groups.values_mut() {
@@ -455,7 +450,7 @@ impl ShardedSim {
         &mut self,
         shard: u32,
         claims: &[ChunkClaim],
-    ) -> Result<(usize, u64), ServeError> {
+    ) -> Result<SimWrite, ServeError> {
         if let Some(c) = claims.iter().find(|c| self.map.shard_of(c.object) != shard) {
             return Err(ServeError::WrongShard {
                 shard,
@@ -470,9 +465,9 @@ impl ShardedSim {
         group.client_ingest(claims)
     }
 
-    /// Whether `shard`'s chunk `seq` is quorum-committed.
-    pub fn is_committed(&self, shard: u32, seq: u64) -> bool {
-        self.groups.get(&shard).is_some_and(|g| g.is_committed(seq))
+    /// Whether the client of `shard`'s `write` was told `Ack`.
+    pub fn acked(&self, shard: u32, write: SimWrite) -> bool {
+        self.groups.get(&shard).is_some_and(|g| g.acked(write))
     }
 
     /// Read one cell's truth from its owning group (healthy primary

@@ -32,6 +32,11 @@ use crh_serve::{
 };
 use std::path::PathBuf;
 
+#[path = "common/history.rs"]
+mod history;
+
+use history::{Settled, Told};
+
 fn schema() -> Schema {
     let mut s = Schema::new();
     s.add_continuous("temperature");
@@ -367,12 +372,12 @@ fn dying_disk_primary_deposes_and_a_healthy_replica_takes_over() {
     });
     // node 0 (lowest id) wins the first election and acks a prefix
     let chunks = workload(50, 6);
-    let mut committed = 0u64;
+    let mut writes = Vec::new();
     for chunk in chunks.iter().take(3) {
         loop {
             match sim.client_ingest(chunk) {
-                Ok((_, seq)) => {
-                    committed = seq + 1;
+                Ok(w) => {
+                    writes.push(w);
                     break;
                 }
                 Err(ServeError::NotPrimary { .. }) => sim.step().unwrap(),
@@ -383,12 +388,12 @@ fn dying_disk_primary_deposes_and_a_healthy_replica_takes_over() {
     }
     for _ in 0..50 {
         sim.step().unwrap();
-        if (0..committed).all(|s| sim.is_committed(s)) {
+        if writes.iter().all(|&w| sim.acked(w)) {
             break;
         }
     }
     assert!(
-        (0..committed).all(|s| sim.is_committed(s)),
+        writes.iter().all(|&w| sim.acked(w)),
         "the healthy cluster failed to commit the prefix"
     );
     let old_primary = sim.primary().unwrap();
@@ -428,9 +433,10 @@ fn dying_disk_primary_deposes_and_a_healthy_replica_takes_over() {
     for chunk in chunks.iter().skip(3) {
         for _ in 0..200 {
             match sim.client_ingest(chunk) {
-                Ok((node, seq)) => {
-                    assert_ne!(node, 0, "the dead-disk node must not ack writes");
-                    reacked = seq + 1;
+                Ok(w) => {
+                    assert_ne!(w.0, 0, "the dead-disk node must not ack writes");
+                    reacked = w.1 .1 + 1;
+                    writes.push(w);
                     break;
                 }
                 Err(ServeError::NotPrimary { .. } | ServeError::DiskDegraded { .. }) => {
@@ -444,7 +450,7 @@ fn dying_disk_primary_deposes_and_a_healthy_replica_takes_over() {
     assert_eq!(reacked, 6, "the post-failover writes never got through");
     for _ in 0..200 {
         step_tolerant(&mut sim);
-        if (0..reacked).all(|s| sim.is_committed(s)) {
+        if writes.iter().all(|&w| sim.acked(w)) {
             break;
         }
     }
@@ -452,7 +458,7 @@ fn dying_disk_primary_deposes_and_a_healthy_replica_takes_over() {
     // and everything acked after failover — is committed on the healthy
     // members
     assert!(
-        (0..reacked).all(|s| sim.is_committed(s)),
+        writes.iter().all(|&w| sim.acked(w)),
         "quorum-acked writes went missing after the dying-disk failover"
     );
     let d1 = sim.node(1).unwrap().state_digest();
@@ -470,6 +476,21 @@ fn dying_disk_primary_deposes_and_a_healthy_replica_takes_over() {
         sim.node(2).unwrap().state_digest(),
         "healthy members diverged (last seen {d1:#x} vs {d2:#x})"
     );
+    // the client history: six staged writes plus the refusal from the
+    // dying disk. This workload has no marker cells, so only the
+    // counting half of the check applies.
+    let mut history: Vec<Told> = writes
+        .iter()
+        .map(|&w| Told::of(Some(w), |w| sim.acked(w)))
+        .collect();
+    history.push(Told::Refused);
+    let settled: Vec<Settled> = [1, 2]
+        .map(|n| Settled {
+            chunks_seen: sim.node(n).unwrap().core().chunks_seen(),
+            markers: None,
+        })
+        .into();
+    history::check(&history, &settled).unwrap();
     std::fs::remove_dir_all(&base).ok();
 }
 

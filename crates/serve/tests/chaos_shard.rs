@@ -33,6 +33,11 @@ use crh_serve::{
     SimCluster,
 };
 
+#[path = "common/history.rs"]
+mod history;
+
+use history::{Settled, Told};
+
 const SHARDS: u32 = 3;
 const REPLICAS: usize = 3;
 const CHUNKS: usize = 12;
@@ -127,13 +132,14 @@ fn shard_chaos_loses_no_acked_write_and_matches_unsharded_runs() {
         // whether it arrived. Timed-out chunks are never resubmitted, so
         // their fate stays observable via their marker cells.
         let mut acked: Vec<usize> = Vec::new();
+        let mut staged = Vec::new();
         for i in 0..CHUNKS {
             let payload = chunk(seed, i);
             let shard = sim.shard_of(payload[0].object);
             let mut seq = None;
             for _ in 0..400 {
                 match sim.ingest_shard(shard, &payload) {
-                    Ok((_, s)) => {
+                    Ok(s) => {
                         seq = Some(s);
                         break;
                     }
@@ -142,10 +148,11 @@ fn shard_chaos_loses_no_acked_write_and_matches_unsharded_runs() {
                     Err(_) => sim.step().unwrap(),
                 }
             }
+            staged.push((shard, seq));
             let Some(s) = seq else { continue };
             for _ in 0..40 {
                 sim.step().unwrap();
-                if sim.is_committed(shard, s) {
+                if sim.acked(shard, s) {
                     acked.push(i);
                     break;
                 }
@@ -213,6 +220,32 @@ fn shard_chaos_loses_no_acked_write_and_matches_unsharded_runs() {
             );
         }
 
+        // (c) every group agrees with the client history: a chunk routed
+        // to another group was never staged in this one
+        for shard in 0..SHARDS {
+            let history: Vec<Told> = staged
+                .iter()
+                .map(|&(at, w)| Told::of(w.filter(|_| at == shard), |w| sim.acked(shard, w)))
+                .collect();
+            let group = sim.group(shard).unwrap();
+            let settled: Vec<Settled> = (0..REPLICAS)
+                .map(|n| {
+                    let core = group.node(n).unwrap().core();
+                    Settled {
+                        chunks_seen: core.chunks_seen(),
+                        markers: Some(
+                            (0..CHUNKS)
+                                .map(|i| core.truth(100 + i as u32, 0).is_some())
+                                .collect(),
+                        ),
+                    }
+                })
+                .collect();
+            history::check(&history, &settled).unwrap_or_else(|e| {
+                panic!("seed {seed}: shard {shard}: {e} (history {history:?})")
+            });
+        }
+
         // (b) every shard's digest equals a fresh, fault-free,
         // *unsharded* cluster fed exactly that shard's survivors in order
         for (shard, digest) in digests {
@@ -232,14 +265,14 @@ fn shard_chaos_loses_no_acked_write_and_matches_unsharded_runs() {
                 if sim.shard_of(payload[0].object) != shard {
                     continue;
                 }
-                let (_, s) = reference.client_ingest(&payload).unwrap();
+                let s = reference.client_ingest(&payload).unwrap();
                 for _ in 0..64 {
                     reference.step().unwrap();
-                    if reference.is_committed(s) {
+                    if reference.acked(s) {
                         break;
                     }
                 }
-                assert!(reference.is_committed(s), "seed {seed}: clean run stalled");
+                assert!(reference.acked(s), "seed {seed}: clean run stalled");
             }
             let ref_digest = reference.settle(1, 200).unwrap();
             assert_eq!(

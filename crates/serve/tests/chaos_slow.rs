@@ -35,6 +35,13 @@ use crh_serve::{
     ServeConfig, ServeCore, ServeError, Server, ServerConfig, SimCluster, Vfs,
 };
 
+#[path = "common/history.rs"]
+mod history;
+#[path = "common/reads.rs"]
+mod reads;
+
+use history::{Settled, Told};
+
 fn schema() -> Schema {
     let mut s = Schema::new();
     s.add_continuous("temperature");
@@ -118,24 +125,27 @@ fn latency_chaos_loses_no_acked_chunk_and_matches_a_clean_run() {
         // at-most-once driver: a chunk is submitted once; if the ack
         // never lands its fate stays observable via the marker
         let mut acked = Vec::new();
+        let mut staged = Vec::new();
+        let mut reads = reads::Reads::default();
         for i in 0..CHUNKS {
             let payload = chunk(seed, i);
             let mut seq = None;
             for _ in 0..400 {
                 match c.client_ingest(&payload) {
-                    Ok((_, s)) => {
+                    Ok(s) => {
                         seq = Some(s);
                         break;
                     }
-                    Err(_) => c.step().unwrap(),
+                    Err(_) => reads.step(&mut c),
                 }
             }
+            staged.push(seq);
             let Some(s) = seq else {
                 continue;
             };
             for _ in 0..80 {
-                c.step().unwrap();
-                if c.is_committed(s) {
+                reads.step(&mut c);
+                if c.acked(s) {
                     acked.push(i);
                     break;
                 }
@@ -169,6 +179,21 @@ fn latency_chaos_loses_no_acked_chunk_and_matches_a_clean_run() {
              (acked {acked:?})"
         );
 
+        // (c) the client history agrees with the settled members
+        let history: Vec<Told> = staged
+            .iter()
+            .map(|&w| Told::of(w, |w| c.acked(w)))
+            .collect();
+        let settled: Vec<Settled> = (0..c.len())
+            .map(|n| Settled {
+                chunks_seen: c.node(n).unwrap().core().chunks_seen(),
+                markers: Some((0..CHUNKS).map(|i| marker_present(&c, n, i)).collect()),
+            })
+            .collect();
+        history::check(&history, &settled)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e} (history {history:?})"));
+        reads.check().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+
         // (b) digest equality with a never-delayed run over the survivors
         let ref_base = test_dir(&format!("latencyref{seed}"));
         let rb = ref_base.clone();
@@ -182,14 +207,14 @@ fn latency_chaos_loses_no_acked_chunk_and_matches_a_clean_run() {
             reference.step().unwrap();
         }
         for &i in &survivors {
-            let (_, s) = reference.client_ingest(&chunk(seed, i)).unwrap();
+            let s = reference.client_ingest(&chunk(seed, i)).unwrap();
             for _ in 0..64 {
                 reference.step().unwrap();
-                if reference.is_committed(s) {
+                if reference.acked(s) {
                     break;
                 }
             }
-            assert!(reference.is_committed(s), "seed {seed}: clean run stalled");
+            assert!(reference.acked(s), "seed {seed}: clean run stalled");
         }
         let ref_digest = reference.settle(1, 200).unwrap();
         assert_eq!(
@@ -226,12 +251,12 @@ fn quorum_acks_do_not_serialize_behind_the_slowest_replica() {
         let payload = chunk(7, i);
         let seq = loop {
             match c.client_ingest(&payload) {
-                Ok((_, s)) => break s,
+                Ok(s) => break s,
                 Err(_) => c.step().unwrap(),
             }
         };
         let mut steps = 0u64;
-        while !c.is_committed(seq) {
+        while !c.acked(seq) {
             c.step().unwrap();
             steps += 1;
             assert!(
@@ -306,13 +331,13 @@ fn slow_disk_primary_self_deposes_and_a_fast_replica_takes_over() {
     .unwrap();
 
     // node 0 (lowest id) wins the first election and commits a prefix
-    let mut committed = 0u64;
+    let mut writes = Vec::new();
     for i in 0..3usize {
         let payload = chunk(9, i);
         loop {
             match c.client_ingest(&payload) {
-                Ok((_, s)) => {
-                    committed = s + 1;
+                Ok(s) => {
+                    writes.push(s);
                     break;
                 }
                 Err(_) => c.step().unwrap(),
@@ -320,7 +345,7 @@ fn slow_disk_primary_self_deposes_and_a_fast_replica_takes_over() {
         }
         for _ in 0..50 {
             c.step().unwrap();
-            if c.is_committed(committed - 1) {
+            if writes.last().is_some_and(|&w| c.acked(w)) {
                 break;
             }
         }
@@ -362,9 +387,9 @@ fn slow_disk_primary_self_deposes_and_a_fast_replica_takes_over() {
         let payload = chunk(9, i);
         loop {
             match c.client_ingest(&payload) {
-                Ok((node, s)) => {
-                    assert_ne!(node, 0, "the slow node must not ack writes");
-                    committed = s + 1;
+                Ok(s) => {
+                    assert_ne!(s.0, 0, "the slow node must not ack writes");
+                    writes.push(s);
                     break;
                 }
                 Err(_) => c.step().unwrap(),
@@ -373,14 +398,29 @@ fn slow_disk_primary_self_deposes_and_a_fast_replica_takes_over() {
     }
     for _ in 0..300 {
         step_tolerant(&mut c);
-        if (0..committed).all(|s| c.is_committed(s)) {
+        if writes.iter().all(|&w| c.acked(w)) {
             break;
         }
     }
     assert!(
-        (0..committed).all(|s| c.is_committed(s)),
+        writes.iter().all(|&w| c.acked(w)),
         "acked writes went missing across the slow-disk depose"
     );
+    // every acked write is folded on the new primary, exactly once
+    let history: Vec<Told> = writes
+        .iter()
+        .map(|&w| Told::of(Some(w), |w| c.acked(w)))
+        .collect();
+    let primary = c.node(new_primary).unwrap();
+    let settled = Settled {
+        chunks_seen: primary.core().chunks_seen(),
+        markers: Some(
+            (0..writes.len())
+                .map(|i| marker_present(&c, new_primary, i))
+                .collect(),
+        ),
+    };
+    history::check(&history, &[settled]).unwrap();
     assert_eq!(c.primary(), Some(new_primary));
     std::fs::remove_dir_all(&base).ok();
 }

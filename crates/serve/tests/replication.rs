@@ -21,10 +21,19 @@ use std::time::Duration;
 
 use crh_core::schema::Schema;
 use crh_core::value::Value;
+use crh_serve::error::code;
+use crh_serve::proto::Response;
 use crh_serve::{
     ChunkClaim, ClusterClient, HaConfig, HaServer, NetFaultPlan, PartitionWindow, ReplicaConfig,
-    RetryPolicy, Role, ServeConfig, ServerConfig, SimCluster,
+    RetryPolicy, Role, ServeConfig, ServerConfig, SimCluster, SimWrite,
 };
+
+#[path = "common/history.rs"]
+mod history;
+#[path = "common/reads.rs"]
+mod reads;
+
+use history::{Settled, Told};
 
 fn schema() -> Schema {
     let mut s = Schema::new();
@@ -110,25 +119,28 @@ fn partition_chaos_loses_no_acked_chunk_and_matches_a_clean_run() {
         // chunk is never resubmitted, so its fate stays observable via
         // its marker cell.
         let mut acked = Vec::new();
+        let mut staged = Vec::new();
+        let mut reads = reads::Reads::default();
         for i in 0..CHUNKS {
             let payload = chunk(seed, i);
             let mut seq = None;
             for _ in 0..400 {
                 match c.client_ingest(&payload) {
-                    Ok((_, s)) => {
+                    Ok(s) => {
                         seq = Some(s);
                         break;
                     }
                     // no reachable primary right now: nothing was staged
-                    Err(_) => c.step().unwrap(),
+                    Err(_) => reads.step(&mut c),
                 }
             }
+            staged.push(seq);
             let Some(s) = seq else {
                 continue;
             };
             for _ in 0..40 {
-                c.step().unwrap();
-                if c.is_committed(s) {
+                reads.step(&mut c);
+                if c.acked(s) {
                     acked.push(i);
                     break;
                 }
@@ -138,7 +150,7 @@ fn partition_chaos_loses_no_acked_chunk_and_matches_a_clean_run() {
         // Heal: run past every partition window, kill, and restart, then
         // let the cluster settle to a drained, digest-equal state.
         while c.now() < 150 {
-            c.step().unwrap();
+            reads.step(&mut c);
         }
         let digest = c.settle(5, 5000).unwrap();
         for n in 0..c.len() {
@@ -161,6 +173,22 @@ fn partition_chaos_loses_no_acked_chunk_and_matches_a_clean_run() {
             }
         }
 
+        // (c) the client history: what every client was told, and what
+        // the test loop's reads observed, agrees with the settled nodes
+        let history: Vec<Told> = staged
+            .iter()
+            .map(|&w| Told::of(w, |w| c.acked(w)))
+            .collect();
+        let settled: Vec<Settled> = (0..c.len())
+            .map(|n| Settled {
+                chunks_seen: c.node(n).unwrap().core().chunks_seen(),
+                markers: Some((0..CHUNKS).map(|i| marker_present(&c, n, i)).collect()),
+            })
+            .collect();
+        history::check(&history, &settled)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e} (history {history:?})"));
+        reads.check().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+
         // (b) post-heal state is byte-identical to a never-partitioned
         // cluster fed exactly the surviving chunks in order
         let ref_base = test_dir(&format!("chaosref{seed}"));
@@ -175,14 +203,14 @@ fn partition_chaos_loses_no_acked_chunk_and_matches_a_clean_run() {
             reference.step().unwrap();
         }
         for &i in &survivors {
-            let (_, s) = reference.client_ingest(&chunk(seed, i)).unwrap();
+            let s = reference.client_ingest(&chunk(seed, i)).unwrap();
             for _ in 0..64 {
                 reference.step().unwrap();
-                if reference.is_committed(s) {
+                if reference.acked(s) {
                     break;
                 }
             }
-            assert!(reference.is_committed(s), "seed {seed}: clean run stalled");
+            assert!(reference.acked(s), "seed {seed}: clean run stalled");
         }
         let ref_digest = reference.settle(1, 200).unwrap();
         assert_eq!(
@@ -194,6 +222,97 @@ fn partition_chaos_loses_no_acked_chunk_and_matches_a_clean_run() {
         std::fs::remove_dir_all(&base).ok();
         std::fs::remove_dir_all(&ref_base).ok();
     }
+}
+
+// ---------------------------------------------------------------------
+// Planted faults the history checker must catch
+// ---------------------------------------------------------------------
+
+/// A primary stages write A and is partitioned away; a new primary
+/// commits write B at the same seq; the partition heals and the old
+/// primary adopts B. The former ack rule (any node's commit bound past
+/// A's seq) "acks" the lost write A and fails the checker; the node's
+/// own answer (`NotPrimary`) passes it.
+#[test]
+fn checker_rejects_the_commit_bound_ack_of_a_lost_write() {
+    let base = test_dir("planted_lost_ack");
+    let b = base.clone();
+    let plan = NetFaultPlan::new(0xACC).partition(PartitionWindow {
+        from_step: 13,
+        to_step: 60,
+        side_a: 0b001,
+        one_way: false,
+    });
+    let mut c = SimCluster::new(
+        3,
+        move |id| ServeConfig::new(schema(), 0.5, b.join(format!("node{id}"))),
+        plan,
+    )
+    .unwrap();
+    for _ in 0..12 {
+        c.step().unwrap();
+    }
+    assert_eq!(c.primary(), Some(0), "node 0 wins the first election");
+    let a = c.client_ingest(&chunk(0, 0)).unwrap();
+    let mut b_write = None;
+    while c.now() < 60 {
+        c.step().unwrap();
+        if b_write.is_none() && c.primary().is_some_and(|p| p != 0) {
+            b_write = Some(c.client_ingest(&chunk(0, 1)).unwrap());
+        }
+    }
+    let b_write = b_write.expect("a new primary took over during the partition");
+    assert_ne!(a.0, b_write.0);
+    assert_eq!(a.1 .1, b_write.1 .1, "B was staged at A's seq");
+    c.settle(5, 500).unwrap();
+
+    let settled: Vec<Settled> = (0..c.len())
+        .map(|n| Settled {
+            chunks_seen: c.node(n).unwrap().core().chunks_seen(),
+            markers: Some((0..2).map(|i| marker_present(&c, n, i)).collect()),
+        })
+        .collect();
+    let writes = [Some(a), Some(b_write)];
+
+    // the node's own answers: A was deposed, B acked
+    assert!(
+        matches!(c.told(a), Some(Response::Error { code, .. }) if *code == code::NOT_PRIMARY),
+        "{:?}",
+        c.told(a)
+    );
+    let told: Vec<Told> = writes
+        .iter()
+        .map(|&w| Told::of(w, |w| c.acked(w)))
+        .collect();
+    assert_eq!(told, [Told::Indeterminate, Told::Acked]);
+    history::check(&told, &settled).unwrap();
+
+    // the former rule, evaluated over the same writes
+    let committed_anywhere = |(_, (_, seq)): SimWrite| {
+        (0..c.len()).any(|n| c.node(n).is_some_and(|node| seq < node.commit()))
+    };
+    let former: Vec<Told> = writes
+        .iter()
+        .map(|&w| Told::of(w, committed_anywhere))
+        .collect();
+    assert_eq!(former, [Told::Acked, Told::Acked]);
+    let err = history::check(&former, &settled).unwrap_err();
+    assert!(err.contains("acked chunk 0 is missing"), "{err}");
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// A hand-built history in which one chunk was folded twice: the node's
+/// `chunks_seen` is one above its distinct markers.
+#[test]
+fn checker_rejects_a_double_fold() {
+    let history = [Told::Acked, Told::Indeterminate, Told::Acked];
+    let node = |chunks_seen| Settled {
+        chunks_seen,
+        markers: Some(vec![true, false, true]),
+    };
+    history::check(&history, &[node(2), node(2)]).unwrap();
+    let err = history::check(&history, &[node(2), node(3)]).unwrap_err();
+    assert!(err.contains("node 1 folded 3 chunks"), "{err}");
 }
 
 // ---------------------------------------------------------------------

@@ -26,6 +26,11 @@ use crh_serve::{
     SplitSpec,
 };
 
+#[path = "common/history.rs"]
+mod history;
+
+use history::{Settled, Told};
+
 const REPLICAS: usize = 3;
 const CHUNKS: usize = 8;
 const NEW_SHARD: u32 = 2;
@@ -72,13 +77,14 @@ fn open_sim(base: &std::path::Path, plan: ShardFaultPlan) -> ShardedSim {
 /// Ingest the workload, wait out every commit, settle, and return the
 /// routed truth of every marker cell — the table recovery must preserve.
 fn fill_and_snapshot_truths(sim: &mut ShardedSim) -> Vec<(u32, String)> {
+    let mut staged = Vec::new();
     for i in 0..CHUNKS {
         let payload = chunk(i);
         let shard = sim.shard_of(payload[0].object);
         let mut seq = None;
         for _ in 0..400 {
             match sim.ingest_shard(shard, &payload) {
-                Ok((_, s)) => {
+                Ok(s) => {
                     seq = Some(s);
                     break;
                 }
@@ -86,15 +92,38 @@ fn fill_and_snapshot_truths(sim: &mut ShardedSim) -> Vec<(u32, String)> {
             }
         }
         let s = seq.expect("fault-free ingest must land");
+        staged.push((shard, s));
         for _ in 0..64 {
             sim.step().unwrap();
-            if sim.is_committed(shard, s) {
+            if sim.acked(shard, s) {
                 break;
             }
         }
-        assert!(sim.is_committed(shard, s), "fault-free commit stalled");
+        assert!(sim.acked(shard, s), "fault-free commit stalled");
     }
     sim.settle_all(5, 2000).unwrap();
+    // every group agrees with the client history
+    for shard in sim.map().shard_ids() {
+        let history: Vec<Told> = staged
+            .iter()
+            .map(|&(at, w)| Told::of(Some(w).filter(|_| at == shard), |w| sim.acked(shard, w)))
+            .collect();
+        let group = sim.group(shard).unwrap();
+        let settled: Vec<Settled> = (0..REPLICAS)
+            .map(|n| {
+                let core = group.node(n).unwrap().core();
+                Settled {
+                    chunks_seen: core.chunks_seen(),
+                    markers: Some(
+                        (0..CHUNKS)
+                            .map(|i| core.truth(100 + i as u32, 0).is_some())
+                            .collect(),
+                    ),
+                }
+            })
+            .collect();
+        history::check(&history, &settled).unwrap_or_else(|e| panic!("shard {shard}: {e}"));
+    }
     truth_table(sim)
 }
 
