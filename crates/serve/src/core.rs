@@ -11,8 +11,15 @@
 //!    accepted even if the process dies before acking
 //! 4. fold into [`ICrhState`]
 //! 5. commit the fold: truth-cache update, breaker credit
-//! 6. every `snapshot_every` chunks: snapshot (atomic rename) then WAL
-//!    rotation
+//! 6. every `snapshot_every` chunks, a new snapshot generation:
+//!    - 6a, on the owner thread: wait for the previous generation; cut
+//!      the WAL at the boundary (rename `ingest.wal` to
+//!      `ingest.sealed.wal`, start a fresh `ingest.wal`); rename
+//!      `snapshot.crh` to `snapshot.prev.crh`; encode the payload;
+//!    - 6b, on a helper thread: write the new `snapshot.crh` (temp file,
+//!      fsync, rename, directory fsync);
+//!    - 6c, on the helper: rename `ingest.sealed.wal` to
+//!      `ingest.prev.wal`, retiring the log the new snapshot covers.
 //!
 //! Steps 3 and 4 overlap: a helper thread encodes, writes and fsyncs the
 //! record while the owner thread folds, and step 5 waits for the helper
@@ -20,26 +27,48 @@
 //! steps in order instead). A refused append puts the solver back to its
 //! checkpoint from before the fold and leaves no record in the log (the
 //! WAL cuts a refused frame off), so the next chunk can take the same
-//! sequence number. A snapshot that fails after the commit point does not
-//! refuse the chunk: the snapshot stays due and the next ingest retries
-//! it.
+//! sequence number.
 //!
-//! Recovery inverts the order: load the newest snapshot, then replay WAL
-//! records whose `seq` the snapshot has not already absorbed. A crash
-//! between the snapshot rename and the WAL truncation leaves stale
-//! records behind; the `seq` prefix makes replay skip them instead of
-//! double-folding.
+//! Chunks go on committing while the snapshot helper runs 6b and 6c;
+//! one generation is in flight at a time. The helper thread starts at a
+//! cadence, never in [`ServeCore::open`], and is joined by the next
+//! cadence, [`snapshot_now`](ServeCore::snapshot_now),
+//! [`install_snapshot`](ServeCore::install_snapshot) and drop, so no
+//! thread outlives its core. A generation that fails after the commit
+//! point does not refuse the chunk: one that cannot start (the cut did
+//! not seal, or the thread did not spawn) stays due for the next ingest;
+//! one that fails on the helper is redone by the next cadence. A sealed
+//! log waits until a durable snapshot covers it: while it exists the
+//! next cadence does not cut again, and the live log keeps its records.
 //!
-//! Durable artifacts are kept in **two generations**: each snapshot
-//! renames its predecessor to `snapshot.prev.crh` and retires the WAL to
-//! `ingest.prev.wal` instead of truncating it. If the newest snapshot is
-//! corrupt (bit rot, a lying fsync surfacing at power loss), recovery
-//! falls back to the previous generation and bridges the gap by
-//! replaying both WALs — sequence skips make the overlap idempotent, so
-//! the fallback is bit-identical with what a healthy disk would have
-//! recovered. All file I/O flows through the [`Vfs`] seam, which is how
-//! the `chaos_disk` suite injects torn writes, bit rot, lying fsyncs,
-//! and dying disks underneath this exact code path.
+//! Durable artifacts are kept in **two generations**, so a corrupt
+//! newest snapshot (bit rot, a lying fsync surfacing at power loss)
+//! falls back to `snapshot.prev.crh` and bridges the gap by replay.
+//! Recovery loads the newest intact snapshot, then replays
+//! `ingest.prev.wal`, `ingest.sealed.wal` and `ingest.wal` in that order,
+//! skipping every record whose `seq` the snapshot already absorbed, so
+//! overlaps never double-fold. For a generation at chunk `n` after one
+//! at `m` (and one at `l` before that), the files at each point are:
+//!
+//! | point | snapshot / prev | prev / sealed / live log | recovery |
+//! |---|---|---|---|
+//! | before 6a | `m` / `l` | `[l,m)` / — / `[m,n)` | `m` + live |
+//! | after the cut | `m` / `l` | `[l,m)` / `[m,n)` / `[n,…)` | `m` + sealed + live |
+//! | after 6a | — / `m` | `[l,m)` / `[m,n)` / `[n,…)` | `m` (fallback) + sealed + live |
+//! | after 6b | `n` / `m` | `[l,m)` / `[m,n)` / `[n,…)` | `n` + live |
+//! | after 6c | `n` / `m` | `[m,n)` / — / `[n,…)` | `n` + live |
+//!
+//! With the newest snapshot corrupt, the previous one plus every log is
+//! complete at each point but "after 6a", where the previous generation
+//! is the only snapshot left until 6b lands. A disk whose fsync lies can
+//! lose the sealed log's last records after the live log got later ones;
+//! recovery then sets the live log aside (see [`RecoveryReport`]).
+//!
+//! All file I/O flows through the [`Vfs`] seam, which is how the
+//! `chaos_disk` suite injects torn writes, bit rot, lying fsyncs, and
+//! dying disks underneath this exact code path; the helper works
+//! through a detached handle whose fates the owner draws, so seeded
+//! runs replay the same faults.
 //!
 //! An injected crash *poisons* the core — every later call answers
 //! [`ServeError::ShuttingDown`] — so chaos tests cannot accidentally keep
@@ -47,9 +76,11 @@
 //! record the WAL could not cut off poisons it too: a restart would read
 //! that record as accepted.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
+use std::thread::JoinHandle;
 
 use crh_core::cancel::CancelToken;
 use crh_core::ids::{ObjectId, PropertyId, SourceId};
@@ -64,8 +95,8 @@ use crate::breaker::{BreakerConfig, SourceBreakers};
 use crate::error::ServeError;
 use crate::faults::{ServeFate, ServeFaultInjector, ServePoint};
 use crate::proto::{decode_exact, enc_list, Wire};
-use crate::vfs::Vfs;
-use crate::wal::{Wal, WalRecovery};
+use crate::vfs::{OpKind, Vfs};
+use crate::wal::{Wal, WalRecovery, WAL_HEADER};
 
 /// Chunks with fewer claims append and fold one after the other on the
 /// owner thread: their fold is too short to hide the cost of starting
@@ -114,7 +145,8 @@ pub struct ServeConfig {
     pub alpha: f64,
     /// Directory holding `snapshot.crh` and `ingest.wal`.
     pub dir: PathBuf,
-    /// Snapshot (and truncate the WAL) every this many accepted chunks.
+    /// Start a snapshot generation (and cut the WAL) every this many
+    /// accepted chunks.
     pub snapshot_every: u64,
     /// Entries kept in the FIFO truth cache.
     pub truth_cache_cap: usize,
@@ -200,7 +232,9 @@ pub struct RecoveryReport {
     pub wal_replayed: u64,
     /// WAL records skipped because the snapshot already covered them.
     pub wal_skipped: u64,
-    /// Torn-tail bytes truncated from the WAL.
+    /// Log bytes recovery could not replay: torn tails truncated from
+    /// the logs, and a live log set aside as `ingest.wal.corrupt`
+    /// because a disk whose fsync lied lost the records before it.
     pub torn_bytes: u64,
     /// Whether recovery fell back to the *previous* snapshot generation
     /// because the newest snapshot was corrupt or missing mid-rotation.
@@ -262,29 +296,43 @@ pub struct SolveOutcome {
 /// FIFO-bounded map from (object, property) to the latest truth estimate.
 ///
 /// Insertion order is the eviction order and is persisted verbatim, so a
-/// recovered core serves byte-identical snapshots.
+/// recovered core serves byte-identical snapshots. The truths live in
+/// that order, so a snapshot walks them without a lookup per key.
 #[derive(Debug, Default)]
 struct TruthCache {
-    map: BTreeMap<(u32, u32), Truth>,
-    order: VecDeque<(u32, u32)>,
+    /// Truths in insertion order; the front is evicted first.
+    fifo: VecDeque<((u32, u32), Truth)>,
+    /// Key → position counted since the cache was created: entry `pos`
+    /// sits at `fifo[pos - evicted]`.
+    index: BTreeMap<(u32, u32), u64>,
+    /// Entries evicted from the front so far.
+    evicted: u64,
     cap: usize,
 }
 
 impl TruthCache {
     fn new(cap: usize) -> Self {
         Self {
-            map: BTreeMap::new(),
-            order: VecDeque::new(),
             cap: cap.max(1),
+            ..Self::default()
         }
     }
 
     fn insert(&mut self, key: (u32, u32), truth: Truth) {
-        if self.map.insert(key, truth).is_none() {
-            self.order.push_back(key);
-            if self.order.len() > self.cap {
-                if let Some(old) = self.order.pop_front() {
-                    self.map.remove(&old);
+        match self.index.entry(key) {
+            Entry::Occupied(at) => {
+                if let Some(slot) = self.fifo.get_mut((*at.get() - self.evicted) as usize) {
+                    slot.1 = truth;
+                }
+            }
+            Entry::Vacant(at) => {
+                at.insert(self.evicted + self.fifo.len() as u64);
+                self.fifo.push_back((key, truth));
+                if self.fifo.len() > self.cap {
+                    if let Some((old, _)) = self.fifo.pop_front() {
+                        self.index.remove(&old);
+                        self.evicted += 1;
+                    }
                 }
             }
         }
@@ -299,17 +347,80 @@ impl TruthCache {
     }
 
     fn get(&self, key: &(u32, u32)) -> Option<&Truth> {
-        self.map.get(key)
+        let pos = self.index.get(key)?;
+        self.fifo
+            .get((pos - self.evicted) as usize)
+            .map(|(_, truth)| truth)
     }
 
     fn iter_fifo(&self) -> impl Iterator<Item = ((u32, u32), &Truth)> {
-        self.order
-            .iter()
-            .filter_map(|k| self.map.get(k).map(|t| (*k, t)))
+        self.fifo.iter().map(|(key, truth)| (*key, truth))
     }
 
     fn len(&self) -> usize {
-        self.order.len()
+        self.fifo.len()
+    }
+}
+
+/// The durable artifacts of a state directory besides the live
+/// `ingest.wal` (see the module docs for what each holds).
+#[derive(Debug, Clone)]
+struct Artifacts {
+    snapshot: PathBuf,
+    snapshot_prev: PathBuf,
+    wal_sealed: PathBuf,
+    wal_prev: PathBuf,
+}
+
+impl Artifacts {
+    fn in_dir(dir: &Path) -> Self {
+        Self {
+            snapshot: dir.join("snapshot.crh"),
+            snapshot_prev: dir.join("snapshot.prev.crh"),
+            wal_sealed: dir.join("ingest.sealed.wal"),
+            wal_prev: dir.join("ingest.prev.wal"),
+        }
+    }
+
+    /// Step 6a's second half: retire the current snapshot to the previous
+    /// generation. A bare rename: the directory fsync that ends the new
+    /// snapshot's write makes it durable, and a crash before that
+    /// recovers from whichever name the old snapshot has.
+    fn retire_snapshot(&self, vfs: &Vfs) -> Result<(), ServeError> {
+        if vfs.exists(&self.snapshot) {
+            vfs.rename(&self.snapshot, &self.snapshot_prev)?;
+        }
+        Ok(())
+    }
+
+    /// Steps 6b–6c, the rest of the generation: write the new snapshot
+    /// from `payload`, then retire the sealed log it covers. A crash
+    /// before the new snapshot lands leaves the previous generation as
+    /// the newest intact one, and recovery bridges forward from it
+    /// through the kept logs.
+    fn write_generation(&self, vfs: &Vfs, payload: &[u8]) -> Result<(), ServeError> {
+        self.write_snapshot(vfs, payload)?;
+        if vfs.exists(&self.wal_sealed) {
+            vfs.rename(&self.wal_sealed, &self.wal_prev)?;
+            vfs.sync_parent_dir(&self.wal_prev)?;
+        }
+        Ok(())
+    }
+
+    /// Step 6b: write_frame is tmp + fsync + atomic rename + parent-dir
+    /// fsync, so the new snapshot is durable or the old one survives.
+    fn write_snapshot(&self, vfs: &Vfs, payload: &[u8]) -> Result<(), ServeError> {
+        vfs.write_frame(&self.snapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, payload)
+    }
+
+    /// The disk operations [`write_generation`](Self::write_generation)
+    /// runs on the directory as it stands, in order.
+    fn generation_ops(&self, vfs: &Vfs) -> Vec<OpKind> {
+        let mut ops = vec![OpKind::Write, OpKind::Sync, OpKind::Meta, OpKind::Meta];
+        if vfs.exists(&self.wal_sealed) {
+            ops.extend([OpKind::Meta, OpKind::Meta]);
+        }
+        ops
     }
 }
 
@@ -319,9 +430,7 @@ pub struct ServeCore {
     schema: Schema,
     alpha: f64,
     snapshot_every: u64,
-    snapshot_path: PathBuf,
-    snapshot_prev_path: PathBuf,
-    wal_prev_path: PathBuf,
+    files: Artifacts,
     vfs: Vfs,
     state: ICrhState,
     wal: Wal,
@@ -333,11 +442,13 @@ pub struct ServeCore {
     /// Ingest attempts on this core instance (drives fault fates).
     attempts: u64,
     poisoned: bool,
-    /// A snapshot on the cadence failed after its chunk was committed;
-    /// the next ingest retries it.
+    /// A snapshot generation on the cadence could not start after its
+    /// chunk was committed; the next ingest retries it.
     snapshot_due: bool,
     /// Solver kernel threads (0 = available parallelism).
     solve_threads: usize,
+    /// The snapshot generation being written beside this thread.
+    writer: Option<JoinHandle<Result<(), ServeError>>>,
 }
 
 impl ServeCore {
@@ -348,10 +459,8 @@ impl ServeCore {
     pub fn open(cfg: ServeConfig) -> Result<(Self, RecoveryReport), ServeError> {
         let vfs = cfg.vfs.clone();
         vfs.create_dir_all(&cfg.dir)?;
-        let snapshot_path = cfg.dir.join("snapshot.crh");
-        let snapshot_prev_path = cfg.dir.join("snapshot.prev.crh");
+        let files = Artifacts::in_dir(&cfg.dir);
         let wal_path = cfg.dir.join("ingest.wal");
-        let wal_prev_path = cfg.dir.join("ingest.prev.wal");
 
         let icrh = ICrh::new(cfg.alpha)?.threads(cfg.solve_threads);
         let mut cache = TruthCache::new(cfg.truth_cache_cap);
@@ -362,16 +471,16 @@ impl ServeCore {
         // surface to the caller, not silently rewind a generation.
         let mut snapshot_fallback = false;
         let mut loaded: Option<SnapshotPayload> = None;
-        if vfs.exists(&snapshot_path) {
-            match read_snapshot(&vfs, &snapshot_path) {
+        if vfs.exists(&files.snapshot) {
+            match read_snapshot(&vfs, &files.snapshot) {
                 Ok(ok) => loaded = Some(ok),
                 Err(primary_err) if is_corruption(&primary_err) => {
-                    if vfs.exists(&snapshot_prev_path) {
+                    if vfs.exists(&files.snapshot_prev) {
                         // map a second corruption back to the primary
                         // error: both generations gone is unrecoverable
                         // here (a replica re-syncs from quorum instead)
                         loaded = Some(
-                            read_snapshot(&vfs, &snapshot_prev_path).map_err(|_| primary_err)?,
+                            read_snapshot(&vfs, &files.snapshot_prev).map_err(|_| primary_err)?,
                         );
                     }
                     // No previous generation means the corrupt snapshot
@@ -385,10 +494,10 @@ impl ServeCore {
                 }
                 Err(e) => return Err(e),
             }
-        } else if vfs.exists(&snapshot_prev_path) {
+        } else if vfs.exists(&files.snapshot_prev) {
             // crash between the generation rename and the new snapshot
             // write: the previous generation is the newest intact one
-            loaded = Some(read_snapshot(&vfs, &snapshot_prev_path)?);
+            loaded = Some(read_snapshot(&vfs, &files.snapshot_prev)?);
             snapshot_fallback = true;
         }
         let (state, snapshot_loaded, snapshot_chunks) = match loaded {
@@ -402,24 +511,33 @@ impl ServeCore {
             None => (icrh.start(), false, 0),
         };
 
-        // The retired WAL generation first (records between the previous
-        // snapshot and the newest one), then the live WAL. When the
-        // newest snapshot loaded cleanly the retired records are all
-        // skipped by sequence — so a corrupt *retired* log is ignorable
-        // debris unless the fallback actually needs it to bridge the gap.
+        // Every log in sequence order: the retired one (records between
+        // the previous snapshot and the newest), the sealed one (records
+        // of a generation whose snapshot may not have landed), then the
+        // live one. When the newest snapshot loaded cleanly the retired
+        // records are all skipped by sequence — so a corrupt retired log
+        // is ignorable debris unless the fallback needs it. The sealed
+        // log may hold records no snapshot has, with nothing after them
+        // to show the gap, so its corruption is never ignored.
         let mut torn_bytes = 0u64;
-        let prev_records = if vfs.exists(&wal_prev_path) {
-            match Wal::open(&wal_prev_path, &vfs) {
+        let mut prev_records = Vec::new();
+        let sealed = vfs.exists(&files.wal_sealed);
+        for (path, needed) in [
+            (&files.wal_prev, snapshot_fallback),
+            (&files.wal_sealed, true),
+        ] {
+            if !vfs.exists(path) {
+                continue;
+            }
+            match Wal::open(path, &vfs) {
                 Ok((_, rec)) => {
                     torn_bytes += rec.truncated_bytes;
-                    rec.records
+                    prev_records.extend(rec.records);
                 }
-                Err(e) if snapshot_fallback || !is_corruption(&e) => return Err(e),
-                Err(_) => Vec::new(),
+                Err(e) if needed || !is_corruption(&e) => return Err(e),
+                Err(_) => {}
             }
-        } else {
-            Vec::new()
-        };
+        }
         let (
             wal,
             WalRecovery {
@@ -433,9 +551,7 @@ impl ServeCore {
             schema: cfg.schema,
             alpha: cfg.alpha,
             snapshot_every: cfg.snapshot_every.max(1),
-            snapshot_path,
-            snapshot_prev_path,
-            wal_prev_path,
+            files,
             vfs,
             state,
             wal,
@@ -447,27 +563,26 @@ impl ServeCore {
             poisoned: false,
             snapshot_due: false,
             solve_threads: cfg.solve_threads,
+            writer: None,
         };
 
-        let mut replayed = 0u64;
-        let mut skipped = 0u64;
-        for payload in prev_records.iter().chain(records.iter()) {
-            let (seq, claims) = decode_chunk(payload)?;
-            let applied = core.state.chunks_seen() as u64;
-            if seq < applied {
-                skipped += 1;
-                continue;
-            }
-            if seq > applied {
-                return Err(ServeError::WalCorrupt {
-                    offset: replayed + skipped,
-                    reason: "sequence gap between snapshot and WAL replay",
-                });
-            }
-            let (table, truths) = fold_chunk(&core.schema, &mut core.state, &claims)?;
-            core.cache.absorb(&table, &truths);
-            replayed += 1;
+        let mut counts = (0, 0);
+        core.replay(&prev_records, &mut counts)?;
+        // A disk whose fsync lies can lose the sealed log's last records
+        // while the live log, a file of its own since the cut, keeps
+        // later ones. Those can never fold: set the live log aside as
+        // evidence and go on from the prefix the sealed log holds. On an
+        // honest disk every sealed record was durable before the cut.
+        let first_live = records.first().map(|r| decode_chunk(r)).transpose()?;
+        let stranded = sealed && first_live.is_some_and(|(seq, _)| seq > core.chunks_seen());
+        if stranded {
+            torn_bytes += core.wal.len_bytes() - WAL_HEADER.len() as u64;
+            crate::scrub::quarantine(&core.vfs, &wal_path)?;
+            core.wal = Wal::open(&wal_path, &core.vfs)?.0;
+        } else {
+            core.replay(&records, &mut counts)?;
         }
+        let (replayed, skipped) = counts;
 
         Ok((
             core,
@@ -480,6 +595,30 @@ impl ServeCore {
                 snapshot_fallback,
             },
         ))
+    }
+
+    /// Fold the logged chunk records in `payloads` in order, skipping
+    /// those the state already absorbed; `counts` tallies (replayed,
+    /// skipped). A record past the next sequence number is a typed gap.
+    fn replay(&mut self, payloads: &[Vec<u8>], counts: &mut (u64, u64)) -> Result<(), ServeError> {
+        for payload in payloads {
+            let (seq, claims) = decode_chunk(payload)?;
+            let applied = self.chunks_seen();
+            if seq < applied {
+                counts.1 += 1;
+                continue;
+            }
+            if seq > applied {
+                return Err(ServeError::WalCorrupt {
+                    offset: counts.0 + counts.1,
+                    reason: "sequence gap between snapshot and WAL replay",
+                });
+            }
+            let (table, truths) = fold_chunk(&self.schema, &mut self.state, &claims)?;
+            self.cache.absorb(&table, &truths);
+            counts.0 += 1;
+        }
+        Ok(())
     }
 
     /// The schema chunks are validated against.
@@ -711,14 +850,28 @@ impl ServeCore {
         }
     }
 
-    /// Step 6: every `snapshot_every` chunks, advance the snapshot
-    /// generation (rename the old one to .prev, write the new one) and
-    /// retire the WAL. The chunk is already durable and folded, so a
-    /// failed snapshot does not refuse it: the snapshot stays due and is
-    /// retried at the next ingest, and the two WAL generations cover the
-    /// records in between. Only a crash reports an error.
+    /// Step 6: every `snapshot_every` chunks, start a new snapshot
+    /// generation. This thread waits for the previous generation, cuts
+    /// the WAL at the boundary (6a) and encodes the payload; a helper
+    /// thread writes the snapshot (6b) and retires the sealed log (6c).
+    /// The chunk is already durable and folded, so a generation that
+    /// fails does not refuse it: one that cannot start stays due for the
+    /// next ingest, and one that fails on the helper is redone by the
+    /// next cadence; the kept logs cover the records in between. Only a
+    /// crash reports an error.
     fn snapshot_cadence(&mut self, chunks_seen: u64, fate: ServeFate) -> Result<(), ServeError> {
         if !self.snapshot_due && !chunks_seen.is_multiple_of(self.snapshot_every) {
+            return Ok(());
+        }
+        self.finish_generation()?;
+        let cut = self.cut_generation();
+        if let Err(e @ ServeError::InjectedCrash(_)) = cut {
+            self.poisoned = true;
+            return Err(e);
+        }
+        // a generation whose cut failed has not started: retry it
+        self.snapshot_due = cut.is_err();
+        if self.snapshot_due {
             return Ok(());
         }
         match fate {
@@ -726,28 +879,66 @@ impl ServeCore {
                 // abandon a partial temp file, exactly what a kill -9
                 // mid-write leaves behind; recovery must ignore it
                 self.poisoned = true;
-                let tmp = self.snapshot_path.with_extension("crh.tmp");
+                let tmp = self.files.snapshot.with_extension("crh.tmp");
                 self.vfs.write_debris(&tmp, b"CRHV\x01partial")?;
-                Err(ServeError::InjectedCrash(ServePoint::SnapshotWrite))
+                return Err(ServeError::InjectedCrash(ServePoint::SnapshotWrite));
             }
             ServeFate::CrashAfterSnapshotRename => {
-                // crash before the WAL rotation: stale records remain
+                // crash before the sealed log is retired: records the
+                // new snapshot covers remain
                 self.poisoned = true;
-                match self.advance_snapshot_generation() {
+                let payload = self.checkpoint_bytes();
+                return match self.files.write_snapshot(&self.vfs, &payload) {
                     Err(e @ ServeError::InjectedCrash(_)) => Err(e),
                     _ => Err(ServeError::InjectedCrash(ServePoint::SnapshotTruncate)),
-                }
+                };
             }
-            _ => match self.snapshot_and_rotate() {
-                Err(e @ ServeError::InjectedCrash(_)) => {
-                    self.poisoned = true;
-                    Err(e)
-                }
-                done => {
-                    self.snapshot_due = done.is_err();
-                    Ok(())
-                }
-            },
+            _ => {}
+        }
+        let payload = self.checkpoint_bytes();
+        let vfs = self.vfs.detach(&self.files.generation_ops(&self.vfs));
+        let files = self.files.clone();
+        let spawned = std::thread::Builder::new()
+            .name("crh-snapshot".into())
+            .spawn(move || files.write_generation(&vfs, &payload));
+        match spawned {
+            Ok(writer) => self.writer = Some(writer),
+            Err(_) => self.snapshot_due = true,
+        }
+        Ok(())
+    }
+
+    /// Step 6a, after the previous generation has finished: cut the live
+    /// log at the cadence boundary by sealing it under its own name, and
+    /// retire the current snapshot to the previous generation. A log an
+    /// earlier generation sealed is kept until a durable snapshot covers
+    /// it, so while it exists the live log is not cut and keeps its
+    /// records for a later cut.
+    fn cut_generation(&mut self) -> Result<(), ServeError> {
+        if !self.vfs.exists(&self.files.wal_sealed) {
+            self.wal.rotate(&self.files.wal_sealed)?;
+        }
+        self.files.retire_snapshot(&self.vfs)
+    }
+
+    /// Wait for the snapshot generation in flight, if any. A failed one
+    /// is simply redone by the next generation; an injected crash on the
+    /// helper poisons the core, as it would have killed the process.
+    pub(crate) fn finish_generation(&mut self) -> Result<(), ServeError> {
+        let Some(writer) = self.writer.take() else {
+            return Ok(());
+        };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "waits on one snapshot generation: a bounded run of file operations on the local disk, each of which fails once the disk or a simulated crash refuses it"
+        )]
+        let joined = writer.join();
+        match joined {
+            Ok(Err(e @ ServeError::InjectedCrash(_))) => {
+                self.poisoned = true;
+                Err(e)
+            }
+            _ => Ok(()),
         }
     }
 
@@ -763,8 +954,9 @@ impl ServeCore {
         }
         let (ckpt, cached) = decode_snapshot_payload(payload)?;
         let state = ICrhState::resume(ICrh::new(self.alpha)?.threads(self.solve_threads), ckpt)?;
+        self.finish_generation()?;
         self.vfs.write_frame(
-            &self.snapshot_path,
+            &self.files.snapshot,
             SNAPSHOT_MAGIC,
             SNAPSHOT_VERSION,
             payload,
@@ -772,11 +964,14 @@ impl ServeCore {
         // the installed snapshot supersedes every local generation:
         // clear the retired artifacts so recovery can never bridge from
         // a pre-install state into a post-install one
-        if self.vfs.exists(&self.snapshot_prev_path) {
-            self.vfs.remove_file(&self.snapshot_prev_path)?;
-        }
-        if self.vfs.exists(&self.wal_prev_path) {
-            self.vfs.remove_file(&self.wal_prev_path)?;
+        for old in [
+            &self.files.snapshot_prev,
+            &self.files.wal_prev,
+            &self.files.wal_sealed,
+        ] {
+            if self.vfs.exists(old) {
+                self.vfs.remove_file(old)?;
+            }
         }
         self.wal.truncate_all()?;
         let mut cache = TruthCache::new(self.cache.cap);
@@ -789,20 +984,25 @@ impl ServeCore {
         Ok(())
     }
 
-    /// A cheap whole-state fingerprint ([`digest64`] of
+    /// A cheap whole-state fingerprint
+    /// ([`digest64`](crh_core::persist::digest64) of
     /// [`checkpoint_bytes`](Self::checkpoint_bytes)) for replica
     /// divergence checks.
     pub fn state_digest(&self) -> u64 {
         crh_core::persist::digest64(&self.checkpoint_bytes())
     }
 
-    /// Force a snapshot now (and truncate the WAL). Used at clean
-    /// shutdown and by tests.
+    /// Force a snapshot generation now, on this thread, once the one in
+    /// flight (if any) has finished. Used at clean shutdown, by the
+    /// scrubber's repair and by tests.
     pub fn snapshot_now(&mut self) -> Result<(), ServeError> {
         if self.poisoned {
             return Err(ServeError::ShuttingDown);
         }
-        self.snapshot_and_rotate()?;
+        self.finish_generation()?;
+        self.cut_generation()?;
+        self.files
+            .write_generation(&self.vfs, &self.checkpoint_bytes())?;
         self.snapshot_due = false;
         Ok(())
     }
@@ -837,38 +1037,6 @@ impl ServeCore {
         )
     }
 
-    fn write_snapshot(&self) -> Result<(), ServeError> {
-        let payload = snapshot_payload(&self.state.checkpoint(), &self.cache);
-        // vfs.write_frame is tmp + fsync + atomic rename + parent-dir
-        // fsync: the new snapshot is durable or the old one survives
-        self.vfs.write_frame(
-            &self.snapshot_path,
-            SNAPSHOT_MAGIC,
-            SNAPSHOT_VERSION,
-            &payload,
-        )
-    }
-
-    /// Retire the current snapshot to the previous generation and write
-    /// a fresh one. Ordering is crash-safe at every point: the rename
-    /// happens first, so a crash before the new snapshot lands leaves
-    /// the previous generation as the newest intact one and recovery
-    /// bridges forward from it through the retained WALs.
-    fn advance_snapshot_generation(&self) -> Result<(), ServeError> {
-        if self.vfs.exists(&self.snapshot_path) {
-            self.vfs
-                .rename(&self.snapshot_path, &self.snapshot_prev_path)?;
-            self.vfs.sync_parent_dir(&self.snapshot_path)?;
-        }
-        self.write_snapshot()
-    }
-
-    /// A fresh snapshot generation, then the WAL retired beside it.
-    fn snapshot_and_rotate(&mut self) -> Result<(), ServeError> {
-        self.advance_snapshot_generation()?;
-        self.wal.rotate(&self.wal_prev_path)
-    }
-
     /// Poison the core when a disk fault reports the process crashed (a
     /// real kill -9 would have destroyed it), or when the WAL could not
     /// cut off a refused record (a restart would read it as accepted).
@@ -891,6 +1059,14 @@ impl ServeCore {
     /// The configured decay rate.
     pub fn alpha(&self) -> f64 {
         self.alpha
+    }
+}
+
+impl Drop for ServeCore {
+    /// No thread outlives its core: a generation in flight finishes (or
+    /// stops at a simulated crash) before the core is gone.
+    fn drop(&mut self) {
+        self.finish_generation().ok();
     }
 }
 
@@ -1490,6 +1666,150 @@ mod tests {
             }
             std::fs::remove_dir_all(&dr).ok();
         }
+    }
+
+    /// Seed 315 makes the second generation's snapshot write and fsync
+    /// stall for 200 ms and no WAL append stall (tests/snapshot_crash.rs
+    /// holds a generation in flight with the same plan).
+    fn stalling_snapshot_disk() -> Vfs {
+        let plan = crate::vfs::DiskFaultPlan::new(315)
+            .slow_writes(0.25)
+            .slow_fsyncs(0.25)
+            .slow_for(std::time::Duration::from_millis(200));
+        Vfs::faulted(plan).unwrap()
+    }
+
+    /// The sequence numbers of the records in the log at `path`.
+    fn logged_seqs(path: &Path) -> Vec<u64> {
+        let (_, rec) = Wal::open(path, &Vfs::passthrough()).unwrap();
+        rec.records
+            .iter()
+            .map(|r| decode_chunk(r).unwrap().0)
+            .collect()
+    }
+
+    #[test]
+    fn snapshot_generation_is_written_beside_later_chunks() {
+        let d = dir("beside");
+        let cfg = |d: &PathBuf, vfs| {
+            ServeConfig::new(schema(), 0.5, d)
+                .snapshot_every(3)
+                .vfs(vfs)
+        };
+        let (mut core, _) = ServeCore::open(cfg(&d, stalling_snapshot_disk())).unwrap();
+        for step in 0..8 {
+            core.ingest(&chunk(step)).unwrap();
+        }
+        // chunks 6 and 7 committed while the second generation stalls;
+        // the log was cut at the boundary, before them
+        assert!(core.writer.as_ref().is_some_and(|w| !w.is_finished()));
+        assert_eq!(logged_seqs(&d.join("ingest.sealed.wal")), [3, 4, 5]);
+        assert_eq!(logged_seqs(&d.join("ingest.wal")), [6, 7]);
+        core.finish_generation().unwrap();
+        assert!(core.writer.is_none());
+        assert!(!d.join("ingest.sealed.wal").exists());
+        assert_eq!(logged_seqs(&d.join("ingest.prev.wal")), [3, 4, 5]);
+        let vfs = Vfs::passthrough();
+        assert_eq!(
+            read_snapshot(&vfs, &d.join("snapshot.crh"))
+                .unwrap()
+                .0
+                .chunks_seen,
+            6
+        );
+        assert_eq!(
+            read_snapshot(&vfs, &d.join("snapshot.prev.crh"))
+                .unwrap()
+                .0
+                .chunks_seen,
+            3
+        );
+        let bytes = core.checkpoint_bytes();
+        drop(core);
+        let (core, rec) = ServeCore::open(cfg(&d, Vfs::passthrough())).unwrap();
+        assert_eq!((rec.snapshot_chunks, rec.wal_replayed), (6, 2));
+        assert_eq!(core.checkpoint_bytes(), bytes);
+        std::fs::remove_dir_all(&d).ok();
+    }
+
+    /// Seed 2 fails the first generation's snapshot write with a
+    /// transient `EIO`: its sealed log stays, the next cadence leaves it
+    /// and the live log alone, and the second generation retires it.
+    #[test]
+    fn failed_generation_keeps_its_sealed_log_until_a_snapshot_covers_it() {
+        let d = dir("failed_gen");
+        let vfs = Vfs::faulted(
+            crate::vfs::DiskFaultPlan::new(2)
+                .transient_eio(0.2)
+                .max_faults(1),
+        )
+        .unwrap();
+        let cfg = ServeConfig::new(schema(), 0.5, &d)
+            .snapshot_every(3)
+            .vfs(vfs.clone());
+        let (mut core, _) = ServeCore::open(cfg).unwrap();
+        let ingest = |core: &mut ServeCore, upto: u32| {
+            while core.chunks_seen() < u64::from(upto) {
+                match core.ingest(&chunk(core.chunks_seen() as u32)) {
+                    Ok(_) | Err(ServeError::Io(_)) => {}
+                    Err(e) => panic!("{e}"),
+                }
+            }
+        };
+        ingest(&mut core, 3);
+        core.finish_generation().unwrap();
+        assert_eq!(vfs.writer_faults_fired(), 1);
+        assert!(!d.join("snapshot.crh").exists());
+        assert_eq!(logged_seqs(&d.join("ingest.sealed.wal")), [0, 1, 2]);
+        ingest(&mut core, 6);
+        // the cadence at 6 kept the sealed log and did not cut the live one
+        assert_eq!(logged_seqs(&d.join("ingest.wal")), [3, 4, 5]);
+        core.finish_generation().unwrap();
+        assert!(!d.join("ingest.sealed.wal").exists());
+        assert_eq!(logged_seqs(&d.join("ingest.prev.wal")), [0, 1, 2]);
+        let snap = read_snapshot(&Vfs::passthrough(), &d.join("snapshot.crh")).unwrap();
+        assert_eq!(snap.0.chunks_seen, 6);
+        std::fs::remove_dir_all(&d).ok();
+    }
+
+    #[test]
+    fn generation_ops_are_the_ops_a_generation_runs() {
+        let d = dir("gen_ops");
+        let files = Artifacts::in_dir(&d);
+        std::fs::create_dir_all(&d).unwrap();
+        let vfs = Vfs::faulted(crate::vfs::DiskFaultPlan::new(0)).unwrap();
+        let run = |seal: bool| {
+            if seal {
+                std::fs::write(&files.wal_sealed, crate::wal::WAL_HEADER).unwrap();
+            }
+            let kinds = files.generation_ops(&vfs);
+            let writer = vfs.detach(&kinds);
+            files.write_generation(&writer, b"payload").unwrap();
+            (kinds.len(), writer.detached_ops_run())
+        };
+        // without a sealed log, then with one
+        assert_eq!(run(false), (4, Some(4)));
+        assert_eq!(run(true), (6, Some(6)));
+        std::fs::remove_dir_all(&d).ok();
+    }
+
+    #[test]
+    fn truth_cache_iterates_in_insertion_order() {
+        let mut c = TruthCache::new(3);
+        for (key, x) in [
+            ((5, 0), 1.0),
+            ((1, 0), 2.0),
+            ((3, 1), 3.0),
+            ((1, 0), 9.0),
+            ((0, 0), 4.0),
+        ] {
+            c.insert(key, Truth::Point(Value::Num(x)));
+        }
+        let order: Vec<_> = c.iter_fifo().map(|(k, t)| (k, t.clone())).collect();
+        let want = [((1, 0), 9.0), ((3, 1), 3.0), ((0, 0), 4.0)];
+        assert_eq!(order, want.map(|(k, x)| (k, Truth::Point(Value::Num(x)))));
+        assert_eq!(c.get(&(0, 0)), Some(&Truth::Point(Value::Num(4.0))));
+        assert!(c.get(&(5, 0)).is_none());
     }
 
     #[test]

@@ -350,6 +350,11 @@ impl SimCluster {
                             .flatten()
                             .all(|n| n.commit() == n.durable());
                         if drained {
+                            // and quiet: no snapshot generation still
+                            // writing to a state directory
+                            for node in self.nodes.iter_mut().flatten() {
+                                node.finish_snapshot()?;
+                            }
                             return Ok(first);
                         }
                     }

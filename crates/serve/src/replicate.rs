@@ -449,6 +449,11 @@ impl ReplicaNode {
         &self.core
     }
 
+    /// Wait for the core's snapshot generation in flight, if any.
+    pub(crate) fn finish_snapshot(&mut self) -> Result<(), ServeError> {
+        self.core.finish_generation()
+    }
+
     /// Per-peer reply-latency scores (EWMA / p95 / quarantine state),
     /// sampled from the replication traffic this node already sends.
     pub fn peer_health(&self) -> &HealthMap {
@@ -875,6 +880,8 @@ impl ReplicaNode {
     /// cadence set by [`ReplicaConfig::scrub_every`]; also callable
     /// directly by tests and operators.
     pub fn scrub_and_repair(&mut self) -> Result<crate::scrub::ScrubReport, ServeError> {
+        // a snapshot generation in flight renames the files this walks
+        self.finish_snapshot()?;
         let report = crate::scrub::scrub_dir(&self.serve_dir, &self.vfs)?;
         let mut rewrite_meta = false;
         let mut rewrite_staging = false;
@@ -896,7 +903,7 @@ impl ReplicaNode {
                 // by the core; retiring it is the core's job — a fresh
                 // checkpoint rotates it away
                 "ingest.wal" => rewrite_core = true,
-                "snapshot.crh" | "snapshot.prev.crh" | "ingest.prev.wal" => {
+                "snapshot.crh" | "snapshot.prev.crh" | "ingest.sealed.wal" | "ingest.prev.wal" => {
                     crate::scrub::quarantine(&self.vfs, &f.path)?;
                     rewrite_core = true;
                 }

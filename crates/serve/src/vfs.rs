@@ -22,18 +22,27 @@
 //! shared across clones and simulated restarts; a **sticky** failure is
 //! deliberately *not* budgeted — a dying disk does not heal because the
 //! test got tired.
+//!
+//! A thread that writes beside the owner (the core's snapshot writer)
+//! must not draw from the shared operation counter, or its fates would
+//! depend on how its operations interleave with the owner's. It works
+//! through a *detached* handle ([`Vfs::detach`]) whose fates the owner
+//! drew in advance, at a point fixed by the owner's own sequence of
+//! operations. [`Vfs::simulate_crash`] stops every detached handle drawn
+//! before it: an operation already touching the disk finishes first,
+//! and every later one fails without touching it.
 
 #![expect(
     clippy::disallowed_methods,
     clippy::disallowed_types,
-    reason = "the seam over the real filesystem, the one home of raw `std::fs` calls; its one lock is an in-process mutex over fault-plan maps; holders only mutate local state, so the wait is bounded by local critical sections"
+    reason = "the seam over the real filesystem, the one home of raw `std::fs` calls; its locks are in-process mutexes over fault-plan state: the durable ledger's holders only mutate local maps, and the crash gate is held for one file operation of a detached writer or for one simulated crash, so every wait is bounded by local file operations"
 )]
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -45,6 +54,9 @@ use crate::faults::{check, torn_keep_frac, FaultBudget, ServePoint};
 
 /// Domain tag decorrelating disk fates from the other seeded plans.
 const DISK_DOMAIN: u64 = 0xD15C;
+
+/// Sub-domain tag for a detached writer's draws (see [`Vfs::detach`]).
+const WRITER_DOMAIN: u64 = 0x5A1E;
 
 /// Sub-domain tag for the slow-op draw. Slowness draws beside the main
 /// fate (same op coordinate, different key), so enabling it never
@@ -225,7 +237,7 @@ impl DiskFaultPlan {
 
 /// What kind of storage operation is drawing a fate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum OpKind {
+pub(crate) enum OpKind {
     Read,
     Write,
     Sync,
@@ -258,6 +270,9 @@ struct VfsState {
     ops: AtomicU64,
     /// Budgeted faults (shared across clones/restarts).
     budget: FaultBudget,
+    /// The detached writers' own budget, charged when their fates are
+    /// drawn, so a writer's faults never take the owner's.
+    writer_budget: FaultBudget,
     /// Latched once the sticky threshold is crossed.
     sticky: AtomicBool,
     /// Latched once the chronic-slow threshold is crossed.
@@ -266,7 +281,77 @@ struct VfsState {
     /// fsync. [`Vfs::simulate_crash`] truncates each file back to it,
     /// which is exactly what power loss does to unsynced page cache.
     durable: Mutex<BTreeMap<PathBuf, u64>>,
+    /// Simulated crashes so far. A detached handle holds this gate for
+    /// each operation it runs, and runs none once the count has moved
+    /// past the one it was drawn at.
+    crashes: Mutex<u64>,
 }
+
+impl VfsState {
+    /// The fate of an operation of `kind` and whether it stalls, drawn
+    /// at `keys` (fate, slow) and charged to `budget`. A sticky disk
+    /// fails the operation without a stall. Gray-failure injection: a
+    /// stall never touches the bytes, so a slow run's digests are
+    /// bit-identical to a fast run's — which is exactly what the
+    /// chaos_slow suite asserts. The chronic latch (`slow`) stalls
+    /// everything; otherwise a seeded draw beside the fate decides.
+    fn roll_at(
+        &self,
+        kind: OpKind,
+        (key, slow_key): (&[u64], &[u64]),
+        budget: &FaultBudget,
+        sticky: bool,
+        slow: bool,
+    ) -> (DiskFate, bool) {
+        if sticky && kind != OpKind::Read {
+            return (DiskFate::Sticky, false);
+        }
+        let p = &self.plan;
+        let slow_prob = match kind {
+            OpKind::Read => p.slow_read_prob,
+            OpKind::Write => p.slow_write_prob,
+            OpKind::Sync => p.slow_fsync_prob,
+            OpKind::Meta => 0.0,
+        };
+        let stall =
+            slow || slow_prob > 0.0 && hash_rng(p.seed, slow_key).random::<f64>() < slow_prob;
+        let fate = budget.draw(DiskFate::Healthy, || {
+            let mut rng = hash_rng(p.seed, key);
+            let eio = ("transient_eio_prob", p.transient_eio_prob);
+            let Some(own) = p.own_class(kind) else {
+                let x = pick_class(&mut rng, &[eio]);
+                return x.map_or(DiskFate::Healthy, |_| DiskFate::Transient);
+            };
+            match pick_class(&mut rng, &[own, eio]) {
+                Some(0) => match kind {
+                    OpKind::Read => DiskFate::BitFlip,
+                    OpKind::Write => DiskFate::Torn {
+                        keep_frac: torn_keep_frac(&mut rng),
+                    },
+                    OpKind::Sync => DiskFate::Lying,
+                    OpKind::Meta => DiskFate::Healthy,
+                },
+                Some(_) => DiskFate::Transient,
+                None => DiskFate::Healthy,
+            }
+        });
+        (fate, stall)
+    }
+}
+
+/// The fates of a detached handle's operations, drawn by the owner.
+#[derive(Debug)]
+struct Script {
+    /// Kind, fate and whether to stall, one per operation in order.
+    fates: Vec<(OpKind, DiskFate, bool)>,
+    /// The next operation's position in `fates`.
+    next: AtomicUsize,
+    /// [`VfsState::crashes`] when the fates were drawn.
+    epoch: u64,
+}
+
+/// Held while a detached handle's operation touches the disk.
+type Gate<'a> = Option<MutexGuard<'a, u64>>;
 
 /// A handle to the (possibly fault-injected) filesystem. Cloning shares
 /// the fault budget, the operation counter, the sticky latch, and the
@@ -275,6 +360,8 @@ struct VfsState {
 #[derive(Debug, Clone, Default)]
 pub struct Vfs {
     state: Option<Arc<VfsState>>,
+    /// Set on a detached handle: the fates its operations take.
+    script: Option<Arc<Script>>,
 }
 
 impl Vfs {
@@ -290,18 +377,73 @@ impl Vfs {
         Ok(Self {
             state: Some(Arc::new(VfsState {
                 budget: FaultBudget::new(plan.max_faults),
+                writer_budget: FaultBudget::new(plan.max_faults),
                 plan,
                 ops: AtomicU64::new(0),
                 sticky: AtomicBool::new(false),
                 slow: AtomicBool::new(false),
                 durable: Mutex::new(BTreeMap::new()),
+                crashes: Mutex::new(0),
             })),
+            script: None,
         })
     }
 
-    /// Budgeted faults fired so far across all clones.
+    /// A handle for a thread that writes beside this one: draw the fates
+    /// of its next operations now, one per entry of `kinds`, and return a
+    /// handle whose operations take them in order. The draws come from a
+    /// sub-domain of their own keyed by this handle's operation count,
+    /// and are charged to a budget of their own, so the other thread's
+    /// timing cannot change any fate and its faults never take the
+    /// owner's. The chronic-slow and sticky latches are read, never
+    /// tripped. An operation past the end of `kinds`, or of another kind
+    /// than drawn, is healthy; a fault drawn for an operation that never
+    /// runs still counts as fired. A passthrough handle detaches to
+    /// itself.
+    pub(crate) fn detach(&self, kinds: &[OpKind]) -> Self {
+        let Some(s) = &self.state else {
+            return self.clone();
+        };
+        let epoch = *relock(&s.crashes);
+        let at = s.ops.load(Ordering::SeqCst);
+        let (sticky, slow) = (self.is_sticky(), self.is_slow());
+        let fates = (0..)
+            .zip(kinds)
+            .map(|(k, &kind)| {
+                let key = [DISK_DOMAIN, WRITER_DOMAIN, at, k];
+                let slow_key = [DISK_DOMAIN, WRITER_DOMAIN, SLOW_DOMAIN, at, k];
+                let (fate, stall) =
+                    s.roll_at(kind, (&key, &slow_key), &s.writer_budget, sticky, slow);
+                (kind, fate, stall)
+            })
+            .collect();
+        Self {
+            state: self.state.clone(),
+            script: Some(Arc::new(Script {
+                fates,
+                next: AtomicUsize::new(0),
+                epoch,
+            })),
+        }
+    }
+
+    /// Budgeted faults fired so far across all clones, apart from those
+    /// drawn for detached writers.
     pub fn faults_fired(&self) -> u64 {
         self.state.as_ref().map_or(0, |s| s.budget.fired())
+    }
+
+    /// On a detached handle, how many of its drawn operations have run.
+    #[cfg(test)]
+    pub(crate) fn detached_ops_run(&self) -> Option<usize> {
+        self.script.as_ref().map(|s| s.next.load(Ordering::SeqCst))
+    }
+
+    /// Budgeted faults drawn so far for detached writers, across all
+    /// clones.
+    #[cfg(test)]
+    pub(crate) fn writer_faults_fired(&self) -> u64 {
+        self.state.as_ref().map_or(0, |s| s.writer_budget.fired())
     }
 
     /// Whether the disk has gone sticky-bad.
@@ -336,64 +478,44 @@ impl Vfs {
         }
     }
 
-    /// Draw the fate of the next operation of `kind`.
+    /// Draw the fate of the next operation of `kind`, stalling first if
+    /// the disk is slow for it. A detached handle takes its next drawn
+    /// fate instead, and a disk gone sticky since still fails it.
     fn fate(&self, kind: OpKind) -> DiskFate {
         let Some(s) = &self.state else {
             return DiskFate::Healthy;
         };
-        let p = &s.plan;
-        let op = s.ops.fetch_add(1, Ordering::SeqCst);
-        if latch(&s.sticky, p.sticky_after, op) && kind != OpKind::Read {
-            return DiskFate::Sticky;
-        }
-        self.maybe_stall(kind, op);
-        s.budget.draw(DiskFate::Healthy, || {
-            let mut rng = hash_rng(p.seed, &[DISK_DOMAIN, op]);
-            let eio = ("transient_eio_prob", p.transient_eio_prob);
-            let Some(own) = p.own_class(kind) else {
-                let x = pick_class(&mut rng, &[eio]);
-                return x.map_or(DiskFate::Healthy, |_| DiskFate::Transient);
-            };
-            match pick_class(&mut rng, &[own, eio]) {
-                Some(0) => match kind {
-                    OpKind::Read => DiskFate::BitFlip,
-                    OpKind::Write => DiskFate::Torn {
-                        keep_frac: torn_keep_frac(&mut rng),
-                    },
-                    OpKind::Sync => DiskFate::Lying,
-                    OpKind::Meta => DiskFate::Healthy,
-                },
-                Some(_) => DiskFate::Transient,
-                None => DiskFate::Healthy,
+        let (fate, stall) = match &self.script {
+            Some(script) => {
+                let at = script.next.fetch_add(1, Ordering::SeqCst);
+                let drawn = script.fates.get(at).filter(|(k, ..)| *k == kind);
+                let (fate, stall) = drawn.map_or((DiskFate::Healthy, false), |&(_, f, st)| (f, st));
+                if s.sticky.load(Ordering::SeqCst) && kind != OpKind::Read {
+                    return DiskFate::Sticky;
+                }
+                (fate, stall)
             }
-        })
+            None => self.roll(kind),
+        };
+        if stall {
+            std::thread::sleep(s.plan.slow_for);
+        }
+        fate
     }
 
-    /// Gray-failure injection: stall the operation without touching its
-    /// bytes. The chronic latch stalls everything; otherwise a seeded
-    /// draw from the slow sub-domain (beside the main fate draw, same op
-    /// coordinate) decides. Sleeps never mutate data, so a slow run's
-    /// digests are bit-identical to a fast run's — which is exactly what
-    /// the chaos_slow suite asserts.
-    fn maybe_stall(&self, kind: OpKind, op: u64) {
-        let Some(s) = &self.state else { return };
-        let p = &s.plan;
-        if latch(&s.slow, p.slow_after, op) {
-            std::thread::sleep(p.slow_for);
-            return;
-        }
-        let slow_prob = match kind {
-            OpKind::Read => p.slow_read_prob,
-            OpKind::Write => p.slow_write_prob,
-            OpKind::Sync => p.slow_fsync_prob,
-            OpKind::Meta => 0.0,
+    /// Draw the fate of the next operation of `kind` from the shared
+    /// counter and budget, and whether it stalls.
+    fn roll(&self, kind: OpKind) -> (DiskFate, bool) {
+        let Some(s) = &self.state else {
+            return (DiskFate::Healthy, false);
         };
-        if slow_prob > 0.0 {
-            let mut rng = hash_rng(p.seed, &[DISK_DOMAIN, SLOW_DOMAIN, op]);
-            if rng.random::<f64>() < slow_prob {
-                std::thread::sleep(p.slow_for);
-            }
-        }
+        let p = &s.plan;
+        let op = s.ops.fetch_add(1, Ordering::SeqCst);
+        let sticky = latch(&s.sticky, p.sticky_after, op);
+        // a write to a dead disk fails before it could stall
+        let slow = (kind == OpKind::Read || !sticky) && latch(&s.slow, p.slow_after, op);
+        let keys = (&[DISK_DOMAIN, op][..], &[DISK_DOMAIN, SLOW_DOMAIN, op][..]);
+        s.roll_at(kind, keys, &s.budget, sticky, slow)
     }
 
     fn transient() -> ServeError {
@@ -402,18 +524,38 @@ impl Vfs {
 
     /// Draw the fate of the next operation of `kind`, failing it with a
     /// transient `EIO` or, for a dead disk, [`ServeError::DiskDegraded`]
-    /// naming `op`. Every other fate is the caller's to act on.
-    fn draw(&self, kind: OpKind, op: &'static str) -> Result<DiskFate, ServeError> {
-        match self.fate(kind) {
+    /// naming `op`. Every other fate is the caller's to act on, while it
+    /// holds the returned gate.
+    fn draw(&self, kind: OpKind, op: &'static str) -> Result<(DiskFate, Gate<'_>), ServeError> {
+        let fate = self.fate(kind);
+        let gate = self.gate()?;
+        match fate {
             DiskFate::Transient => Err(Self::transient()),
             DiskFate::Sticky => Err(ServeError::DiskDegraded { op }),
-            fate => Ok(fate),
+            fate => Ok((fate, gate)),
         }
+    }
+
+    /// On a detached handle, hold off [`simulate_crash`](Self::simulate_crash)
+    /// until the caller's operation is done, or refuse the operation with
+    /// [`ServeError::ShuttingDown`] if a simulated crash has happened
+    /// since the handle's fates were drawn: the process that started it
+    /// is gone.
+    fn gate(&self) -> Result<Gate<'_>, ServeError> {
+        let (Some(s), Some(script)) = (&self.state, &self.script) else {
+            return Ok(None);
+        };
+        let crashes = relock(&s.crashes);
+        if *crashes != script.epoch {
+            return Err(ServeError::ShuttingDown);
+        }
+        Ok(Some(crashes))
     }
 
     /// Read a whole file, subject to bit rot and transient `EIO`.
     pub fn read(&self, path: impl AsRef<Path>) -> Result<Vec<u8>, ServeError> {
-        let rotted = self.draw(OpKind::Read, "read")? == DiskFate::BitFlip;
+        let (fate, _gate) = self.draw(OpKind::Read, "read")?;
+        let rotted = fate == DiskFate::BitFlip;
         let mut bytes = std::fs::read(path.as_ref())?;
         if rotted {
             self.flip_one_bit(&mut bytes);
@@ -471,9 +613,10 @@ impl Vfs {
             self.create_dir_all(dir)?;
         }
         let tmp = path.with_extension("tmp");
-        {
+        let f = {
+            let (fate, _gate) = self.draw(OpKind::Write, "write")?;
             let mut f = File::create(&tmp)?;
-            if let DiskFate::Torn { keep_frac } = self.draw(OpKind::Write, "write")? {
+            if let DiskFate::Torn { keep_frac } = fate {
                 let keep = torn_prefix_len(bytes.len(), keep_frac);
                 f.write_all(bytes.get(..keep).unwrap_or(bytes))?;
                 f.sync_all().ok();
@@ -481,11 +624,15 @@ impl Vfs {
             }
             f.write_all(bytes)?;
             f.flush()?;
+            f
+        };
+        {
             // an atomic artifact whose fsync lies is equivalent to
             // crashing before the rename: simply skip the sync — the
             // rename below may still survive, which is exactly the
             // torn-rename ambiguity recovery must handle
-            if self.draw(OpKind::Sync, "fsync")? != DiskFate::Lying {
+            let (fate, _gate) = self.draw(OpKind::Sync, "fsync")?;
+            if fate != DiskFate::Lying {
                 f.sync_all()?;
             }
         }
@@ -495,7 +642,7 @@ impl Vfs {
 
     /// Rename `from` to `to` (a metadata write: sticky/transient apply).
     pub fn rename(&self, from: impl AsRef<Path>, to: impl AsRef<Path>) -> Result<(), ServeError> {
-        self.draw(OpKind::Meta, "rename")?;
+        let _gate = self.draw(OpKind::Meta, "rename")?;
         std::fs::rename(from.as_ref(), to.as_ref())?;
         if let Some(s) = &self.state {
             let mut durable = relock(&s.durable);
@@ -508,7 +655,7 @@ impl Vfs {
 
     /// Remove a file (a metadata write: sticky/transient apply).
     pub fn remove_file(&self, path: impl AsRef<Path>) -> Result<(), ServeError> {
-        self.draw(OpKind::Meta, "unlink")?;
+        let _gate = self.draw(OpKind::Meta, "unlink")?;
         std::fs::remove_file(path.as_ref())?;
         if let Some(s) = &self.state {
             relock(&s.durable).remove(path.as_ref());
@@ -524,7 +671,7 @@ impl Vfs {
 
     /// Recursively remove a directory tree (metadata write).
     pub fn remove_dir_all(&self, path: impl AsRef<Path>) -> Result<(), ServeError> {
-        self.draw(OpKind::Meta, "rmdir")?;
+        let _gate = self.draw(OpKind::Meta, "rmdir")?;
         std::fs::remove_dir_all(path.as_ref())?;
         if let Some(s) = &self.state {
             relock(&s.durable).retain(|p, _| !p.starts_with(path.as_ref()));
@@ -567,7 +714,7 @@ impl Vfs {
     /// [`ServeError::SnapshotDirSync`] — the caller must treat the
     /// preceding rename as not-yet-durable.
     pub fn sync_parent_dir(&self, path: impl AsRef<Path>) -> Result<(), ServeError> {
-        self.draw(OpKind::Meta, "dir-fsync")?;
+        let _gate = self.draw(OpKind::Meta, "dir-fsync")?;
         sync_parent_dir(path.as_ref())
     }
 
@@ -615,6 +762,8 @@ impl Vfs {
     /// as unsynced page cache does when the machine dies.
     pub fn simulate_crash(&self) {
         let Some(s) = &self.state else { return };
+        let mut crashes = relock(&s.crashes);
+        *crashes += 1;
         let durable: Vec<(PathBuf, u64)> = relock(&s.durable)
             .iter()
             .map(|(p, &l)| (p.clone(), l))
@@ -677,6 +826,23 @@ pub fn sync_parent_dir(path: &Path) -> Result<(), ServeError> {
     f.sync_all().map_err(err)
 }
 
+/// Put a strict prefix of `bytes` into `file` and sync it, so a
+/// same-process "recovery" observes the torn tail. Returns the bytes kept.
+fn tear(
+    file: &mut File,
+    path: &Path,
+    vfs: &Vfs,
+    bytes: &[u8],
+    keep_frac: f64,
+) -> Result<u64, ServeError> {
+    let keep = torn_prefix_len(bytes.len(), keep_frac);
+    file.write_all(bytes.get(..keep).unwrap_or(bytes))?;
+    file.sync_data()?;
+    let len = file.metadata()?.len();
+    vfs.mark_durable(path, len);
+    Ok(keep as u64)
+}
+
 /// An open file routed through the [`Vfs`] seam. Writes can tear, syncs
 /// can lie, and everything can hit transient or sticky `EIO` — exactly
 /// like the hardware the daemon actually runs on.
@@ -701,7 +867,8 @@ impl DiskFile {
     /// Read the whole file from the current position, subject to bit rot
     /// and transient `EIO`.
     pub fn read_to_end(&mut self, buf: &mut Vec<u8>) -> Result<usize, ServeError> {
-        let rotted = self.vfs.draw(OpKind::Read, "read")? == DiskFate::BitFlip;
+        let (fate, _gate) = self.vfs.draw(OpKind::Read, "read")?;
+        let rotted = fate == DiskFate::BitFlip;
         let start = buf.len();
         let n = self.file.read_to_end(buf)?;
         if let Some(tail) = buf.get_mut(start..).filter(|_| rotted) {
@@ -715,8 +882,9 @@ impl DiskFile {
     /// and reports the process crashed
     /// ([`ServeError::InjectedCrash`] at [`ServePoint::DiskWrite`]).
     pub fn write_all(&mut self, bytes: &[u8]) -> Result<(), ServeError> {
-        if let DiskFate::Torn { keep_frac } = self.vfs.draw(OpKind::Write, "write")? {
-            self.write_torn(bytes, keep_frac)?;
+        let (fate, _gate) = self.vfs.draw(OpKind::Write, "write")?;
+        if let DiskFate::Torn { keep_frac } = fate {
+            tear(&mut self.file, &self.path, &self.vfs, bytes, keep_frac)?;
             return Err(ServeError::InjectedCrash(ServePoint::DiskWrite));
         }
         Ok(self.file.write_all(bytes)?)
@@ -726,12 +894,7 @@ impl DiskFile {
     /// and sync it so a same-process "recovery" observes the torn tail.
     /// Only reachable from injected-fault paths.
     pub(crate) fn write_torn(&mut self, bytes: &[u8], keep_frac: f64) -> Result<u64, ServeError> {
-        let keep = torn_prefix_len(bytes.len(), keep_frac);
-        self.file.write_all(bytes.get(..keep).unwrap_or(bytes))?;
-        self.file.sync_data()?;
-        let len = self.file.metadata()?.len();
-        self.vfs.mark_durable(&self.path, len);
-        Ok(keep as u64)
+        tear(&mut self.file, &self.path, &self.vfs, bytes, keep_frac)
     }
 
     /// Fsync file data. A lying fate reports success without advancing
@@ -748,7 +911,8 @@ impl DiskFile {
     }
 
     fn sync_inner(&mut self, all: bool) -> Result<(), ServeError> {
-        if self.vfs.draw(OpKind::Sync, "fsync")? == DiskFate::Lying {
+        let (fate, _gate) = self.vfs.draw(OpKind::Sync, "fsync")?;
+        if fate == DiskFate::Lying {
             return Ok(());
         }
         if all {
@@ -763,7 +927,7 @@ impl DiskFile {
 
     /// Truncate (or extend) to `len` bytes (a metadata write).
     pub fn set_len(&mut self, len: u64) -> Result<(), ServeError> {
-        self.vfs.draw(OpKind::Meta, "truncate")?;
+        let _gate = self.vfs.draw(OpKind::Meta, "truncate")?;
         self.file.set_len(len)?;
         self.vfs.clamp_durable(&self.path, len);
         Ok(())
@@ -1046,6 +1210,58 @@ mod tests {
         assert_eq!(std::fs::read(&p).unwrap(), b"the original");
         std::fs::remove_file(&p).ok();
         std::fs::remove_file(p.with_extension("tmp")).ok();
+    }
+
+    #[test]
+    fn detached_fates_leave_the_owner_schedule_and_budget_alone() {
+        let plan = || {
+            DiskFaultPlan::new(21)
+                .torn_writes(0.2)
+                .transient_eio(0.2)
+                .max_faults(u64::MAX)
+        };
+        let kinds = [OpKind::Meta, OpKind::Write, OpKind::Sync, OpKind::Meta];
+        let owner = |v: &Vfs, n: usize| (0..n).map(|_| v.fate(OpKind::Write)).collect::<Vec<_>>();
+        let writer = |v: &Vfs| kinds.map(|k| v.fate(k));
+        let plain = Vfs::faulted(plan()).unwrap();
+        let (a, b) = (Vfs::faulted(plan()).unwrap(), Vfs::faulted(plan()).unwrap());
+        assert_eq!(owner(&a, 10), owner(&plain, 10));
+        owner(&b, 10);
+        let (wa, wb) = (a.detach(&kinds), b.detach(&kinds));
+        // the owner's next fates are the ones it would have drawn anyway
+        assert_eq!(owner(&a, 30), owner(&plain, 30));
+        // the writer's are fixed by where the owner stood when it
+        // detached, not by what the owner drew since
+        owner(&b, 7);
+        assert_eq!(writer(&wa), writer(&wb));
+
+        // a writer's fault is charged to its own budget
+        let eio = Vfs::faulted(DiskFaultPlan::new(3).transient_eio(1.0).max_faults(1)).unwrap();
+        let w = eio.detach(&[OpKind::Meta, OpKind::Meta]);
+        assert_eq!(eio.writer_faults_fired(), 1);
+        assert_eq!(eio.fate(OpKind::Meta), DiskFate::Transient);
+        assert_eq!(eio.faults_fired(), 1);
+        assert_eq!(w.fate(OpKind::Meta), DiskFate::Transient);
+        assert_eq!(w.fate(OpKind::Meta), DiskFate::Healthy);
+        // past the drawn operations, or off their kinds, a writer is healthy
+        assert_eq!(w.fate(OpKind::Write), DiskFate::Healthy);
+    }
+
+    #[test]
+    fn a_simulated_crash_stops_a_detached_writer() {
+        let p = tmp("detached_crash");
+        std::fs::remove_file(&p).ok();
+        let atomic = [OpKind::Write, OpKind::Sync, OpKind::Meta, OpKind::Meta];
+        let vfs = Vfs::faulted(DiskFaultPlan::new(0)).unwrap();
+        let before = vfs.detach(&atomic);
+        vfs.simulate_crash();
+        let err = before.write_atomic(&p, b"after the crash").unwrap_err();
+        assert!(matches!(err, ServeError::ShuttingDown), "{err}");
+        assert!(!p.exists() && !p.with_extension("tmp").exists());
+        // a writer drawn after the crash belongs to the restarted process
+        vfs.detach(&atomic).write_atomic(&p, b"restarted").unwrap();
+        assert_eq!(std::fs::read(&p).unwrap(), b"restarted");
+        std::fs::remove_file(&p).ok();
     }
 
     // Golden digests of the disk fates a seed draws: chaos suites replay

@@ -156,8 +156,14 @@ impl Wal {
         // truncate(false) inside open_log: an existing log is the
         // recovery source, never clobber
         let mut file = vfs.open_log(&path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
+        let (
+            bytes,
+            WalScan {
+                records,
+                keep,
+                torn,
+            },
+        ) = read_settled(&mut file)?;
 
         if bytes.is_empty() {
             start_log(&mut file)?;
@@ -175,11 +181,6 @@ impl Wal {
             ));
         }
 
-        let WalScan {
-            records,
-            keep,
-            torn,
-        } = scan(&bytes)?;
         let mut len = keep;
         if torn > 0 {
             file.set_len(keep)?;
@@ -337,6 +338,36 @@ impl Wal {
         out.extend_from_slice(payload);
         out
     }
+}
+
+/// Reads of a log with a torn tail that [`read_settled`] makes before it
+/// gives up on two of them agreeing.
+const SETTLE_READS: usize = 4;
+
+/// Read and scan the whole log. A read can rot on the way from the disk,
+/// and a final record that rotted scans exactly like a torn one; cutting
+/// it off would destroy a record that is intact on disk. So a torn tail
+/// counts only once a second read returns the same bytes; reads that keep
+/// disagreeing are an I/O error, and the caller may retry.
+fn read_settled(file: &mut DiskFile) -> Result<(Vec<u8>, WalScan), ServeError> {
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes)?;
+    for _ in 0..SETTLE_READS {
+        let found = scan(&bytes)?;
+        if found.torn == 0 {
+            return Ok((bytes, found));
+        }
+        let mut again = Vec::new();
+        file.seek_to(0)?;
+        file.read_to_end(&mut again)?;
+        if again == bytes {
+            return Ok((bytes, found));
+        }
+        bytes = again;
+    }
+    Err(ServeError::Io(std::io::Error::other(
+        "WAL reads disagree about its torn tail",
+    )))
 }
 
 /// Write the header of a fresh (or emptied) log and make it durable,
