@@ -196,7 +196,9 @@ impl SimCluster {
     }
 
     /// Advance one step: kills, restarts, then a full tick-and-route
-    /// round for every alive node (in node-id order — determinism).
+    /// round for every alive node (in node-id order — determinism). Only
+    /// a restart that cannot reopen its node's state is an error; a node
+    /// whose tick or reply handling fails stays alive, as in the daemon.
     pub fn step(&mut self) -> Result<(), ServeError> {
         self.step += 1;
         let now = self.step;
@@ -223,15 +225,18 @@ impl SimCluster {
             }
         }
 
-        self.deliver_due(now)?;
+        self.deliver_due(now);
 
+        // As in the daemon, a tick that fails (a fold or a disk write
+        // inside it) ships nothing this round and a reply the sender
+        // cannot take in is dropped; either way the node goes back into
+        // its slot.
         for i in 0..self.nodes.len() {
             let Some(mut sender) = self.nodes.get_mut(i).and_then(Option::take) else {
                 continue;
             };
-            let frames = sender.tick(now)?;
-            for (dest, req) in frames {
-                self.route(&mut sender, dest, &req, now)?;
+            for (dest, req) in sender.tick(now).unwrap_or_default() {
+                self.route(&mut sender, dest, &req, now);
             }
             if let Some(slot) = self.nodes.get_mut(i) {
                 *slot = Some(sender);
@@ -252,7 +257,7 @@ impl SimCluster {
     /// whatever node currently holds the sender's id — it may have
     /// crashed and restarted since the frame was sent, exactly as a real
     /// late packet would find it.
-    fn deliver_due(&mut self, now: u64) -> Result<(), ServeError> {
+    fn deliver_due(&mut self, now: u64) {
         let mut due = Vec::new();
         let mut still_pending = Vec::new();
         for f in self.pending.drain(..) {
@@ -273,11 +278,10 @@ impl SimCluster {
             };
             if !f.drop_reply {
                 if let Some(sender) = self.nodes.get_mut(f.from as usize).and_then(Option::as_mut) {
-                    sender.on_reply(f.dest, &resp, now)?;
+                    sender.on_reply(f.dest, &resp, now).ok();
                 }
             }
         }
-        Ok(())
     }
 
     fn route(
@@ -286,13 +290,13 @@ impl SimCluster {
         dest: u32,
         req: &crate::proto::Request,
         now: u64,
-    ) -> Result<(), ServeError> {
+    ) {
         self.frames_sent += 1;
         let fate = self
             .plan
             .link_fate(sender.node_id(), dest, now, self.frames_sent);
         let deliveries = match fate {
-            LinkFate::Drop => return Ok(()),
+            LinkFate::Drop => return,
             LinkFate::Deliver | LinkFate::DropReply => 1,
             LinkFate::Duplicate => 2,
         };
@@ -311,18 +315,17 @@ impl SimCluster {
                     drop_reply: fate == LinkFate::DropReply,
                 });
             }
-            return Ok(());
+            return;
         }
         for _ in 0..deliveries {
             let Some(receiver) = self.nodes.get_mut(dest as usize).and_then(Option::as_mut) else {
-                return Ok(()); // dead (or unknown) peer: silence
+                return; // dead (or unknown) peer: silence
             };
             let resp = receiver.handle(sender.node_id(), req, now);
             if fate != LinkFate::DropReply {
-                sender.on_reply(dest, &resp, now)?;
+                sender.on_reply(dest, &resp, now).ok();
             }
         }
-        Ok(())
     }
 
     /// Run steps until every alive node reports the same folded state

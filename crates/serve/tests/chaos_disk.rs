@@ -494,6 +494,64 @@ fn dying_disk_primary_deposes_and_a_healthy_replica_takes_over() {
     std::fs::remove_dir_all(&base).ok();
 }
 
+/// A member whose disk dies stays a member: its ticks and reply handling
+/// fail with `DiskDegraded`, which the daemon ignores, and the simulator
+/// must not drop the node for it. This replays the dying-disk test above,
+/// where a step once returned `DiskDegraded` after the failover and took
+/// node 0 out of the cluster for good, with no restart scheduled.
+#[test]
+fn a_member_on_a_dead_disk_is_never_dropped_from_the_cluster() {
+    let sick = Vfs::faulted(DiskFaultPlan::new(7)).unwrap();
+    let sick_handle = sick.clone();
+    let (mut sim, base) = cluster("dead_disk_member", move |id| {
+        if id == 0 {
+            sick.clone()
+        } else {
+            Vfs::passthrough()
+        }
+    });
+    let step = |sim: &mut SimCluster| {
+        sim.step().unwrap();
+        assert_eq!(sim.alive(), [0, 1, 2], "a member left the cluster");
+    };
+    let chunks = workload(50, 6);
+    let mut writes = Vec::new();
+    for chunk in &chunks {
+        if writes.len() == 3 {
+            // node 0 acked three writes; now its disk dies
+            for _ in 0..50 {
+                step(&mut sim);
+                if writes.iter().all(|&w| sim.acked(w)) {
+                    break;
+                }
+            }
+            assert_eq!(sim.primary(), Some(0));
+            sick_handle.force_sticky();
+            let err = sim.client_ingest(chunk).unwrap_err();
+            assert!(matches!(err, ServeError::DiskDegraded { .. }), "{err}");
+        }
+        for _ in 0..600 {
+            match sim.client_ingest(chunk) {
+                Ok(w) => {
+                    writes.push(w);
+                    break;
+                }
+                Err(ServeError::NotPrimary { .. } | ServeError::DiskDegraded { .. }) => {
+                    step(&mut sim)
+                }
+                Err(e) => panic!("ingest refused: {e}"),
+            }
+        }
+        step(&mut sim);
+    }
+    for _ in 0..200 {
+        step(&mut sim);
+    }
+    assert_eq!(writes.len(), chunks.len(), "writes stopped flowing");
+    assert!(writes.iter().all(|&w| sim.acked(w)));
+    std::fs::remove_dir_all(&base).ok();
+}
+
 /// Fingerprint of `chunks` ingested on a healthy disk, in a directory of
 /// its own (`tag`) so parallel tests never share one.
 fn healthy_fingerprint(tag: &str, chunks: &[Vec<ChunkClaim>]) -> Vec<u8> {
