@@ -6,12 +6,12 @@
 //! runs as flat sweeps over the dense columns built by
 //! [`columnar`](crate::columnar):
 //!
-//! * **weighted vote** (Eq 9) over dense `u32` ids — [`fit_vote`],
+//! * **weighted vote** (Eq 9) over dense `u32` ids — `fit_vote`,
 //! * **weighted mean** (Eq 14) / **weighted median** (Eq 16) over
-//!   contiguous `f64` columns — [`fit_mean`] / [`fit_median_presorted`],
+//!   contiguous `f64` columns — `fit_mean` / `fit_median_presorted`,
 //! * **deviation accumulation** (Eqs 8/13/15) as branch-free column
-//!   sweeps — [`dev_sweep_zero_one`], [`dev_sweep_squared`],
-//!   [`dev_sweep_absolute`], [`dev_sweep_unit`].
+//!   sweeps — `dev_sweep_zero_one`, `dev_sweep_squared`,
+//!   `dev_sweep_absolute`, `dev_sweep_unit`.
 //!
 //! ## Bit-identity contract
 //!
@@ -34,7 +34,7 @@
 //!    not adding at all. The select `if valid { term } else { 0.0 }` has no
 //!    side effects and compiles to a masked blend over the column.
 //!
-//! Cross-chunk reduction uses [`pairwise_accumulate`]: a fixed pairwise
+//! Cross-chunk reduction uses `pairwise_accumulate`: a fixed pairwise
 //! tree over the chunk index, a pure function of the chunk count (which is
 //! itself a pure function of the entry count — see [`Pool`]), so the merged
 //! deviation matrix is bit-identical for every thread count.

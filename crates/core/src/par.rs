@@ -19,7 +19,7 @@
 //!   ([`Pool::par_map_reduce`] folds in chunk order; the slot layout of
 //!   [`Pool::par_chunks`] / [`Pool::run_jobs`] lets the solver merge with
 //!   a fixed pairwise tree over the chunk index — see
-//!   [`kernels::pairwise_accumulate`](crate::kernels::pairwise_accumulate)),
+//!   `kernels::pairwise_accumulate`),
 //!   so the cross-chunk association order is fixed too.
 //! * Chunks are assigned to workers round-robin up front; there is no
 //!   queue, no lock, no clock and no RNG anywhere in the scheduling.

@@ -22,7 +22,7 @@
 //! into a private partial buffer, and the partials are merged with a fixed
 //! pairwise tree over the chunk index — bit-identical output for every
 //! thread count (see [`par`](crate::par) and
-//! [`kernels`](crate::kernels)). The iteration loop is **fused**: the
+//! [`kernels`]). The iteration loop is **fused**: the
 //! deviation pass that prices the freshly-fitted truths for the
 //! convergence check is the same pass whose losses feed the next
 //! iteration's weight update, so deviations are computed once per
@@ -37,7 +37,7 @@
 //! mirrored column-by-property (dense ids, contiguous `f64`, validity
 //! bitmaps — see [`columnar`](crate::columnar)). Inside each chunk,
 //! properties whose loss advertises a fast [`KernelClass`] run as flat
-//! sweeps from [`kernels`](crate::kernels) instead of per-observation
+//! sweeps from [`kernels`] instead of per-observation
 //! `Value`/vtable dispatch; everything else (distribution losses, text
 //! medoids, anchors with unexpected types, type-mixed properties) runs the
 //! per-entry body over the row table, which calls the property's [`Loss`]

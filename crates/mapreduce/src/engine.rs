@@ -38,7 +38,7 @@
 //! models cluster task launch latency (JVM spin-up, container allocation)
 //! — the dominant term in Table 6 at small inputs; it defaults to zero for
 //! library use. Deterministic fault injection is supplied by a
-//! [`FaultInjector`](crate::faults::FaultInjector) in
+//! [`FaultInjector`] in
 //! [`JobConfig::faults`].
 
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]

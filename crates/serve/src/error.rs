@@ -110,7 +110,7 @@ pub enum ServeError {
     },
     /// A scatter-gather read completed on some shard groups but not all
     /// of them. The payload that *was* gathered is still returned beside
-    /// this error by the router's typed [`Sharded`](crate::router::Sharded)
+    /// this error by the router's typed [`Sharded`](crate::shard::Sharded)
     /// wrapper; this variant is what a strict single-shard read reports
     /// when the owning group is unreachable.
     Degraded {

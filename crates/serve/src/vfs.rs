@@ -26,7 +26,7 @@
 //! A thread that writes beside the owner (the core's snapshot writer)
 //! must not draw from the shared operation counter, or its fates would
 //! depend on how its operations interleave with the owner's. It works
-//! through a *detached* handle ([`Vfs::detach`]) whose fates the owner
+//! through a *detached* handle (`Vfs::detach`) whose fates the owner
 //! drew in advance, at a point fixed by the owner's own sequence of
 //! operations. [`Vfs::simulate_crash`] stops every detached handle drawn
 //! before it: an operation already touching the disk finishes first,

@@ -214,7 +214,7 @@ impl Wal {
     /// A refused append leaves no trace: on a write or fsync error the
     /// file is cut back to its last good length, so the next record (which
     /// may reuse the refused one's sequence number) is the one recovery
-    /// finds. If the cut fails too, [`has_stray_tail`](Self::has_stray_tail)
+    /// finds. If the cut fails too, `has_stray_tail`
     /// reports it and the next append retries the cut before writing. An
     /// injected crash is left as it is: a killed process cleans up nothing.
     pub fn append(&mut self, payload: &[u8]) -> Result<u64, ServeError> {
