@@ -1,4 +1,5 @@
-//! Serving-layer throughput: durable ingest (WAL fsync + fold),
+//! Serving-layer throughput: durable ingest (WAL fsync + fold), the
+//! latency of one `ServeCore::ingest` over whole snapshot cycles,
 //! crash-recovery latency (snapshot load + WAL replay), and the CRC32 that
 //! every wire frame and WAL record pays over its payload.
 //!
@@ -6,11 +7,13 @@
 //! a machine-readable artifact (CI does this in the `chaos-serve` job).
 
 use std::path::PathBuf;
+use std::time::Instant;
 
 use crh_bench::microbench::{BenchmarkId, Harness, Throughput};
 use crh_core::persist::crc32;
 use crh_core::rng::{Pcg64, Rng};
 use crh_core::schema::Schema;
+use crh_data::generators::weather::{self, WeatherConfig};
 use crh_serve::{ChunkClaim, ServeConfig, ServeCore};
 
 fn schema() -> Schema {
@@ -61,6 +64,75 @@ fn workload(n: usize) -> Vec<Vec<ChunkClaim>> {
                 .collect()
         })
         .collect()
+}
+
+/// `days` days of the weather generator over 200 cities, one chunk per
+/// day: about 5 000 claims each, the chunk of e2ebench's `serve_large`.
+fn weather_days(days: usize) -> (Schema, Vec<Vec<ChunkClaim>>) {
+    let ds = weather::generate(&WeatherConfig {
+        cities: 200,
+        days,
+        missing_rate: 0.072,
+        truth_rate: 1.0,
+        seed: 7,
+    });
+    let chunks = ds
+        .split_by_day()
+        .unwrap_or_default()
+        .into_iter()
+        .map(|(_, claims)| {
+            claims
+                .into_iter()
+                .map(|(o, p, s, value)| ChunkClaim {
+                    object: o.0,
+                    property: p.0,
+                    source: s.0,
+                    value,
+                })
+                .collect()
+        })
+        .collect();
+    (ds.table.schema().clone(), chunks)
+}
+
+/// The `q`-quantile of sorted `xs` (nearest rank).
+fn quantile(xs: &[f64], q: f64) -> f64 {
+    let rank = ((q * xs.len() as f64).ceil() as usize).clamp(1, xs.len());
+    xs[rank - 1]
+}
+
+/// Latency of single `ServeCore::ingest` calls with the daemon's default
+/// snapshot cadence (every 8 chunks) and truth cache, timed over whole
+/// cadence cycles after one warm-up cycle, so the quantiles weigh the
+/// cadence ingest exactly as a steady stream does (1 in 8).
+fn bench_ingest_latency(c: &mut Harness) {
+    const EVERY: usize = 8;
+    let cycles = if c.is_quick() { 2 } else { 32 };
+    let (schema, days) = weather_days(EVERY * (cycles + 1));
+    let dir = bench_dir("latency");
+    std::fs::remove_dir_all(&dir).ok();
+    let cfg = ServeConfig::new(schema, 0.9, &dir)
+        .snapshot_every(EVERY as u64)
+        .solve_threads(1);
+    let (mut core, _) = ServeCore::open(cfg).unwrap();
+    let mut ms = Vec::with_capacity(EVERY * cycles);
+    for (i, day) in days.iter().enumerate() {
+        let t0 = Instant::now();
+        core.ingest(day).unwrap();
+        if i >= EVERY {
+            ms.push(t0.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    drop(core);
+    std::fs::remove_dir_all(&dir).ok();
+    let claims = days.iter().map(Vec::len).sum::<usize>() / days.len();
+    println!(
+        "serve_ingest_latency: {} ingests of ~{claims} claims",
+        ms.len()
+    );
+    ms.sort_by(f64::total_cmp);
+    c.record_metric("serve_ingest_latency", "p50_ms", quantile(&ms, 0.5));
+    c.record_metric("serve_ingest_latency", "p95_ms", quantile(&ms, 0.95));
 }
 
 fn bench_serve(c: &mut Harness) {
@@ -132,4 +204,5 @@ fn bench_serve(c: &mut Harness) {
 fn main() {
     let mut h = Harness::from_env();
     bench_serve(&mut h);
+    bench_ingest_latency(&mut h);
 }
