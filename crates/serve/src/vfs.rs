@@ -109,7 +109,9 @@ pub struct DiskFaultPlan {
     /// the network plan.
     pub slow_for: Duration,
     /// Total budgeted faults before the injector goes permanently
-    /// healthy (shared across clones and restarts). Sticky failure is
+    /// healthy (shared across clones and restarts). Detached writers
+    /// (the core's snapshot helper) draw from a second budget of the
+    /// same size. Sticky failure is
     /// not budgeted: a dead disk stays dead. Slowness is not budgeted
     /// either — it corrupts nothing, and a congested disk does not heal
     /// because the test got tired.
