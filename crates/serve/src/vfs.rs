@@ -400,11 +400,20 @@ impl Vfs {
     /// owner's. The chronic-slow and sticky latches are read, never
     /// tripped. An operation past the end of `kinds`, or of another kind
     /// than drawn, is healthy; a fault drawn for an operation that never
-    /// runs still counts as fired. A passthrough handle detaches to
-    /// itself.
+    /// runs still counts as fired. A detached handle never creates a
+    /// directory: the one it writes into existed when it was detached,
+    /// and a write into a directory removed since fails.
     pub(crate) fn detach(&self, kinds: &[OpKind]) -> Self {
         let Some(s) = &self.state else {
-            return self.clone();
+            let script = Script {
+                fates: Vec::new(),
+                next: AtomicUsize::new(0),
+                epoch: 0,
+            };
+            return Self {
+                state: None,
+                script: Some(Arc::new(script)),
+            };
         };
         let epoch = *relock(&s.crashes);
         let at = s.ops.load(Ordering::SeqCst);
@@ -611,7 +620,8 @@ impl Vfs {
     /// survives), transient `EIO`, and sticky death.
     pub fn write_atomic(&self, path: impl AsRef<Path>, bytes: &[u8]) -> Result<(), ServeError> {
         let path = path.as_ref();
-        if let Some(dir) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        let parent = path.parent().filter(|p| !p.as_os_str().is_empty());
+        if let Some(dir) = parent.filter(|_| self.script.is_none()) {
             self.create_dir_all(dir)?;
         }
         let tmp = path.with_extension("tmp");
@@ -1247,6 +1257,16 @@ mod tests {
         assert_eq!(w.fate(OpKind::Meta), DiskFate::Healthy);
         // past the drawn operations, or off their kinds, a writer is healthy
         assert_eq!(w.fate(OpKind::Write), DiskFate::Healthy);
+    }
+
+    #[test]
+    fn a_detached_writer_never_recreates_a_removed_directory() {
+        let dir = tmp("detached_dir");
+        std::fs::create_dir_all(&dir).unwrap();
+        let writer = Vfs::passthrough().detach(&[]);
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(writer.write_atomic(dir.join("late"), b"x").is_err());
+        assert!(!dir.exists());
     }
 
     #[test]
