@@ -199,7 +199,9 @@ pub fn digest64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Little-endian encoder appending to a byte buffer.
+/// Little-endian encoder appending to a byte buffer. Every primitive is
+/// `#[inline]`, so the codecs built on it (the daemon's wire frames and
+/// WAL records) compile to straight-line appends across crates.
 #[derive(Debug, Default)]
 pub struct Enc {
     buf: Vec<u8>,
@@ -216,33 +218,56 @@ impl Enc {
         self.buf
     }
 
+    /// Bytes encoded so far.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Whether nothing has been encoded yet.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+
+    /// Make room for at least `additional` more bytes.
+    #[inline]
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
     /// Append one byte.
+    #[inline]
     pub fn u8(&mut self, x: u8) {
         self.buf.push(x);
     }
 
     /// Append a `u32`.
+    #[inline]
     pub fn u32(&mut self, x: u32) {
         self.buf.extend_from_slice(&x.to_le_bytes());
     }
 
     /// Append a `u64`.
+    #[inline]
     pub fn u64(&mut self, x: u64) {
         self.buf.extend_from_slice(&x.to_le_bytes());
     }
 
     /// Append an `f64` bit-exactly.
+    #[inline]
     pub fn f64(&mut self, x: f64) {
         self.u64(x.to_bits());
     }
 
     /// Append a length-prefixed UTF-8 string.
+    #[inline]
     pub fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
+        self.bytes(s.as_bytes());
     }
 
     /// Append a length-prefixed raw byte string.
+    #[inline]
     pub fn bytes(&mut self, b: &[u8]) {
         self.u64(b.len() as u64);
         self.buf.extend_from_slice(b);
@@ -251,12 +276,14 @@ impl Enc {
     /// Append a length-prefixed `f64` slice.
     pub fn f64s(&mut self, xs: &[f64]) {
         self.u64(xs.len() as u64);
+        self.buf.reserve(xs.len() * 8);
         for &x in xs {
             self.f64(x);
         }
     }
 
     /// Append one [`Value`] (tag + payload).
+    #[inline]
     pub fn value(&mut self, v: &Value) {
         match v {
             Value::Cat(c) => {
@@ -275,6 +302,7 @@ impl Enc {
     }
 
     /// Append one [`Truth`] (tag + payload).
+    #[inline]
     pub fn truth(&mut self, t: &Truth) {
         match t {
             Truth::Point(v) => {
@@ -291,62 +319,80 @@ impl Enc {
 }
 
 /// Little-endian decoder over a payload slice; every read is
-/// bounds-checked so truncated payloads surface as typed errors.
+/// bounds-checked so truncated payloads surface as typed errors. It keeps
+/// only the bytes not yet read, so each read is one length check and a
+/// split, and the primitives are `#[inline]` for the same reason as
+/// [`Enc`]'s.
 #[derive(Debug)]
 pub struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    rest: &'a [u8],
+}
+
+/// The error of a read past the end of the payload, out of line so the
+/// reads themselves stay small.
+#[cold]
+fn ends_mid_record() -> PersistError {
+    PersistError::Malformed("payload ends mid-record")
 }
 
 impl<'a> Dec<'a> {
     /// Wrap a payload.
     pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+        Self { rest: buf }
     }
 
     /// Whether every byte has been consumed.
+    #[inline]
     pub fn is_exhausted(&self) -> bool {
-        self.pos == self.buf.len()
+        self.rest.is_empty()
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
-        if self.buf.len() - self.pos < n {
-            return Err(PersistError::Malformed("payload ends mid-record"));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+        let (head, tail) = self.rest.split_at_checked(n).ok_or_else(ends_mid_record)?;
+        self.rest = tail;
+        Ok(head)
     }
 
     /// Read exactly `N` bytes into a fixed-size array.
+    #[inline]
     pub fn array<const N: usize>(&mut self) -> Result<[u8; N], PersistError> {
-        let s = self.take(N)?;
-        let mut out = [0u8; N];
-        out.copy_from_slice(s); // lengths equal by construction of `take`
-        Ok(out)
+        let (head, tail) = self
+            .rest
+            .split_first_chunk::<N>()
+            .ok_or_else(ends_mid_record)?;
+        self.rest = tail;
+        Ok(*head)
     }
 
     /// Read one byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, PersistError> {
-        Ok(self.array::<1>()?[0])
+        let (&b, tail) = self.rest.split_first().ok_or_else(ends_mid_record)?;
+        self.rest = tail;
+        Ok(b)
     }
 
     /// Read a `u32`.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, PersistError> {
         Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// Read a `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, PersistError> {
         Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// Read an `f64` bit-exactly.
+    #[inline]
     pub fn f64(&mut self) -> Result<f64, PersistError> {
         Ok(f64::from_bits(self.u64()?))
     }
 
     /// Read a length-prefixed UTF-8 string.
+    #[inline]
     pub fn str(&mut self) -> Result<String, PersistError> {
         let n = self.u64()? as usize;
         let bytes = self.take(n)?;
@@ -364,7 +410,7 @@ impl<'a> Dec<'a> {
     pub fn f64s(&mut self) -> Result<Vec<f64>, PersistError> {
         let n = self.u64()? as usize;
         // cap pre-allocation by what the buffer could actually hold
-        if self.buf.len() - self.pos < n.saturating_mul(8) {
+        if self.rest.len() < n.saturating_mul(8) {
             return Err(PersistError::Malformed("f64 vector longer than payload"));
         }
         let mut out = Vec::with_capacity(n);
@@ -375,6 +421,7 @@ impl<'a> Dec<'a> {
     }
 
     /// Read one [`Value`].
+    #[inline]
     pub fn value(&mut self) -> Result<Value, PersistError> {
         match self.u8()? {
             0 => Ok(Value::Cat(self.u32()?)),
@@ -385,6 +432,7 @@ impl<'a> Dec<'a> {
     }
 
     /// Read one [`Truth`].
+    #[inline]
     pub fn truth(&mut self) -> Result<Truth, PersistError> {
         match self.u8()? {
             0 => Ok(Truth::Point(self.value()?)),

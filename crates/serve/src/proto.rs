@@ -14,7 +14,7 @@
 //! failure is a typed [`ServeError::Protocol`]; the daemon answers what
 //! it can and drops the connection rather than panicking.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 
 use crh_core::persist::{crc32, Dec, Enc};
 use crh_core::value::{Truth, Value};
@@ -108,10 +108,18 @@ wire_struct! {
 impl Listed for u32 {}
 impl Listed for Vec<u8> {}
 
-/// Append a `u32`-counted list (the [`Wire`] encoding of `Vec<T>`).
+/// Append a `u32`-counted list (the [`Wire`] encoding of `Vec<T>`). Room
+/// for the rest is reserved at the first item's size, so a list of
+/// fixed-size items grows the buffer once.
 pub(crate) fn enc_list<T: Listed>(items: &[T], e: &mut Enc) {
     e.u32(items.len() as u32);
-    for x in items {
+    let Some((first, rest)) = items.split_first() else {
+        return;
+    };
+    let before = e.len();
+    first.enc(e);
+    e.reserve((e.len() - before) * rest.len());
+    for x in rest {
         x.enc(e);
     }
 }
@@ -163,6 +171,42 @@ impl Wire for Box<Request> {
             return Err(ServeError::Protocol("nested deadline wrapper".into()));
         }
         Ok(Box::new(inner))
+    }
+}
+
+/// An `Ingest` frame's claim list in the bytes it arrived in: the frame
+/// payload and the offset where the list starts. The codec is canonical
+/// (one encoding per value), so these bytes are exactly what
+/// [`enc_list`] writes for the decoded claims, and a WAL record can be
+/// `seq` followed by them with nothing encoded again.
+#[derive(Debug)]
+pub(crate) struct ClaimBytes {
+    frame: Vec<u8>,
+    start: usize,
+}
+
+impl ClaimBytes {
+    /// The claim list of `frame`, the payload `req` was decoded from, when
+    /// `req` is an `Ingest`, plain or inside the deadline envelope. The
+    /// list runs to the end of the frame either way: decoding consumed
+    /// every byte, and the envelope's inner request is its last field.
+    pub(crate) fn of(req: &Request, frame: Vec<u8>) -> Option<Self> {
+        const TAG: usize = 1;
+        // budget_ms, then the inner request's byte-string length
+        const ENVELOPE: usize = TAG + 8 + 8;
+        let start = match req {
+            Request::Ingest(_) => TAG,
+            Request::WithDeadline { inner, .. } if matches!(**inner, Request::Ingest(_)) => {
+                ENVELOPE + TAG
+            }
+            _ => return None,
+        };
+        Some(Self { frame, start })
+    }
+
+    /// The encoded claim list.
+    pub(crate) fn as_slice(&self) -> &[u8] {
+        self.frame.get(self.start..).unwrap_or_default()
     }
 }
 
@@ -541,21 +585,29 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ServeError>
             MAX_FRAME_BYTES
         )));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(&crc32(payload).to_le_bytes())?;
-    w.write_all(payload)?;
+    let header = [payload.len() as u32, crc32(payload)].map(u32::to_le_bytes);
+    // one vectored write, so the header does not go out as segments of
+    // its own on a no-delay socket
+    let mut bufs = [IoSlice::new(header.as_flattened()), IoSlice::new(payload)];
+    let mut bufs = &mut bufs[..];
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(std::io::Error::from(ErrorKind::WriteZero).into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
     w.flush()?;
     Ok(())
 }
 
 /// Read one frame from `r`, verifying the length cap and CRC.
 pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, ServeError> {
-    let mut len_bytes = [0u8; 4];
-    r.read_exact(&mut len_bytes)?;
-    let len = u32::from_le_bytes(len_bytes);
-    let mut crc_bytes = [0u8; 4];
-    r.read_exact(&mut crc_bytes)?;
-    let stored_crc = u32::from_le_bytes(crc_bytes);
+    // the length and the CRC in one read
+    let mut header = [[0u8; 4]; 2];
+    r.read_exact(header.as_flattened_mut())?;
+    let [len, stored_crc] = header.map(u32::from_le_bytes);
     if len > MAX_FRAME_BYTES {
         return Err(ServeError::Protocol(format!(
             "peer announced a {len} byte frame (cap {MAX_FRAME_BYTES})"
@@ -626,6 +678,38 @@ mod tests {
         }
         .encode();
         assert!(Request::decode(&solve[..solve.len() - 2]).is_err());
+    }
+
+    #[test]
+    fn claim_bytes_are_the_ingest_frames_list_and_only_theirs() {
+        let claims = sample_claims();
+        let mut list = Enc::new();
+        enc_list(&claims, &mut list);
+        let list = list.into_bytes();
+        let ingest = Request::Ingest(claims.clone());
+        let wrapped = Request::WithDeadline {
+            budget_ms: 5,
+            inner: Box::new(ingest.clone()),
+        };
+        for req in [ingest, wrapped] {
+            let got = ClaimBytes::of(&req, req.encode()).unwrap();
+            assert_eq!(got.as_slice(), list, "{req:?}");
+        }
+        let others = [
+            Request::IngestCsv("0,t,1,2".into()),
+            Request::Solve {
+                tol: 1e-6,
+                max_iters: 3,
+                claims,
+            },
+            Request::WithDeadline {
+                budget_ms: 5,
+                inner: Box::new(Request::Weights),
+            },
+        ];
+        for req in others {
+            assert!(ClaimBytes::of(&req, req.encode()).is_none(), "{req:?}");
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ use crate::client::Client;
 use crate::core::ServeConfig;
 use crate::core::{claims_from_csv, solve_claims, ChunkClaim, ServeCore};
 use crate::error::ServeError;
-use crate::proto::{read_frame, write_frame, Request, Response};
+use crate::proto::{read_frame, write_frame, ClaimBytes, Request, Response};
 use crate::replicate::{ReplicaConfig, ReplicaNode, Role};
 use crate::shard::{ShardMap, ShardMapStore, ShardRange};
 
@@ -152,11 +152,13 @@ trait FrontEnd: Send + Sync + 'static {
     fn is_shutdown(&self) -> bool;
     fn connection_count(&self) -> &AtomicUsize;
     fn schema(&self) -> &Schema;
-    /// Ingest a client chunk; answer once it is durable (and, when
+    /// Ingest a client chunk, whose claim list arrived as `list` when it
+    /// came in an `Ingest` frame; answer once it is durable (and, when
     /// replicated, quorum-committed).
     fn ingest(
         &self,
         claims: Vec<ChunkClaim>,
+        list: Option<ClaimBytes>,
         budget: Option<Duration>,
     ) -> Result<Response, ServeError>;
     fn read(&self, read: Read, budget: Option<Duration>) -> Result<Response, ServeError>;
@@ -279,7 +281,10 @@ fn serve_connection<F: FrontEnd>(mut stream: TcpStream, shared: &F) {
             Err(_) => return,
         };
         let response = match Request::decode(&payload) {
-            Ok(req) => handle(shared, req),
+            Ok(req) => {
+                let list = ClaimBytes::of(&req, payload);
+                handle(shared, req, list)
+            }
             Err(e) => Response::from_error(&e),
         };
         if write_frame(&mut stream, &response.encode()).is_err() {
@@ -315,13 +320,13 @@ fn clamp_wait(bound: Duration, budget: Option<Duration>) -> Duration {
     budget.map_or(bound, |b| b.min(bound))
 }
 
-/// Answer one decoded request; both daemons serve every frame through
-/// here.
-fn handle<F: FrontEnd>(fe: &F, req: Request) -> Response {
+/// Answer one decoded request, with the claim-list bytes it carried if
+/// it is an `Ingest`; both daemons serve every frame through here.
+fn handle<F: FrontEnd>(fe: &F, req: Request, list: Option<ClaimBytes>) -> Response {
     let answer = unwrap_deadline(req).and_then(|(req, budget)| match req {
-        Request::Ingest(claims) => fe.ingest(claims, budget),
+        Request::Ingest(claims) => fe.ingest(claims, list, budget),
         Request::IngestCsv(text) => {
-            claims_from_csv(fe.schema(), &text).and_then(|claims| fe.ingest(claims, budget))
+            claims_from_csv(fe.schema(), &text).and_then(|claims| fe.ingest(claims, None, budget))
         }
         Request::Weights => fe.read(Read::Weights, budget),
         Request::Truth { object, property } => fe.read(Read::Truth { object, property }, budget),
@@ -423,6 +428,7 @@ impl FrontEnd for Shared {
     fn ingest(
         &self,
         claims: Vec<ChunkClaim>,
+        list: Option<ClaimBytes>,
         budget: Option<Duration>,
     ) -> Result<Response, ServeError> {
         if self.is_shutdown() {
@@ -434,7 +440,9 @@ impl FrontEnd for Shared {
                 (n < capacity).then_some(n + 1)
             })
             .map_err(|_| ServeError::Overloaded { capacity })?;
-        let (fold, receipt) = task(move |core: &mut ServeCore| core.ingest(&claims));
+        let (fold, receipt) = task(move |core: &mut ServeCore| {
+            core.ingest_encoded(&claims, list.as_ref().map(ClaimBytes::as_slice))
+        });
         if self.jobs.send(Job::Ingest(fold)).is_err() {
             self.queued.fetch_sub(1, Ordering::SeqCst);
             return Err(ServeError::ShuttingDown);
@@ -898,9 +906,11 @@ impl FrontEnd for HaShared {
         &self.schema
     }
 
+    /// The replicated write path stages its own record.
     fn ingest(
         &self,
         claims: Vec<ChunkClaim>,
+        _list: Option<ClaimBytes>,
         budget: Option<Duration>,
     ) -> Result<Response, ServeError> {
         self.write(claims, budget, None)

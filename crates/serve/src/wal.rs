@@ -218,8 +218,14 @@ impl Wal {
     /// reports it and the next append retries the cut before writing. An
     /// injected crash is left as it is: a killed process cleans up nothing.
     pub fn append(&mut self, payload: &[u8]) -> Result<u64, ServeError> {
+        self.append_parts(&[payload])
+    }
+
+    /// [`append`](Self::append) of the record whose payload is `parts`
+    /// joined, framed without joining them first.
+    pub(crate) fn append_parts(&mut self, parts: &[&[u8]]) -> Result<u64, ServeError> {
         self.repair()?;
-        let frame = Self::frame(payload);
+        let frame = Self::frame(parts);
         let written = self
             .file
             .write_all(&frame)
@@ -278,7 +284,7 @@ impl Wal {
     /// never from the production API.
     pub(crate) fn append_torn(&mut self, payload: &[u8], keep_frac: f64) -> Result<(), ServeError> {
         self.repair()?;
-        let frame = Self::frame(payload);
+        let frame = Self::frame(&[payload]);
         let kept = self.file.write_torn(&frame, keep_frac)?;
         self.len += kept;
         Ok(())
@@ -331,11 +337,18 @@ impl Wal {
         self.file.path()
     }
 
-    fn frame(payload: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(RECORD_HEADER + payload.len());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(payload).to_le_bytes());
-        out.extend_from_slice(payload);
+    /// One record: the length and CRC of `parts` joined, then the parts.
+    fn frame(parts: &[&[u8]]) -> Vec<u8> {
+        let len: usize = parts.iter().map(|p| p.len()).sum();
+        let mut out = Vec::with_capacity(RECORD_HEADER + len);
+        out.extend_from_slice(&[0; RECORD_HEADER]);
+        for part in parts {
+            out.extend_from_slice(part);
+        }
+        if let Some((header, payload)) = out.split_first_chunk_mut::<RECORD_HEADER>() {
+            let words = [payload.len() as u32, crc32(payload)].map(u32::to_le_bytes);
+            header.copy_from_slice(words.as_flattened());
+        }
         out
     }
 }
