@@ -171,6 +171,13 @@ pub(crate) fn fit_median_presorted(
 /// first-appearance order, and ties break `w > bw || (w == bw && c < bc)` —
 /// toward the smaller id. Returns `None` only for an all-invalid row,
 /// which a well-formed table never produces.
+///
+/// A domain of at most 64 codes skips the epoch stamps: its tallies are
+/// zeroed outright and the codes seen are bits of one `u64`. When no
+/// tally is NaN the first-appearance fold picks the largest tally, ties
+/// to the smaller id, which is the first maximum in ascending code order,
+/// so the mask is scanned that way; a NaN tally makes the fold
+/// order-dependent and takes the fold itself.
 pub(crate) fn fit_vote(
     codes: &[u32],
     valid: &[u64],
@@ -179,6 +186,39 @@ pub(crate) fn fit_vote(
     domain: usize,
 ) -> Option<u32> {
     scratch.begin_entry(domain);
+    if domain <= 64 {
+        let tally = &mut scratch.tally[..domain];
+        tally.fill(0.0);
+        let mut seen = 0u64;
+        for_each_valid(valid, |k| {
+            let c = codes[k] as usize;
+            seen |= 1 << c;
+            tally[c] += weights[k];
+        });
+        let mut best: Option<(u32, f64)> = None;
+        let mut bits = seen;
+        while bits != 0 {
+            let c = bits.trailing_zeros();
+            bits &= bits - 1;
+            let w = tally[c as usize];
+            if w.is_nan() {
+                // the touched codes in first-appearance order
+                let mut listed = 0u64;
+                for_each_valid(valid, |k| {
+                    let bit = 1 << codes[k];
+                    if listed & bit == 0 {
+                        listed |= bit;
+                        scratch.touched.push(codes[k]);
+                    }
+                });
+                return first_appearance_winner(&scratch.touched, &scratch.tally);
+            }
+            if best.is_none_or(|(_, bw)| w > bw) {
+                best = Some((c, w));
+            }
+        }
+        return best.map(|(c, _)| c);
+    }
     let stamp = scratch.stamp;
     for_each_valid(valid, |k| {
         let c = codes[k] as usize;
@@ -189,9 +229,14 @@ pub(crate) fn fit_vote(
         }
         scratch.tally[c] += weights[k];
     });
+    first_appearance_winner(&scratch.touched, &scratch.tally)
+}
+
+/// The row path's candidate fold over `touched` (first-appearance order).
+fn first_appearance_winner(touched: &[u32], tally: &[f64]) -> Option<u32> {
     let mut best: Option<(u32, f64)> = None;
-    for &c in &scratch.touched {
-        let w = scratch.tally[c as usize];
+    for &c in touched {
+        let w = tally[c as usize];
         best = match best {
             None => Some((c, w)),
             Some((bc, bw)) => {
@@ -577,6 +622,63 @@ mod tests {
         let mut one = vec![4.0, 5.0];
         pairwise_accumulate(&mut one, 2);
         assert_eq!(one, vec![4.0, 5.0]);
+    }
+
+    /// Both vote paths against the row path's fold written out here: per
+    /// code sums in source order, candidates in first-appearance order.
+    /// Weights include signed zeros, infinities and NaN, so ties, `-0.0 ==
+    /// 0.0` and NaN tallies all occur, on domains either side of 64.
+    #[test]
+    fn vote_matches_the_first_appearance_fold_on_every_domain() {
+        let reference = |codes: &[u32], valid: &[bool], weights: &[f64]| {
+            let mut order: Vec<u32> = Vec::new();
+            let mut tally = vec![0.0f64; 80];
+            for k in (0..codes.len()).filter(|&k| valid[k]) {
+                let c = codes[k];
+                if !order.contains(&c) {
+                    order.push(c);
+                    tally[c as usize] = 0.0;
+                }
+                tally[c as usize] += weights[k];
+            }
+            let mut best: Option<(u32, f64)> = None;
+            for c in order {
+                let w = tally[c as usize];
+                best = match best {
+                    Some((bc, bw)) if !(w > bw || (w == bw && c < bc)) => Some((bc, bw)),
+                    _ => Some((c, w)),
+                };
+            }
+            best.map(|(c, _)| c)
+        };
+        let palette = [
+            0.0,
+            -0.0,
+            0.5,
+            1.0,
+            1.0,
+            2.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let mut rng = Pcg64::seed_from_u64(0x707E);
+        let mut scratch = FitScratch::default();
+        for case in 0..4000 {
+            let domain = [1usize, 2, 3, 6, 63, 64, 65, 70][case % 8];
+            let k = 1 + (rng.next_u64() % 70) as usize;
+            let codes: Vec<u32> = (0..k)
+                .map(|_| (rng.next_u64() % domain as u64) as u32)
+                .collect();
+            let valid: Vec<bool> = (0..k).map(|_| !rng.next_u64().is_multiple_of(5)).collect();
+            // NaN in one case in seven, across all the domains
+            let span = if case % 7 == 3 { 9 } else { 8 };
+            let weights: Vec<f64> = (0..k)
+                .map(|_| palette[(rng.next_u64() % span) as usize])
+                .collect();
+            let got = fit_vote(&codes, &words(&valid), &weights, &mut scratch, domain);
+            assert_eq!(got, reference(&codes, &valid, &weights), "case {case}");
+        }
     }
 
     #[test]
