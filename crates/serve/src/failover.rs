@@ -374,6 +374,7 @@ impl SimCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_dir::TestDir;
     use crh_core::schema::Schema;
     use crh_core::value::Value;
 
@@ -395,16 +396,40 @@ mod tests {
             .collect()
     }
 
-    fn cluster(tag: &str, n: usize, plan: NetFaultPlan) -> SimCluster {
-        let base = std::env::temp_dir().join(format!("crh_sim_{tag}_{}", std::process::id()));
-        std::fs::remove_dir_all(&base).ok();
-        let b = base.clone();
-        SimCluster::new(
+    /// A simulated cluster and its state directory; the cluster drops
+    /// first.
+    struct Sim {
+        cluster: SimCluster,
+        _dir: TestDir,
+    }
+
+    impl std::ops::Deref for Sim {
+        type Target = SimCluster;
+
+        fn deref(&self) -> &SimCluster {
+            &self.cluster
+        }
+    }
+
+    impl std::ops::DerefMut for Sim {
+        fn deref_mut(&mut self) -> &mut SimCluster {
+            &mut self.cluster
+        }
+    }
+
+    fn cluster(tag: &str, n: usize, plan: NetFaultPlan) -> Sim {
+        let base = TestDir::new(&format!("crh_sim_{tag}"));
+        let b = base.to_path_buf();
+        let cluster = SimCluster::new(
             n,
             move |id| ServeConfig::new(schema(), 0.5, b.join(format!("node{id}"))),
             plan,
         )
-        .unwrap()
+        .unwrap();
+        Sim {
+            cluster,
+            _dir: base,
+        }
     }
 
     #[test]
@@ -457,8 +482,7 @@ mod tests {
         use crate::core::encode_chunk;
         use crate::proto::{Request, Response};
 
-        let base = std::env::temp_dir().join(format!("crh_sim_rankreg_{}", std::process::id()));
-        std::fs::remove_dir_all(&base).ok();
+        let base = TestDir::new("crh_sim_rankreg");
         let all = [0u32, 1, 2];
         let open = |id: u32| {
             ReplicaNode::open(
@@ -530,7 +554,6 @@ mod tests {
                         );
                         // the committed bytes are still the folded truth
                         assert_eq!(r.core().chunks_seen(), 1);
-                        std::fs::remove_dir_all(&base).ok();
                         return;
                     }
                     s.on_reply(1, &resp, now).unwrap();

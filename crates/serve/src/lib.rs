@@ -109,6 +109,10 @@ pub mod shard;
 pub mod vfs;
 pub mod wal;
 
+#[cfg(test)]
+#[path = "../tests/common/test_dir.rs"]
+mod test_dir;
+
 pub use breaker::BreakerConfig;
 pub use client::{Client, ClusterClient, DaemonStatus, RemoteSolve, RetryPolicy};
 pub use core::{

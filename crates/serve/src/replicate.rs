@@ -1364,6 +1364,7 @@ impl ReplicaNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_dir::TestDir;
     use crate::vfs::DiskFaultPlan;
     use crh_core::schema::Schema;
     use crh_core::value::Value;
@@ -1396,10 +1397,8 @@ mod tests {
         s
     }
 
-    fn dir(tag: &str, node: u32) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("crh_repl_{tag}_{node}_{}", std::process::id()));
-        std::fs::remove_dir_all(&d).ok();
-        d
+    fn dir(tag: &str, node: u32) -> TestDir {
+        TestDir::new(&format!("crh_repl_{tag}_{node}"))
     }
 
     fn chunk(step: u64) -> Vec<ChunkClaim> {
@@ -1413,14 +1412,35 @@ mod tests {
             .collect()
     }
 
-    fn node(tag: &str, id: u32, all: &[u32]) -> ReplicaNode {
+    /// A node and its state directory; the node drops first.
+    struct Member {
+        node: ReplicaNode,
+        _dir: TestDir,
+    }
+
+    impl std::ops::Deref for Member {
+        type Target = ReplicaNode;
+
+        fn deref(&self) -> &ReplicaNode {
+            &self.node
+        }
+    }
+
+    impl std::ops::DerefMut for Member {
+        fn deref_mut(&mut self) -> &mut ReplicaNode {
+            &mut self.node
+        }
+    }
+
+    fn node(tag: &str, id: u32, all: &[u32]) -> Member {
         let d = dir(tag, id);
-        ReplicaNode::open(
+        let node = ReplicaNode::open(
             ReplicaConfig::new(id, all),
-            ServeConfig::new(schema(), 0.5, d),
+            ServeConfig::new(schema(), 0.5, &d),
         )
         .unwrap()
-        .0
+        .0;
+        Member { node, _dir: d }
     }
 
     #[test]
@@ -1461,7 +1481,7 @@ mod tests {
     }
 
     /// Node 0 of `{0, 1}`, elected primary at tick 100, and its follower.
-    fn elected_pair(tag: &str) -> (ReplicaNode, ReplicaNode) {
+    fn elected_pair(tag: &str) -> (Member, Member) {
         let mut p = node(tag, 0, &[0, 1]);
         let mut f = node(tag, 1, &[0, 1]);
         // election timeout → self-campaign, probing the peer
@@ -1576,7 +1596,6 @@ mod tests {
         assert_eq!(rec.staged_records, 1, "the unfolded record came back");
         assert_eq!(f.durable(), 2);
         assert_eq!(f.core().chunks_seen(), 1);
-        std::fs::remove_dir_all(&d).ok();
     }
 
     #[test]
@@ -1647,7 +1666,6 @@ mod tests {
                 if code == crate::error::code::STALE_EPOCH),
             "{second:?}"
         );
-        std::fs::remove_dir_all(&d).ok();
     }
 
     #[test]
@@ -1679,7 +1697,6 @@ mod tests {
             "election rank must reflect the folded record's epoch, not zero — \
              otherwise a stale shorter log at a higher epoch out-ranks it"
         );
-        std::fs::remove_dir_all(&d).ok();
     }
 
     #[test]
@@ -1772,7 +1789,7 @@ mod tests {
         let d = dir("auth", 1);
         let (mut f, _) = ReplicaNode::open(
             ReplicaConfig::new(1, &[0, 1, 2]).cluster_key(0xDEAD_BEEF),
-            ServeConfig::new(schema(), 0.5, d),
+            ServeConfig::new(schema(), 0.5, &d),
         )
         .unwrap();
         let forged = Request::Heartbeat {
@@ -1821,7 +1838,6 @@ mod tests {
             matches!(err, ServeError::WalCorrupt { .. }),
             "guessing an epoch can double-vote: {err}"
         );
-        std::fs::remove_dir_all(&d).ok();
     }
 
     /// A follower whose staging append failed must answer that
@@ -1846,7 +1862,6 @@ mod tests {
             let serve = ServeConfig::new(schema(), 0.5, &d).vfs(vfs.clone());
             let opened = ReplicaNode::open(ReplicaConfig::new(1, &[0, 1]), serve);
             let Ok((mut f, _)) = opened else {
-                std::fs::remove_dir_all(&d).ok();
                 continue;
             };
             let heartbeat = Request::Heartbeat {
@@ -1892,10 +1907,8 @@ mod tests {
                     seq + 1,
                     "seed {seed}: record {seq} staged twice"
                 );
-                std::fs::remove_dir_all(&d).ok();
                 return;
             }
-            std::fs::remove_dir_all(&d).ok();
         }
         panic!("no seed injected its fault into a staging append");
     }
@@ -1913,13 +1926,11 @@ mod tests {
             let serve = ServeConfig::new(schema(), 0.5, &d).vfs(vfs.clone());
             let opened = ReplicaNode::open(ReplicaConfig::new(0, &[0]), serve);
             let Ok((mut n, _)) = opened else {
-                std::fs::remove_dir_all(&d).ok();
                 continue;
             };
             // quorum of one: self-promote, then every write commits as
             // soon as it is staged
             if n.tick(100).is_err() || n.role() != Role::Primary || vfs.faults_fired() > 0 {
-                std::fs::remove_dir_all(&d).ok();
                 continue;
             }
             for step in 0..16 {
@@ -1942,10 +1953,8 @@ mod tests {
                     .iter()
                     .any(|(k, a)| *k == key && matches!(a, Ok(Response::Ack { .. })));
                 assert!(acked, "seed {seed}: {decided:?}");
-                std::fs::remove_dir_all(&d).ok();
                 return;
             }
-            std::fs::remove_dir_all(&d).ok();
         }
         panic!("no seed injected its fault after a staging append");
     }
@@ -1961,11 +1970,12 @@ mod tests {
         for step in 0..6 {
             p.client_ingest(&chunk(step), u64::MAX).unwrap();
         }
+        let epoch = p.epoch();
         let resp = p.handle(
             1,
             &Request::CatchUp {
                 token: 0,
-                epoch: p.epoch(),
+                epoch,
                 from: 0,
             },
             101,

@@ -116,12 +116,11 @@ pub fn quarantine(vfs: &Vfs, path: &Path) -> Result<PathBuf, ServeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_dir::TestDir;
     use crate::wal::Wal;
-    use std::path::PathBuf;
 
-    fn dir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("crh-scrub-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
+    fn dir(tag: &str) -> TestDir {
+        let d = TestDir::new(&format!("crh-scrub-{tag}"));
         std::fs::create_dir_all(&d).unwrap();
         d
     }
@@ -139,8 +138,8 @@ mod tests {
 
     #[test]
     fn missing_dir_is_clean() {
-        let d = dir("missing").join("never-created");
-        let report = scrub_dir(&d, &Vfs::passthrough()).unwrap();
+        let d = dir("missing");
+        let report = scrub_dir(&d.join("never-created"), &Vfs::passthrough()).unwrap();
         assert!(report.is_clean());
         assert_eq!(report.files_checked, 0);
     }

@@ -24,6 +24,11 @@ use crh_serve::{
 };
 use std::path::PathBuf;
 
+#[path = "common/test_dir.rs"]
+mod test_dir;
+
+use test_dir::TestDir;
+
 fn schema() -> Schema {
     let mut s = Schema::new();
     s.add_continuous("temperature");
@@ -35,10 +40,8 @@ fn schema() -> Schema {
     s
 }
 
-fn test_dir(name: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("crh_chaos_{}_{name}", std::process::id()));
-    std::fs::remove_dir_all(&d).ok();
-    d
+fn test_dir(name: &str) -> TestDir {
+    TestDir::new(&format!("crh_chaos_{name}"))
 }
 
 /// Deterministic workload: `n` chunks of 3-6 claims over 4 sources, with
@@ -89,7 +92,7 @@ fn reference_fingerprint(seed: u64, chunks: &[Vec<ChunkClaim>]) -> Vec<u8> {
         core.ingest(chunk).unwrap();
     }
     let bytes = core.checkpoint_bytes();
-    std::fs::remove_dir_all(&dir).ok();
+    dir.close(core);
     bytes
 }
 
@@ -158,7 +161,6 @@ fn chaotic_run(seed: u64, chunks: &[Vec<ChunkClaim>]) -> (Vec<u8>, u64) {
         "seed {seed}: lost or duplicated chunks"
     );
     let bytes = core.checkpoint_bytes();
-    std::fs::remove_dir_all(&dir).ok();
     (bytes, crashes)
 }
 
@@ -225,7 +227,6 @@ fn wal_replay_is_idempotent_over_a_restored_snapshot() {
             second, first,
             "seed {seed}: replaying the same WAL twice produced different state"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -265,7 +266,6 @@ fn stale_wal_after_snapshot_rename_is_skipped_not_refolded() {
         }
     }
     assert_eq!(core.checkpoint_bytes(), reference);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -292,5 +292,4 @@ fn torn_wal_chunk_is_not_acknowledged_and_not_recovered() {
     // the fault budget is spent, so the resubmission goes through
     core.ingest(&chunks[0]).unwrap();
     assert_eq!(core.chunks_seen(), 1);
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -34,8 +34,11 @@ use std::path::PathBuf;
 
 #[path = "common/history.rs"]
 mod history;
+#[path = "common/test_dir.rs"]
+mod test_dir;
 
 use history::{Settled, Told};
+use test_dir::TestDir;
 
 fn schema() -> Schema {
     let mut s = Schema::new();
@@ -48,10 +51,8 @@ fn schema() -> Schema {
     s
 }
 
-fn test_dir(name: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("crh_chaosdisk_{}_{name}", std::process::id()));
-    std::fs::remove_dir_all(&d).ok();
-    d
+fn test_dir(name: &str) -> TestDir {
+    TestDir::new(&format!("crh_chaosdisk_{name}"))
 }
 
 /// Deterministic workload, same shape as the process-chaos suite.
@@ -101,7 +102,7 @@ fn reference_fingerprint(seed: u64, chunks: &[Vec<ChunkClaim>]) -> Vec<u8> {
         core.ingest(chunk).unwrap();
     }
     let bytes = core.checkpoint_bytes();
-    std::fs::remove_dir_all(&dir).ok();
+    dir.close(core);
     bytes
 }
 
@@ -187,7 +188,6 @@ fn disk_chaotic_run(
         }
     }
     let bytes = core.checkpoint_bytes();
-    std::fs::remove_dir_all(&dir).ok();
     (bytes, crashes)
 }
 
@@ -268,12 +268,14 @@ fn corrupt_newest_snapshot_falls_back_to_previous_generation() {
         reference,
         "fallback recovery diverged from the healthy reference"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
-fn cluster(tag: &str, vfs_for: impl Fn(u32) -> Vfs) -> (SimCluster, PathBuf) {
+/// A cluster in its own state directory. Bind the pair as `(base, sim)`:
+/// the later binding drops first, so the cluster is gone before the
+/// directory is removed.
+fn cluster(tag: &str, vfs_for: impl Fn(u32) -> Vfs) -> (TestDir, SimCluster) {
     let base = test_dir(tag);
-    let b = base.clone();
+    let b = base.to_path_buf();
     let sim = SimCluster::new(
         3,
         move |id| {
@@ -284,7 +286,7 @@ fn cluster(tag: &str, vfs_for: impl Fn(u32) -> Vfs) -> (SimCluster, PathBuf) {
         NetFaultPlan::new(0xD15C),
     )
     .unwrap();
-    (sim, base)
+    (base, sim)
 }
 
 /// Step the cluster, tolerating the typed refusals a member on a dead
@@ -298,7 +300,7 @@ fn step_tolerant(sim: &mut SimCluster) {
 
 #[test]
 fn scrubber_detects_bit_rot_and_read_repairs_from_quorum() {
-    let (mut sim, base) = cluster("scrub", |_| Vfs::passthrough());
+    let (base, mut sim) = cluster("scrub", |_| Vfs::passthrough());
     let chunks = workload(40, 8);
     for chunk in &chunks {
         loop {
@@ -355,7 +357,6 @@ fn scrubber_detects_bit_rot_and_read_repairs_from_quorum() {
         "artifacts still corrupt after read-repair: {:?}",
         report.findings
     );
-    std::fs::remove_dir_all(&base).ok();
 }
 
 #[test]
@@ -363,7 +364,7 @@ fn dying_disk_primary_deposes_and_a_healthy_replica_takes_over() {
     // node 0's disk will latch sticky-dead mid-run; 1 and 2 stay healthy
     let sick = Vfs::faulted(DiskFaultPlan::new(7)).unwrap();
     let sick_handle = sick.clone();
-    let (mut sim, base) = cluster("dying", move |id| {
+    let (_base, mut sim) = cluster("dying", move |id| {
         if id == 0 {
             sick.clone()
         } else {
@@ -491,7 +492,6 @@ fn dying_disk_primary_deposes_and_a_healthy_replica_takes_over() {
         })
         .into();
     history::check(&history, &settled).unwrap();
-    std::fs::remove_dir_all(&base).ok();
 }
 
 /// A member whose disk dies stays a member: its ticks and reply handling
@@ -503,7 +503,7 @@ fn dying_disk_primary_deposes_and_a_healthy_replica_takes_over() {
 fn a_member_on_a_dead_disk_is_never_dropped_from_the_cluster() {
     let sick = Vfs::faulted(DiskFaultPlan::new(7)).unwrap();
     let sick_handle = sick.clone();
-    let (mut sim, base) = cluster("dead_disk_member", move |id| {
+    let (_base, mut sim) = cluster("dead_disk_member", move |id| {
         if id == 0 {
             sick.clone()
         } else {
@@ -549,7 +549,6 @@ fn a_member_on_a_dead_disk_is_never_dropped_from_the_cluster() {
     }
     assert_eq!(writes.len(), chunks.len(), "writes stopped flowing");
     assert!(writes.iter().all(|&w| sim.acked(w)));
-    std::fs::remove_dir_all(&base).ok();
 }
 
 /// Fingerprint of `chunks` ingested on a healthy disk, in a directory of
@@ -561,7 +560,7 @@ fn healthy_fingerprint(tag: &str, chunks: &[Vec<ChunkClaim>]) -> Vec<u8> {
         core.ingest(chunk).unwrap();
     }
     let bytes = core.checkpoint_bytes();
-    std::fs::remove_dir_all(&dir).ok();
+    dir.close(core);
     bytes
 }
 
@@ -662,7 +661,6 @@ fn refused_append_never_replaces_an_acked_chunk_on_restart() {
                 memory,
                 "{tag}: restart recovered a refused record instead of the acked one"
             );
-            std::fs::remove_dir_all(&dir).ok();
         }
     }
 }
@@ -703,6 +701,5 @@ fn failed_snapshot_after_the_commit_point_still_acks_the_chunk() {
         drop(core);
         let (core, _) = ServeCore::open(config(&dir, Vfs::passthrough())).unwrap();
         assert_eq!(core.checkpoint_bytes(), memory, "{size}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
