@@ -1,7 +1,8 @@
 //! Serving-layer throughput: durable ingest (WAL fsync + fold), the
 //! latency of one `ServeCore::ingest` over whole snapshot cycles,
-//! crash-recovery latency (snapshot load + WAL replay), and the CRC32 that
-//! every wire frame and WAL record pays over its payload.
+//! crash-recovery latency (snapshot load + WAL replay), the CRC32 that
+//! every wire frame and WAL record pays over its payload, and the encode
+//! and decode of one 5k-claim `Ingest` frame.
 //!
 //! Run with `CRH_BENCH_JSON=BENCH_serve.json` to capture the results as
 //! a machine-readable artifact (CI does this in the `chaos-serve` job).
@@ -14,6 +15,7 @@ use crh_core::persist::crc32;
 use crh_core::rng::{Pcg64, Rng};
 use crh_core::schema::Schema;
 use crh_data::generators::weather::{self, WeatherConfig};
+use crh_serve::proto::Request;
 use crh_serve::{ChunkClaim, ServeConfig, ServeCore};
 
 fn schema() -> Schema {
@@ -198,6 +200,23 @@ fn bench_serve(c: &mut Harness) {
             b.iter(|| crc32(std::hint::black_box(p)))
         });
     }
+    g.finish();
+
+    // the wire codec on one 5k-claim weather chunk, the Ingest frame
+    // e2ebench's serve_large sends: the client encodes it, the daemon
+    // decodes it. One element = one claim.
+    let (_, mut days) = weather_days(1);
+    let claims = days.swap_remove(0);
+    let mut g = c.benchmark_group("wire_codec");
+    g.throughput(Throughput::Elements(claims.len() as u64));
+    let request = Request::Ingest(claims);
+    let frame = request.encode();
+    g.bench_function("encode_ingest_5k", |b| {
+        b.iter(|| std::hint::black_box(&request).encode())
+    });
+    g.bench_function("decode_ingest_5k", |b| {
+        b.iter(|| Request::decode(std::hint::black_box(&frame)).unwrap())
+    });
     g.finish();
 }
 
