@@ -1,5 +1,6 @@
 //! Serving-layer throughput: durable ingest (WAL fsync + fold), the
-//! latency of one `ServeCore::ingest` over whole snapshot cycles,
+//! latency of one `ServeCore::ingest` over whole snapshot cycles, the
+//! set-up of a daemon on a fresh state directory,
 //! crash-recovery latency (snapshot load + WAL replay), the CRC32 that
 //! every wire frame and WAL record pays over its payload, and the encode
 //! and decode of one 5k-claim `Ingest` frame.
@@ -16,7 +17,7 @@ use crh_core::rng::{Pcg64, Rng};
 use crh_core::schema::Schema;
 use crh_data::generators::weather::{self, WeatherConfig};
 use crh_serve::proto::Request;
-use crh_serve::{ChunkClaim, ServeConfig, ServeCore};
+use crh_serve::{ChunkClaim, ServeConfig, ServeCore, Server, ServerConfig};
 
 fn schema() -> Schema {
     let mut s = Schema::new();
@@ -187,6 +188,31 @@ fn bench_serve(c: &mut Harness) {
     });
     g.finish();
     std::fs::remove_dir_all(&dir).ok();
+
+    // set-up on a fresh state directory: `ServeCore::open` alone, then
+    // with `Server::start` on a loopback port and `Server::shutdown` (whose
+    // final snapshot and accept-loop poll of up to 5 ms it includes). Each
+    // iteration removes its directory, and the removal is timed with it.
+    let mut g = c.benchmark_group("serve_open");
+    g.sample_size(10);
+    let dir = bench_dir("open");
+    std::fs::remove_dir_all(&dir).ok();
+    g.bench_function("core_open", |b| {
+        b.iter(|| {
+            let (core, _) = ServeCore::open(ServeConfig::new(schema(), 0.7, &dir)).unwrap();
+            drop(core);
+            std::fs::remove_dir_all(&dir).unwrap();
+        })
+    });
+    g.bench_function("open_start_shutdown", |b| {
+        b.iter(|| {
+            let (core, _) = ServeCore::open(ServeConfig::new(schema(), 0.7, &dir)).unwrap();
+            let server = Server::start(core, ServerConfig::default(), "127.0.0.1:0").unwrap();
+            server.shutdown();
+            std::fs::remove_dir_all(&dir).unwrap();
+        })
+    });
+    g.finish();
 
     // frame checksum cost by payload size: 64 B is a read request, 98 304 B
     // is about one 5k-claim ingest chunk; one element = one byte, so

@@ -1570,6 +1570,18 @@ mod tests {
         );
     }
 
+    /// Opening a replica on a fresh directory syncs nothing: its ingest
+    /// and staging logs become durable with their first records.
+    #[test]
+    fn fresh_replica_open_makes_no_sync() {
+        let d = dir("open_syncs", 0);
+        let vfs = Vfs::faulted(DiskFaultPlan::new(0)).unwrap();
+        let serve = ServeConfig::new(schema(), 0.5, &d).vfs(vfs.clone());
+        let (node, _) = ReplicaNode::open(ReplicaConfig::new(0, &[0, 1, 2]), serve).unwrap();
+        assert_eq!(vfs.syncs(), (0, 0));
+        drop(node);
+    }
+
     #[test]
     fn staged_tail_survives_restart() {
         let all = [0u32, 1];
