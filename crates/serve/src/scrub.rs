@@ -72,7 +72,12 @@ pub fn scrub_dir(dir: &Path, vfs: &Vfs) -> Result<ScrubReport, ServeError> {
         }
         let verdict: Option<String> = if name.ends_with(".wal") {
             let bytes = vfs.read(&path)?;
-            match crate::wal::scan(&bytes) {
+            let role = if crate::core::is_kept_log(name) {
+                crate::wal::LogRole::Kept
+            } else {
+                crate::wal::LogRole::Live
+            };
+            match crate::wal::scan(&bytes, role) {
                 Err(e) => Some(e.to_string()),
                 Ok(s) if s.torn > 0 => Some(format!("torn tail: {} trailing bytes", s.torn)),
                 Ok(_) => None,
