@@ -1065,7 +1065,9 @@ impl ServeCore {
         )?;
         // the installed snapshot supersedes every local generation:
         // clear the retired artifacts so recovery can never bridge from
-        // a pre-install state into a post-install one
+        // a pre-install state into a post-install one, and make the
+        // unlinks durable so power loss cannot bring one back
+        let mut unlinked = false;
         for old in [
             &self.files.snapshot_prev,
             &self.files.wal_prev,
@@ -1073,7 +1075,11 @@ impl ServeCore {
         ] {
             if self.vfs.exists(old) {
                 self.vfs.remove_file(old)?;
+                unlinked = true;
             }
+        }
+        if unlinked {
+            self.vfs.sync_parent_dir(&self.files.snapshot)?;
         }
         self.wal.truncate_all()?;
         let mut cache = TruthCache::new(self.cache.cap);
@@ -2032,6 +2038,67 @@ mod tests {
         assert_eq!(logged_seqs(&d.join("ingest.prev.wal")), [0, 1, 2]);
         let snap = read_snapshot(&Vfs::passthrough(), &d.join("snapshot.crh")).unwrap();
         assert_eq!(snap.0.chunks_seen, 6);
+    }
+
+    /// Installing a snapshot unlinks the previous generation and the
+    /// sealed log; power loss right after the install, keeping any
+    /// prefix of the directory's unsynced entries, must recover the
+    /// installed state and none of the unlinked artifacts.
+    #[test]
+    fn power_loss_after_an_install_recovers_the_installed_state() {
+        let src = dir("install_src");
+        let (mut donor, _) = ServeCore::open(ServeConfig::new(schema(), 0.5, &src)).unwrap();
+        for step in 100..107 {
+            donor.ingest(&chunk(step)).unwrap();
+        }
+        let installed = donor.checkpoint_bytes();
+        let retired = ["snapshot.prev.crh", "ingest.prev.wal", "ingest.sealed.wal"];
+        let mut held = 0;
+        for seed in 0..96 {
+            let d = dir(&format!("install_loss_{seed}"));
+            let plan = crate::vfs::DiskFaultPlan::new(seed)
+                .transient_eio(0.1)
+                .max_faults(1);
+            let vfs = Vfs::faulted(plan).unwrap();
+            let cfg = |vfs| {
+                ServeConfig::new(schema(), 0.5, &d)
+                    .snapshot_every(3)
+                    .vfs(vfs)
+            };
+            // a transient EIO may refuse the open or the install; such a
+            // seed holds nothing to check
+            let Ok((mut core, _)) = ServeCore::open(cfg(vfs.clone())) else {
+                continue;
+            };
+            while core.chunks_seen() < 9 {
+                match core.ingest(&chunk(core.chunks_seen() as u32)) {
+                    Ok(_) | Err(ServeError::Io(_)) => {}
+                    Err(e) => panic!("seed {seed}: {e}"),
+                }
+            }
+            core.finish_generation().unwrap();
+            // a failed last generation leaves its sealed log beside the
+            // previous generation's snapshot and log
+            if !retired.iter().all(|name| d.join(name).exists()) {
+                continue;
+            }
+            match core.install_snapshot(&installed) {
+                Ok(()) => held += 1,
+                Err(ServeError::Io(_)) => continue,
+                Err(e) => panic!("seed {seed}: {e}"),
+            }
+            drop(core);
+            vfs.simulate_crash();
+            let (core, _) = ServeCore::open(cfg(Vfs::passthrough())).unwrap();
+            assert_eq!(core.checkpoint_bytes(), installed, "seed {seed}");
+            for name in retired {
+                assert!(!d.join(name).exists(), "seed {seed}: {name} came back");
+            }
+        }
+        assert!(
+            held >= 4,
+            "only {held} seeds held a sealed and a prev generation"
+        );
     }
 
     /// The owner's sync budget: opening a fresh directory syncs nothing,

@@ -313,8 +313,8 @@ struct Ledger {
     unsynced: Vec<Dirent>,
 }
 
-/// A file creation or a rename that no directory fsync has covered.
-/// Unlinks are not tracked: a removed file stays removed.
+/// A file creation, rename or unlink that no directory fsync has
+/// covered.
 #[derive(Debug)]
 enum Dirent {
     Created(PathBuf),
@@ -325,13 +325,35 @@ enum Dirent {
         /// length, which undoing the rename puts back.
         displaced: Option<(Vec<u8>, Option<u64>)>,
     },
+    Removed {
+        path: PathBuf,
+        /// The unlinked file's bytes and durable length, which undoing
+        /// the unlink puts back.
+        kept: (Vec<u8>, Option<u64>),
+    },
+}
+
+/// Write `bytes` back at `path` with durable length `len`, as undoing an
+/// entry that took the file away does.
+fn restore(
+    path: PathBuf,
+    (bytes, len): (Vec<u8>, Option<u64>),
+    durable: &mut BTreeMap<PathBuf, u64>,
+) {
+    if std::fs::write(&path, bytes).is_ok() {
+        if let Some(len) = len {
+            durable.insert(path, len);
+        }
+    }
 }
 
 impl Dirent {
     /// The directory whose fsync makes this entry durable.
     fn dir(&self) -> &Path {
         let path = match self {
-            Self::Created(path) | Self::Renamed { to: path, .. } => path,
+            Self::Created(path) | Self::Renamed { to: path, .. } | Self::Removed { path, .. } => {
+                path
+            }
         };
         path.parent().unwrap_or(Path::new(""))
     }
@@ -355,14 +377,11 @@ impl Dirent {
                         durable.insert(from, len);
                     }
                 }
-                if let Some((bytes, len)) = displaced {
-                    if std::fs::write(&to, bytes).is_ok() {
-                        if let Some(len) = len {
-                            durable.insert(to, len);
-                        }
-                    }
+                if let Some(kept) = displaced {
+                    restore(to, kept, durable);
                 }
             }
+            Self::Removed { path, kept } => restore(path, kept, durable),
         }
     }
 }
@@ -789,18 +808,20 @@ impl Vfs {
     }
 
     /// Remove a file (a metadata write: sticky/transient apply). The
-    /// ledger takes an unlink as durable at once and forgets the
-    /// unsynced entries that name the file.
+    /// unlink is durable once the file's directory is fsynced; until
+    /// then power loss can bring the file back.
     pub fn remove_file(&self, path: impl AsRef<Path>) -> Result<(), ServeError> {
         let path = path.as_ref();
         let _gate = self.draw(OpKind::Meta, "unlink")?;
+        // the bytes an undone unlink puts back
+        let bytes = self.state.as_ref().and_then(|_| std::fs::read(path).ok());
         std::fs::remove_file(path)?;
         if let Some(s) = &self.state {
             let mut ledger = relock(&s.ledger);
-            ledger.durable.remove(path);
-            ledger.unsynced.retain(|d| match d {
-                Dirent::Created(p) => p != path,
-                Dirent::Renamed { from, to, .. } => from != path && to != path,
+            let len = ledger.durable.remove(path);
+            ledger.unsynced.push(Dirent::Removed {
+                path: path.to_path_buf(),
+                kept: (bytes.unwrap_or_default(), len),
             });
         }
         Ok(())
@@ -1249,6 +1270,29 @@ mod tests {
                 seen
             })
             .collect()
+    }
+
+    #[test]
+    fn a_crash_can_undo_an_unlink_its_directory_never_synced() {
+        let unlink = |vfs: &Vfs, dir: &Path| {
+            let mut f = vfs.open_log(dir.join("log")).unwrap();
+            f.write_all(b"synced data").unwrap();
+            f.sync_data().unwrap();
+            vfs.sync_parent_dir(dir.join("log")).unwrap();
+            drop(f);
+            vfs.remove_file(dir.join("log")).unwrap();
+        };
+        let read = |dir: &Path| std::fs::read(dir.join("log")).ok();
+        let seen = crash_outcomes("lost_unlink", unlink, read);
+        let want = [(0, None), (1, Some(b"synced data".to_vec()))];
+        assert_eq!(seen, want.into_iter().collect());
+
+        let synced = |vfs: &Vfs, dir: &Path| {
+            unlink(vfs, dir);
+            vfs.sync_parent_dir(dir.join("log")).unwrap();
+        };
+        let seen = crash_outcomes("synced_unlink", synced, read);
+        assert_eq!(seen, [(0, None)].into_iter().collect());
     }
 
     #[test]

@@ -164,11 +164,13 @@ fn injected_snapshot_crashes_recover_every_committed_chunk() {
 }
 
 /// A disk whose snapshot writes stall while the WAL appends do not.
-/// Seed 315 makes the data write and the fsync of the second
-/// generation's snapshot slow (200 ms each) and every WAL append of the
-/// run fast, so chunks 7 and 8 commit while that snapshot is written.
+/// Seed 6525 makes the data write and the fsync of the second
+/// generation's snapshot slow (200 ms each) and no other operation of
+/// the run (the owner draws ops 0-25, the generations are detached at
+/// ops 11 and 21), so chunks 7 and 8 commit while that snapshot is
+/// written.
 fn stalling_snapshot_disk() -> Vfs {
-    let plan = DiskFaultPlan::new(315)
+    let plan = DiskFaultPlan::new(6525)
         .slow_writes(0.25)
         .slow_fsyncs(0.25)
         .slow_for(Duration::from_millis(200));
