@@ -1,30 +1,25 @@
 //! Deterministic failover: the election rule and a simulated cluster
 //! for exercising it under seeded network chaos.
 //!
-//! Failure *detection* lives in [`ReplicaNode::tick`] (a follower that
-//! misses heartbeats for its node-id-staggered timeout campaigns); this
-//! module holds the *decision* — [`elect`], a pure function from the
-//! collected votes to the winner — and [`SimCluster`], a synchronous
-//! stepped simulation that drives a set of real `ReplicaNode`s (real
-//! `ServeCore`s, real WALs on disk) over a fault-injected in-memory
-//! network ([`NetFaultPlan`]). Because every link fate, kill, and
-//! restart is a pure function of the plan's seed and the step number,
-//! a chaotic run replays exactly — the partition chaos suite leans on
-//! this to compare post-heal replica digests against a never-partitioned
-//! reference run.
+//! Failure *detection* lives in [`ReplicaNode::tick`]; this module holds
+//! the *decision*, [`elect`], and [`SimCluster`], which feeds real
+//! replica members through the daemon's own driver over a seeded,
+//! fault-injected in-memory network ([`NetFaultPlan`]), so a chaotic run
+//! replays exactly.
 //!
 //! [`ReplicaNode::tick`]: crate::replicate::ReplicaNode::tick
 
 use std::collections::BTreeMap;
 
 use crate::core::{ChunkClaim, ServeConfig};
+use crate::driver::{wait_ticks, ReplicaDriver, PEER_QUEUE_CAP};
 use crate::error::ServeError;
 use crate::faults::{LinkFate, NetFaultPlan};
-use crate::proto::Response;
+use crate::proto::{Request, Response};
 use crate::replicate::{ReplicaConfig, ReplicaNode, Role};
-
-/// Steps a simulated write waits for its quorum: the daemon's default 2 s at 20 ms a tick.
-const SIM_COMMIT_WAIT: u64 = 100;
+use crate::scrub::ScrubReport;
+use crate::server::HaConfig;
+use crate::shard::ShardMap;
 
 /// A write from [`SimCluster::client_ingest`]: the staging node's index
 /// and that node's `(epoch, seq)` key for it.
@@ -45,66 +40,105 @@ pub fn elect(votes: &BTreeMap<u32, (u64, u64)>) -> Option<u32> {
         .map(|(_, _, std::cmp::Reverse(node))| node)
 }
 
-/// A frame held back by the plan's latency chaos: it is delivered (and
-/// its reply fed back to whoever holds the sender's id — possibly a
-/// restarted incarnation) at the start of the `deliver_at` step.
-struct DelayedFrame {
-    deliver_at: u64,
-    from: u32,
-    dest: u32,
-    req: crate::proto::Request,
-    drop_reply: bool,
+/// A peer frame (whose reply the plan may lose), or a peer's reply as
+/// `(from, resp)`.
+enum Msg {
+    Frame {
+        from: u32,
+        req: Request,
+        lose_reply: bool,
+    },
+    Reply(u32, Response),
 }
 
-/// A synchronous, deterministically chaotic cluster of [`ReplicaNode`]s.
+/// A message on its way to member `dest`, due at step `at`.
+struct Delivery {
+    at: u64,
+    dest: u32,
+    msg: Msg,
+}
+
+/// One member slot: how to (re)open it, and its driver while it is up.
+struct Member {
+    replica: ReplicaConfig,
+    serve: ServeConfig,
+    shard: Option<(u32, ShardMap)>,
+    driver: Option<ReplicaDriver<SimWrite>>,
+    /// The step a killed member restarts at (0: none scheduled).
+    down_until: u64,
+}
+
+impl Member {
+    fn start(&mut self, now: u64) -> Result<(), ServeError> {
+        let (replica, serve) = (self.replica.clone(), self.serve.clone());
+        let shard = self.shard.clone();
+        self.driver = Some(ReplicaDriver::open(replica, serve, shard, now)?);
+        Ok(())
+    }
+}
+
+/// A synchronous, deterministically chaotic cluster of replica members.
 ///
-/// Each [`step`](Self::step) advances logical time by one: scheduled
-/// kills fire (the node is dropped mid-flight, exactly like `kill -9`),
-/// downed nodes restart from their state directories, delayed frames
-/// whose time has come are delivered, then every alive node ticks and
-/// its outgoing frames are routed through the [`NetFaultPlan`] —
-/// delivered, dropped, duplicated, delayed, or processed with the reply
-/// lost. After each step it collects every alive node's decided writes.
+/// Each [`step`](Self::step) fires the scheduled kills (`kill -9`),
+/// restarts downed members from their state directories, then ticks
+/// every alive member in id order. A frame is routed through the
+/// [`NetFaultPlan`], or shed if its link holds `PEER_QUEUE_CAP` frames.
+/// Frames and replies join one FIFO, run dry before the next member
+/// ticks: an undelayed round trip ends within the step, never inside
+/// the sender's tick.
 pub struct SimCluster {
-    nodes: Vec<Option<ReplicaNode>>,
-    setups: Vec<(ReplicaConfig, ServeConfig)>,
-    down_until: Vec<u64>,
+    members: Vec<Member>,
     plan: NetFaultPlan,
     step: u64,
     frames_sent: u64,
-    pending: Vec<DelayedFrame>,
+    /// Messages in flight, in the order they were sent.
+    wire: Vec<Delivery>,
+    /// Replies that reached the outside sender (the split coordinator).
+    outside: Vec<Response>,
     /// What each client write's staging node answered.
     answers: BTreeMap<SimWrite, Response>,
 }
 
 impl SimCluster {
-    /// Build an `n`-node cluster over the state directories
-    /// `dirs[0..n]`, wired with `plan`'s chaos. `serve_for` maps a node
-    /// id to its daemon configuration (schema, alpha, state dir).
+    /// Build an `n`-node cluster wired with `plan`'s chaos; `serve_for`
+    /// maps a node id to its daemon configuration.
     pub fn new(
         n: usize,
         serve_for: impl Fn(u32) -> ServeConfig,
         plan: NetFaultPlan,
     ) -> Result<Self, ServeError> {
+        Self::group(n, serve_for, plan, None)
+    }
+
+    /// [`new`](Self::new) for the members of shard group `shard.0`, which
+    /// bootstrap their route table from `shard.1`.
+    pub(crate) fn group(
+        n: usize,
+        serve_for: impl Fn(u32) -> ServeConfig,
+        plan: NetFaultPlan,
+        shard: Option<(u32, ShardMap)>,
+    ) -> Result<Self, ServeError> {
         plan.validate()?;
         let all: Vec<u32> = (0..n as u32).collect();
-        let mut nodes = Vec::with_capacity(n);
-        let mut setups = Vec::with_capacity(n);
+        let mut members = Vec::with_capacity(n);
         for &id in &all {
-            let rcfg = ReplicaConfig::new(id, &all);
-            let scfg = serve_for(id);
-            let (node, _) = ReplicaNode::open(rcfg.clone(), scfg.clone())?;
-            nodes.push(Some(node));
-            setups.push((rcfg, scfg));
+            let mut m = Member {
+                replica: ReplicaConfig::new(id, &all),
+                serve: serve_for(id),
+                shard: shard.clone(),
+                driver: None,
+                down_until: 0,
+            };
+            m.start(0)?;
+            members.push(m);
         }
         Ok(Self {
-            down_until: vec![0; n],
-            nodes,
-            setups,
+            members,
             plan,
             step: 0,
             frames_sent: 0,
-            pending: Vec::new(),
+            wire: Vec::new(),
+            outside: Vec::new(),
             answers: BTreeMap::new(),
         })
     }
@@ -116,41 +150,35 @@ impl SimCluster {
 
     /// Borrow node `i`, if it is alive.
     pub fn node(&self, i: usize) -> Option<&ReplicaNode> {
-        self.nodes.get(i).and_then(Option::as_ref)
+        let driver = self.members.get(i)?.driver.as_ref();
+        driver.map(ReplicaDriver::node)
     }
 
-    /// Mutably borrow node `i`, if it is alive. The shard-split
-    /// coordinator uses this to drive the catch-up protocol against a
-    /// donor group's primary directly, outside the stepped tick loop.
-    pub fn node_mut(&mut self, i: usize) -> Option<&mut ReplicaNode> {
-        self.nodes.get_mut(i).and_then(Option::as_mut)
+    fn driver(&mut self, i: usize) -> Option<&mut ReplicaDriver<SimWrite>> {
+        self.members.get_mut(i)?.driver.as_mut()
     }
 
     /// Indices of the members currently alive.
     pub fn alive(&self) -> Vec<usize> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, n)| n.as_ref().map(|_| i))
+        (0..self.len())
+            .filter(|&i| self.node(i).is_some())
             .collect()
     }
 
     /// Number of member slots (alive or not).
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.members.len()
     }
 
     /// Whether the cluster has no members.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.members.is_empty()
     }
 
     /// The index of the alive primary with the highest epoch, if any.
     pub fn primary(&self) -> Option<usize> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, n)| n.as_ref().map(|n| (i, n)))
+        (0..self.len())
+            .filter_map(|i| self.node(i).map(|n| (i, n)))
             .filter(|(_, n)| n.role() == Role::Primary)
             .max_by_key(|(_, n)| n.epoch())
             .map(|(i, _)| i)
@@ -170,16 +198,16 @@ impl SimCluster {
             .or_else(|| self.alive().into_iter().next())
     }
 
-    /// Submit a client chunk to the current primary, which stages it to
-    /// wait `SIM_COMMIT_WAIT` steps for its quorum. Returns the write,
-    /// or the node's typed refusal (nothing staged).
+    /// Submit a client chunk to the primary, which waits for its quorum as
+    /// long as a default [`HaConfig`] daemon; `Err` staged nothing.
     pub fn client_ingest(&mut self, claims: &[ChunkClaim]) -> Result<SimWrite, ServeError> {
         let no_primary = || ServeError::NotPrimary { hint: None };
         let i = self.primary().ok_or_else(no_primary)?;
-        let node = self.nodes.get_mut(i).and_then(Option::as_mut);
-        let key = node
-            .ok_or_else(no_primary)?
-            .client_ingest(claims, self.step + SIM_COMMIT_WAIT)?;
+        let ha = HaConfig::default();
+        let ticks = wait_ticks(ha.commit_wait, ha.tick);
+        let driver = self.driver(i).ok_or_else(no_primary)?;
+        let key = driver.write(claims, None, ticks, |key| (i, key))?;
+        self.collect(i);
         Ok((i, key))
     }
 
@@ -195,173 +223,156 @@ impl SimCluster {
         matches!(self.told(write), Some(Response::Ack { .. }))
     }
 
-    /// Advance one step: kills, restarts, then a full tick-and-route
-    /// round for every alive node (in node-id order — determinism). Only
-    /// a restart that cannot reopen its node's state is an error; a node
-    /// whose tick or reply handling fails stays alive, as in the daemon.
+    /// [`ReplicaNode::scrub_and_repair`] on node `i`, if it is alive.
+    pub fn scrub_and_repair(&mut self, i: usize) -> Option<Result<ScrubReport, ServeError>> {
+        Some(self.driver(i)?.node_mut().scrub_and_repair())
+    }
+
+    /// Advance one step. Only a restart that cannot reopen its node's
+    /// state is an error; a member whose tick or reply handling fails
+    /// stays alive, as in the daemon.
     pub fn step(&mut self) -> Result<(), ServeError> {
         self.step += 1;
         let now = self.step;
-
         for node in self.plan.kills_at(now) {
-            let i = node as usize;
-            if let (Some(slot), Some(down)) = (self.nodes.get_mut(i), self.down_until.get_mut(i)) {
-                if slot.take().is_some() {
+            if let Some(m) = self.members.get_mut(node as usize) {
+                if m.driver.take().is_some() {
                     // dropped without snapshot_now(): a crash, not a shutdown
-                    *down = now + self.plan.restart_after;
+                    m.down_until = now + self.plan.restart_after;
                 }
             }
         }
-        for ((slot, down), (rcfg, scfg)) in self
-            .nodes
-            .iter_mut()
-            .zip(self.down_until.iter_mut())
-            .zip(self.setups.iter())
-        {
-            if slot.is_none() && *down != 0 && now >= *down {
-                let (node, _) = ReplicaNode::open(rcfg.clone(), scfg.clone())?;
-                *slot = Some(node);
-                *down = 0;
+        for m in &mut self.members {
+            if m.driver.is_none() && m.down_until != 0 && now >= m.down_until {
+                // it boots after the last tick, before this one
+                m.start(now - 1)?;
+                m.down_until = 0;
             }
         }
-
-        self.deliver_due(now);
-
-        // As in the daemon, a tick that fails (a fold or a disk write
-        // inside it) ships nothing this round and a reply the sender
-        // cannot take in is dropped; either way the node goes back into
-        // its slot.
-        for i in 0..self.nodes.len() {
-            let Some(mut sender) = self.nodes.get_mut(i).and_then(Option::take) else {
-                continue;
-            };
-            for (dest, req) in sender.tick(now).unwrap_or_default() {
-                self.route(&mut sender, dest, &req, now);
-            }
-            if let Some(slot) = self.nodes.get_mut(i) {
-                *slot = Some(sender);
-            }
-        }
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            let Some(node) = node else { continue };
-            for (key, answer) in node.take_decided(now, false) {
-                let resp = answer.unwrap_or_else(|e| Response::from_error(&e));
-                self.answers.insert((i, key), resp);
+        self.run_dry();
+        for i in 0..self.len() {
+            if let Some(driver) = self.driver(i) {
+                driver.tick();
+                self.collect(i);
+                self.run_dry();
             }
         }
         Ok(())
     }
 
-    /// Deliver every pending delayed frame whose time has come, in the
-    /// order it was queued (deterministic). The reply goes back to
-    /// whatever node currently holds the sender's id — it may have
-    /// crashed and restarted since the frame was sent, exactly as a real
-    /// late packet would find it.
-    fn deliver_due(&mut self, now: u64) {
-        let mut due = Vec::new();
-        let mut still_pending = Vec::new();
-        for f in self.pending.drain(..) {
-            if f.deliver_at <= now {
-                due.push(f);
-            } else {
-                still_pending.push(f);
-            }
+    /// Route member `i`'s frames and record its decided answers.
+    fn collect(&mut self, i: usize) {
+        let Some(driver) = self.driver(i) else { return };
+        let (frames, answers) = driver.take_effects();
+        self.answers.extend(answers);
+        for (dest, req) in frames {
+            self.route(i as u32, dest, req);
         }
-        self.pending = still_pending;
-        for f in due {
-            let resp = {
-                let Some(receiver) = self.nodes.get_mut(f.dest as usize).and_then(Option::as_mut)
-                else {
-                    continue; // dead peer: the late frame hits silence
-                };
-                receiver.handle(f.from, &f.req, now)
+    }
+
+    /// Deliver every message due by now, in the order sent (lost if its
+    /// member is down).
+    fn run_dry(&mut self) {
+        let now = self.step;
+        while let Some(at) = self.wire.iter().position(|d| d.at <= now) {
+            let Delivery { dest, msg, .. } = self.wire.remove(at);
+            let Some(driver) = self.driver(dest as usize) else {
+                continue;
             };
-            if !f.drop_reply {
-                if let Some(sender) = self.nodes.get_mut(f.from as usize).and_then(Option::as_mut) {
-                    sender.on_reply(f.dest, &resp, now).ok();
+            let reply = match msg {
+                Msg::Frame {
+                    from,
+                    req,
+                    lose_reply,
+                } => Some((from, driver.frame(req))).filter(|_| !lose_reply),
+                Msg::Reply(from, resp) => {
+                    driver.reply(from, &resp);
+                    None
                 }
+            };
+            self.collect(dest as usize);
+            match reply {
+                Some((to, resp)) if to as usize == self.len() => self.outside.push(resp),
+                Some((to, resp)) => {
+                    let msg = Msg::Reply(dest, resp);
+                    self.wire.push(Delivery {
+                        at: now,
+                        dest: to,
+                        msg,
+                    });
+                }
+                None => {}
             }
         }
     }
 
-    fn route(
-        &mut self,
-        sender: &mut ReplicaNode,
-        dest: u32,
-        req: &crate::proto::Request,
-        now: u64,
-    ) {
+    /// Frames from `from` to `dest` still in flight.
+    fn in_flight(&self, from: u32, dest: u32) -> usize {
+        let sent = |m: &Msg| matches!(m, Msg::Frame { from: f, .. } if *f == from);
+        self.wire
+            .iter()
+            .filter(|d| d.dest == dest && sent(&d.msg))
+            .count()
+    }
+
+    fn route(&mut self, from: u32, dest: u32, req: Request) {
+        if self.in_flight(from, dest) >= PEER_QUEUE_CAP {
+            return; // shed, as the daemon's full peer queue drops it
+        }
+        let now = self.step;
         self.frames_sent += 1;
-        let fate = self
-            .plan
-            .link_fate(sender.node_id(), dest, now, self.frames_sent);
-        let deliveries = match fate {
+        let fate = self.plan.link_fate(from, dest, now, self.frames_sent);
+        let copies = match fate {
             LinkFate::Drop => return,
             LinkFate::Deliver | LinkFate::DropReply => 1,
             LinkFate::Duplicate => 2,
         };
-        let delay = self
-            .plan
-            .frame_delay(sender.node_id(), dest, now, self.frames_sent);
-        if delay > 0 {
-            // gray failure: the frame is in flight, just slow. Queue each
-            // copy for a later step; the sender moves on without waiting.
-            for _ in 0..deliveries {
-                self.pending.push(DelayedFrame {
-                    deliver_at: now + delay,
-                    from: sender.node_id(),
-                    dest,
-                    req: req.clone(),
-                    drop_reply: fate == LinkFate::DropReply,
-                });
-            }
-            return;
-        }
-        for _ in 0..deliveries {
-            let Some(receiver) = self.nodes.get_mut(dest as usize).and_then(Option::as_mut) else {
-                return; // dead (or unknown) peer: silence
+        // a delayed frame is in flight, just slow: gray failure
+        let at = now + self.plan.frame_delay(from, dest, now, self.frames_sent);
+        for _ in 0..copies {
+            let msg = Msg::Frame {
+                from,
+                req: req.clone(),
+                lose_reply: fate == LinkFate::DropReply,
             };
-            let resp = receiver.handle(sender.node_id(), req, now);
-            if fate != LinkFate::DropReply {
-                sender.on_reply(dest, &resp, now).ok();
-            }
+            self.wire.push(Delivery { at, dest, msg });
         }
     }
 
-    /// Run steps until every alive node reports the same folded state
-    /// digest (and at least `min_steps` have run), or panic after
-    /// `max_steps`. Returns the converged digest.
+    /// Route `req` to `dest` from outside the group (the split
+    /// coordinator); returns the replies that have reached it so far.
+    pub(crate) fn send_from_outside(&mut self, dest: u32, req: Request) -> Vec<Response> {
+        self.route(self.len() as u32, dest, req);
+        self.run_dry();
+        std::mem::take(&mut self.outside)
+    }
+
+    /// Member `i`'s answer to `req`, handed over outside the fault plan.
+    pub(crate) fn frame_to(&mut self, i: usize, req: Request) -> Option<Response> {
+        let resp = self.driver(i)?.frame(req);
+        self.collect(i);
+        Some(resp)
+    }
+
+    /// Step until every node is alive, drained and digest-equal (after
+    /// at least `min_steps`), or panic after `max_steps`. Returns the
+    /// digest once no snapshot generation is in flight.
     pub fn settle(&mut self, min_steps: u64, max_steps: u64) -> Result<u64, ServeError> {
         let target = self.step + max_steps;
         let floor = self.step + min_steps;
         loop {
             self.step()?;
-            if self.step >= floor {
-                let digests: Vec<u64> = self
-                    .nodes
-                    .iter()
-                    .flatten()
-                    .map(|n| n.state_digest())
-                    .collect();
-                let all_alive = self.nodes.iter().all(Option::is_some);
-                if let (true, Some((&first, rest))) = (all_alive, digests.split_first()) {
-                    if rest.iter().all(|&d| d == first) {
-                        // converged *and* drained: every durable record folded
-                        let drained = self
-                            .nodes
-                            .iter()
-                            .flatten()
-                            .all(|n| n.commit() == n.durable());
-                        if drained {
-                            // and quiet: no snapshot generation still
-                            // writing to a state directory
-                            for node in self.nodes.iter_mut().flatten() {
-                                node.finish_snapshot()?;
-                            }
-                            return Ok(first);
-                        }
-                    }
+            let nodes: Vec<&ReplicaNode> = (0..self.len()).filter_map(|i| self.node(i)).collect();
+            let quiet = |n: &ReplicaNode, d| n.state_digest() == d && n.commit() == n.durable();
+            let digest = (self.step >= floor && nodes.len() == self.len())
+                .then(|| nodes.first().map(|n| n.state_digest()))
+                .flatten()
+                .filter(|&d| nodes.iter().all(|n| quiet(n, d)));
+            if let Some(digest) = digest {
+                for driver in self.members.iter_mut().filter_map(|m| m.driver.as_mut()) {
+                    driver.node_mut().finish_snapshot()?;
                 }
+                return Ok(digest);
             }
             assert!(
                 self.step < target,
@@ -590,6 +601,45 @@ mod tests {
             "ack serialized behind the 6-step straggler (took {waited} steps)"
         );
         c.settle(0, 256).unwrap();
+    }
+
+    /// A follower whose link stalls while the primary keeps shipping
+    /// fills that link to `PEER_QUEUE_CAP` frames in flight; the excess
+    /// is shed, as the daemon's full peer queue drops it. Once the link
+    /// recovers, the heartbeat retransmit catches the follower up.
+    #[test]
+    fn a_stalled_link_sheds_frames_past_the_queue_cap_and_the_follower_catches_up() {
+        let mut c = cluster("shed", 3, NetFaultPlan::new(9));
+        for _ in 0..12 {
+            c.step().unwrap();
+        }
+        let p = c.primary().expect("a primary emerges");
+        let stalled = (0..3).rev().find(|&i| i != p).unwrap();
+        c.plan = NetFaultPlan::new(9).straggler(stalled as u32, 40);
+        let link = |c: &SimCluster| c.in_flight(p as u32, stalled as u32);
+        let mut fullest = 0;
+        let mut writes = Vec::new();
+        for i in 0..24 {
+            if i < 16 {
+                writes.push(c.client_ingest(&chunk(i)).unwrap());
+            }
+            c.step().unwrap();
+            fullest = fullest.max(link(&c));
+        }
+        assert!(
+            writes.iter().all(|&w| c.acked(w)),
+            "the quorum commits without the stalled follower"
+        );
+        // full, and the primary still sends every step: the rest is shed
+        assert_eq!(fullest, PEER_QUEUE_CAP, "the stalled link never filled");
+        let primary = c.node(p).unwrap();
+        assert!(c.node(stalled).unwrap().durable() < primary.durable());
+
+        c.plan = NetFaultPlan::new(9);
+        let digest = c.settle(0, 400).unwrap();
+        let caught_up = c.node(stalled).unwrap();
+        assert_eq!(caught_up.state_digest(), digest);
+        assert_eq!(caught_up.core().chunks_seen(), 16);
     }
 
     #[test]

@@ -94,6 +94,7 @@
 pub mod breaker;
 pub mod client;
 pub mod core;
+mod driver;
 pub mod error;
 pub mod failover;
 #[cfg(test)]

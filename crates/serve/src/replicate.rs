@@ -8,7 +8,8 @@
 //! which emits the frames to send next) — so the same state machine runs
 //! under the deterministic simulated network
 //! ([`crate::failover::SimCluster`]) and the real TCP daemon
-//! ([`crate::server::HaServer`]).
+//! ([`crate::server::HaServer`]), both through one driver (`driver.rs`)
+//! that feeds it events in one order.
 //!
 //! The protocol is a deliberately small Raft-shaped design specialised
 //! to the daemon's append-only chunk log:

@@ -34,10 +34,11 @@ use crh_core::schema::Schema;
 use crate::client::Client;
 use crate::core::ServeConfig;
 use crate::core::{claims_from_csv, solve_claims, ChunkClaim, ServeCore};
+use crate::driver::{follower_wrap, wait_ticks, Read, ReplicaDriver, PEER_QUEUE_CAP};
 use crate::error::ServeError;
 use crate::proto::{read_frame, write_frame, ClaimBytes, Request, Response};
 use crate::replicate::{ReplicaConfig, ReplicaNode, Role};
-use crate::shard::{ShardMap, ShardMapStore, ShardRange};
+use crate::shard::ShardMap;
 
 /// Tuning for the network front-end.
 #[derive(Debug, Clone)]
@@ -97,50 +98,11 @@ fn await_answer<R>(answer: &mpsc::Receiver<R>, wait: Duration) -> Result<R, Serv
     })
 }
 
-/// The cheap reads both daemons answer from their folded state.
-#[derive(Debug, Clone, Copy)]
-enum Read {
-    Weights,
-    Truth { object: u32, property: u32 },
-    Status,
-}
-
-impl Read {
-    fn answer(self, core: &ServeCore, queue_depth: usize) -> Response {
-        match self {
-            Read::Weights => Response::Weights(core.weights().to_vec()),
-            Read::Truth { object, property } => Response::Truth(core.truth(object, property)),
-            Read::Status => {
-                let status = core.status();
-                Response::Status {
-                    chunks_seen: status.chunks_seen,
-                    wal_records: status.wal_records,
-                    cached_truths: status.cached_truths,
-                    queue_depth: queue_depth as u64,
-                    quarantined: status.quarantined,
-                }
-            }
-        }
-    }
-}
-
 /// The ack for a `Shutdown` request, taken after the final snapshot.
 fn shutdown_ack(chunks_seen: u64) -> Response {
     Response::Ack {
         seq: chunks_seen.saturating_sub(1),
         chunks_seen,
-    }
-}
-
-/// Wrap an answer with a follower's staleness bound; `None` (a primary
-/// or a standalone daemon) returns it unwrapped.
-fn follower_wrap(lag: Option<u64>, inner: Response) -> Response {
-    match lag {
-        None => inner,
-        Some(lag) => Response::FollowerRead {
-            lag,
-            inner: inner.encode(),
-        },
     }
 }
 
@@ -652,205 +614,11 @@ impl Default for HaConfig {
     }
 }
 
-/// A sharded member's routing state: its shard id plus the route table
-/// it enforces, backed by the durable per-member map store (the atomic
-/// cutover record of the split protocol).
-struct ShardState {
-    shard: u32,
-    map: ShardMap,
-    store: ShardMapStore,
-}
-
-/// Everything the replica owner thread holds by value.
-struct Replica {
-    node: ReplicaNode,
-    /// Present iff this member serves a shard of a sharded topology.
-    shard: Option<ShardState>,
-    /// Logical replication time, advanced once per [`HaConfig::tick`].
-    now: u64,
-    /// Reply channels of the client writes the node holds pending, under
-    /// the node's `(epoch, seq)` key.
-    replies: BTreeMap<(u64, u64), mpsc::SyncSender<Response>>,
-}
-
-fn unsharded() -> ServeError {
-    ServeError::Protocol("shard frame sent to an unsharded member".into())
-}
-
-fn follower_lag(node: &ReplicaNode) -> Option<u64> {
-    (node.role() != Role::Primary).then(|| node.lag())
-}
-
-impl Replica {
-    /// Stage a client chunk durably (after the shard check, for a
-    /// shard-routed write) to wait `ticks` for its quorum, and keep its
-    /// reply until the node decides it.
-    fn stage(
-        &mut self,
-        claims: &[ChunkClaim],
-        shard_check: Option<(u32, u64)>,
-        ticks: u64,
-        reply: mpsc::SyncSender<Response>,
-    ) {
-        let staged = shard_check
-            .map_or(Ok(()), |(shard, version)| {
-                self.check_shard(shard, version, claims.iter().map(|c| c.object))
-            })
-            .and_then(|()| {
-                self.node
-                    .client_ingest(claims, self.now.saturating_add(ticks))
-            });
-        match staged {
-            Ok(key) => {
-                self.replies.insert(key, reply);
-            }
-            Err(e) => {
-                reply.try_send(Response::from_error(&e)).ok();
-            }
-        }
-    }
-
-    /// Answer every pending write the node has now decided.
-    fn answer_writes(&mut self, stopping: bool) {
-        for (key, answer) in self.node.take_decided(self.now, stopping) {
-            if let Some(reply) = self.replies.remove(&key) {
-                let resp = answer.unwrap_or_else(|e| Response::from_error(&e));
-                reply.try_send(resp).ok();
-            }
-        }
-    }
-
-    fn read(&self, read: Read) -> Response {
-        follower_wrap(follower_lag(&self.node), read.answer(self.node.core(), 0))
-    }
-
-    fn shard_state(&self) -> Result<&ShardState, ServeError> {
-        self.shard.as_ref().ok_or_else(unsharded)
-    }
-
-    /// Gate a shard-checked frame: it must name this member's shard,
-    /// carry the current map version, and (for writes) every claim must
-    /// route here under that map — each violation is a distinct typed
-    /// refusal the router can act on.
-    fn check_shard(
-        &self,
-        shard: u32,
-        map_version: u64,
-        objects: impl IntoIterator<Item = u32>,
-    ) -> Result<(), ServeError> {
-        let st = self.shard_state()?;
-        if shard != st.shard {
-            return Err(ServeError::WrongShard {
-                shard,
-                at: st.shard,
-            });
-        }
-        if map_version != st.map.version {
-            return Err(ServeError::StaleShardMap {
-                got: map_version,
-                current: st.map.version,
-            });
-        }
-        for object in objects {
-            let owner = st.map.shard_of(object);
-            if owner != st.shard {
-                return Err(ServeError::WrongShard {
-                    shard: owner,
-                    at: st.shard,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    fn route_table(&self) -> Result<Response, ServeError> {
-        let st = self.shard_state()?;
-        Ok(Response::RouteTable {
-            version: st.map.version,
-            shard: st.shard,
-            ranges: st.map.ranges().to_vec(),
-        })
-    }
-
-    /// Seed this (virgin) member with the donor's committed state for a
-    /// split. Shard- and cluster-key-checked; the node itself refuses
-    /// once it holds any state.
-    fn split_stage(
-        &mut self,
-        token: u64,
-        shard: u32,
-        snapshot: Option<&[u8]>,
-        records: &[Vec<u8>],
-    ) -> Result<Response, ServeError> {
-        let at = self.shard_state()?.shard;
-        if token != self.node.cluster_key() {
-            return Err(ServeError::Protocol(
-                "split-stage frame with a foreign cluster key".into(),
-            ));
-        }
-        if shard != at {
-            return Err(ServeError::WrongShard { shard, at });
-        }
-        let head = self.node.seed_split(snapshot, records)?;
-        Ok(Response::Ack {
-            seq: head.saturating_sub(1),
-            chunks_seen: head,
-        })
-    }
-
-    /// Adopt a new route table: validate it, refuse regressions and
-    /// conflicting same-version tables, persist it through the durable
-    /// store (*the* atomic cutover record — a crash before the rename
-    /// recovers the old map, after it the new one), then serve under it.
-    fn split_cutover(
-        &mut self,
-        token: u64,
-        version: u64,
-        ranges: Vec<ShardRange>,
-    ) -> Result<Response, ServeError> {
-        let key = self.node.cluster_key();
-        let st = self.shard.as_mut().ok_or_else(unsharded)?;
-        if token != key {
-            return Err(ServeError::Protocol(
-                "split-cutover frame with a foreign cluster key".into(),
-            ));
-        }
-        let new_map = ShardMap::from_ranges(version, ranges)?;
-        if !new_map.shard_ids().contains(&st.shard) {
-            return Err(ServeError::Protocol(format!(
-                "route table v{version} drops this member's shard {}",
-                st.shard
-            )));
-        }
-        if new_map.version < st.map.version {
-            return Err(ServeError::StaleShardMap {
-                got: new_map.version,
-                current: st.map.version,
-            });
-        }
-        if new_map.version == st.map.version {
-            if new_map.ranges() == st.map.ranges() {
-                // idempotent retry of an already-adopted cutover
-                return Ok(Response::Ack {
-                    seq: st.map.version,
-                    chunks_seen: st.map.version,
-                });
-            }
-            return Err(ServeError::Protocol(format!(
-                "conflicting route table at version {version}"
-            )));
-        }
-        st.store.save(&new_map)?;
-        st.map = new_map;
-        Ok(Response::Ack {
-            seq: version,
-            chunks_seen: version,
-        })
-    }
-}
+/// The replica owner thread's state, answering writes on their channels.
+type Owner = ReplicaDriver<mpsc::SyncSender<Response>>;
 
 struct HaShared {
-    tasks: mpsc::Sender<Task<Replica>>,
+    tasks: mpsc::Sender<Task<Owner>>,
     schema: Schema,
     cfg: HaConfig,
     shutdown: AtomicBool,
@@ -862,7 +630,7 @@ impl HaShared {
     fn ask<R: Send + 'static>(
         &self,
         budget: Option<Duration>,
-        f: impl FnOnce(&mut Replica) -> R + Send + 'static,
+        f: impl FnOnce(&mut Owner) -> R + Send + 'static,
     ) -> Result<R, ServeError> {
         let (task, answer) = task(f);
         self.tasks
@@ -879,10 +647,13 @@ impl HaShared {
         shard_check: Option<(u32, u64)>,
     ) -> Result<Response, ServeError> {
         let wait = clamp_wait(self.cfg.commit_wait, budget);
-        let ticks = wait.as_nanos().div_ceil(self.cfg.tick.as_nanos().max(1));
-        let ticks = u64::try_from(ticks).unwrap_or(u64::MAX).max(1);
+        let ticks = wait_ticks(wait, self.cfg.tick);
         let (reply, answer) = mpsc::sync_channel(1);
-        let stage: Task<Replica> = Box::new(move |r| r.stage(&claims, shard_check, ticks, reply));
+        let stage: Task<Owner> = Box::new(move |o| {
+            if let Err(e) = o.write(&claims, shard_check, ticks, |_| reply.clone()) {
+                reply.try_send(Response::from_error(&e)).ok();
+            }
+        });
         self.tasks
             .send(stage)
             .map_err(|_| ServeError::ShuttingDown)?;
@@ -906,7 +677,6 @@ impl FrontEnd for HaShared {
         &self.schema
     }
 
-    /// The replicated write path stages its own record.
     fn ingest(
         &self,
         claims: Vec<ChunkClaim>,
@@ -919,27 +689,23 @@ impl FrontEnd for HaShared {
     /// A non-primary wraps the answer with its staleness bound so the
     /// client knows how far behind the primary it may be.
     fn read(&self, read: Read, budget: Option<Duration>) -> Result<Response, ServeError> {
-        self.ask(budget, move |r| r.read(read))
+        self.ask(budget, move |o| o.read(read))
     }
 
     fn solve_seed(
         &self,
         budget: Option<Duration>,
     ) -> Result<(Vec<f64>, usize, Option<u64>), ServeError> {
-        self.ask(budget, |r| {
-            let core = r.node.core();
-            (
-                core.weights().to_vec(),
-                core.solve_threads(),
-                follower_lag(&r.node),
-            )
+        self.ask(budget, |o| {
+            let core = o.node().core();
+            (core.weights().to_vec(), core.solve_threads(), o.lag())
         })
     }
 
     fn shutdown_now(&self) -> Result<Response, ServeError> {
-        let ack = self.ask(None, |r| {
-            r.node.snapshot_now().ok();
-            shutdown_ack(r.node.core().chunks_seen())
+        let ack = self.ask(None, |o| {
+            o.node_mut().snapshot_now().ok();
+            shutdown_ack(o.node().core().chunks_seen())
         });
         self.shutdown.store(true, Ordering::SeqCst);
         ack
@@ -947,85 +713,32 @@ impl FrontEnd for HaShared {
 
     fn cluster(&self, frame: Request, budget: Option<Duration>) -> Result<Response, ServeError> {
         match frame {
-            // the frame names its sender; CatchUp/SeqQuery are answered
-            // over this connection, so the handler needs no sender id.
-            // The node verifies the frame's cluster key before trusting
-            // any of it, so a stray client cannot forge these.
-            Request::Replicate { node, .. }
-            | Request::Heartbeat { node, .. }
-            | Request::Promote { node, .. } => {
-                self.ask(budget, move |r| r.node.handle(node, &frame, r.now))
-            }
-            Request::CatchUp { .. } | Request::SeqQuery { .. } => {
-                self.ask(budget, move |r| r.node.handle(0, &frame, r.now))
-            }
-            Request::RouteTable => self.ask(budget, |r| r.route_table())?,
             Request::ShardIngest {
                 shard,
                 map_version,
                 claims,
             } => self.write(claims, budget, Some((shard, map_version))),
-            Request::ShardTruth {
-                shard,
-                map_version,
-                object,
-                property,
-            } => self.ask(budget, move |r| {
-                r.check_shard(shard, map_version, [object])?;
-                Ok(r.read(Read::Truth { object, property }))
-            })?,
-            Request::SplitStage {
-                token,
-                shard,
-                snapshot,
-                records,
-            } => self.ask(budget, move |r| {
-                r.split_stage(token, shard, snapshot.as_deref(), &records)
-            })?,
-            Request::SplitCutover {
-                token,
-                version,
-                ranges,
-            } => self.ask(budget, move |r| r.split_cutover(token, version, ranges))?,
-            // handle() answers every client request itself
-            _ => Err(ServeError::Protocol(
-                "client request routed as a cluster frame".into(),
-            )),
+            frame => self.ask(budget, move |o| o.frame(frame)),
         }
     }
 }
 
 /// One member of a replicated `crh-serve` cluster: a [`ReplicaNode`]
-/// state machine behind the same TCP front-end as the standalone
-/// [`Server`].
+/// behind the same TCP front-end as the standalone [`Server`].
 ///
-/// Threading model:
-///
-/// - one **owner** thread holds the node and the shard state. It runs
-///   every task connection threads and peer senders send it: client
-///   writes, reads, replication frames, split stage and cutover, peer
-///   replies. It also keeps logical time: it wakes on a task or at the
-///   next [`HaConfig::tick`], advances the node, and hands each frame
-///   the node emits to a bounded per-peer queue with a non-blocking
-///   push;
-/// - a client write is staged on the owner and kept pending in the node
-///   with a deadline in ticks; the owner holds only its reply channel
-///   and sends whatever [`ReplicaNode::take_decided`] returns after
-///   every state change;
-/// - one **peer sender** thread per peer owns that peer's persistent
-///   [`Client`] connection, drains its queue, ships frames, and sends
-///   each reply back to the owner. A stalled or black-holing peer
-///   therefore delays only its own queue — never heartbeats to the
-///   other peers, the tick cadence, or local reads and writes — so one
-///   bad peer cannot cause cluster-wide spurious failovers. A full
-///   queue simply drops the frame: the protocol retransmits from the
-///   follower's acked position on every heartbeat interval, so a drop
-///   costs latency, never correctness.
+/// One **owner** thread turns each task (client writes, reads, replica
+/// and shard frames, peer replies) and each [`HaConfig::tick`] into one
+/// event of the replica's driver, and keeps the only clock reads. It
+/// pushes the frames an event emits onto bounded per-peer queues without
+/// blocking (a full queue drops the frame; the heartbeat retransmit
+/// absorbs it). One **peer sender** thread per peer ships its queue and
+/// sends each reply back as a task, so a stalled peer delays only its
+/// own queue — never the tick cadence or other peers' heartbeats.
 pub struct HaServer {
     shared: Arc<HaShared>,
     addr: std::net::SocketAddr,
     accept_thread: Option<JoinHandle<()>>,
-    owner_thread: Option<JoinHandle<ReplicaNode>>,
+    owner_thread: Option<JoinHandle<Owner>>,
 }
 
 impl HaServer {
@@ -1036,48 +749,23 @@ impl HaServer {
         cfg: HaConfig,
         addr: &str,
     ) -> Result<Self, ServeError> {
-        let shard_map_path = serve.dir.join("shard.map");
-        let (node, _recovery) = ReplicaNode::open(replica, serve)?;
+        let owner = ReplicaDriver::open(replica, serve, cfg.shard.clone(), 0)?;
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
 
-        // a sharded member recovers its route table from the durable
-        // store; the bootstrap map only seeds a store that is still
-        // empty (first boot, or a virgin split target)
-        let shard = match cfg.shard.clone() {
-            Some((shard, bootstrap)) => {
-                let store = ShardMapStore::new(shard_map_path);
-                let map = match store.load()? {
-                    Some(m) => m,
-                    None => {
-                        store.save(&bootstrap)?;
-                        bootstrap
-                    }
-                };
-                Some(ShardState { shard, map, store })
-            }
-            None => None,
-        };
-
         let (tasks, inbox) = mpsc::channel();
         let shared = Arc::new(HaShared {
             tasks,
-            schema: node.core().schema().clone(),
+            schema: owner.node().core().schema().clone(),
             cfg,
             shutdown: AtomicBool::new(false),
             connections: AtomicUsize::new(0),
         });
-        let replica = Replica {
-            node,
-            shard,
-            now: 0,
-            replies: BTreeMap::new(),
-        };
 
         let owner_thread = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || replica_owner(replica, inbox, &shared))
+            std::thread::spawn(move || replica_owner(owner, inbox, &shared))
         };
         let accept_thread = {
             let shared = Arc::clone(&shared);
@@ -1097,45 +785,48 @@ impl HaServer {
         self.addr
     }
 
+    /// Read `f` off the node, or `stopped` once the owner has stopped.
+    fn query<R: Send + 'static>(&self, f: fn(&ReplicaNode) -> R, stopped: R) -> R {
+        self.shared
+            .ask(None, move |o| f(o.node()))
+            .unwrap_or(stopped)
+    }
+
     /// This member's current role (`Follower` once it has stopped).
     pub fn role(&self) -> Role {
-        self.shared
-            .ask(None, |r| r.node.role())
-            .unwrap_or(Role::Follower)
+        self.query(ReplicaNode::role, Role::Follower)
     }
 
     /// This member's current epoch (0 once it has stopped).
     pub fn epoch(&self) -> u64 {
-        self.shared.ask(None, |r| r.node.epoch()).unwrap_or(0)
+        self.query(ReplicaNode::epoch, 0)
     }
 
     /// Chunks known quorum-committed here (0 once it has stopped).
     pub fn commit(&self) -> u64 {
-        self.shared.ask(None, |r| r.node.commit()).unwrap_or(0)
+        self.query(ReplicaNode::commit, 0)
     }
 
     /// Digest of the folded state (replica-divergence checks; 0 once it
     /// has stopped).
     pub fn state_digest(&self) -> u64 {
-        self.shared
-            .ask(None, |r| r.node.state_digest())
-            .unwrap_or(0)
+        self.query(ReplicaNode::state_digest, 0)
     }
 
     /// Signal shutdown, join the daemon threads, and take a final
     /// snapshot so the next open starts from a clean disk.
     pub fn shutdown(mut self) {
-        if let Some(mut node) = self.stop() {
-            node.snapshot_now().ok();
+        if let Some(mut owner) = self.stop() {
+            owner.node_mut().snapshot_now().ok();
         }
     }
 
-    /// Stop serving and hand back the node.
+    /// Stop serving and hand back the replica.
     #[expect(
         clippy::disallowed_methods,
         reason = "shutdown join; the woken owner answers its waiting writes and joins its peer senders, each bounded by the io timeout"
     )]
-    fn stop(&mut self) -> Option<ReplicaNode> {
+    fn stop(&mut self) -> Option<Owner> {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // wake the owner so it sees the flag now
         self.shared.tasks.send(Box::new(|_| {})).ok();
@@ -1156,56 +847,52 @@ impl Drop for HaServer {
     }
 }
 
-/// Frames buffered per peer between the owner and that peer's sender
-/// thread. Sized to ride out a few slow ticks; overflow drops frames,
-/// which the heartbeat-driven retransmit protocol absorbs.
-const PEER_QUEUE_CAP: usize = 64;
-
-/// Own the replica: run tasks as they arrive, advance logical time every
-/// tick and fan the frames the node emits out to the per-peer sender
-/// threads, and answer waiting writes once decided. This thread never
-/// touches a socket, so no peer can stall it. Returns the node once
-/// shutdown is flagged.
+/// Own the replica: run each task and tick, shipping what each event
+/// left behind, until shutdown. It never touches a socket.
 #[expect(
     clippy::disallowed_methods,
-    reason = "wall-clock only paces the owner's ticks and bounds its waits; the node sees logical time (`r.now`), so replay never reads it"
+    reason = "wall-clock only paces the owner's ticks and bounds its waits; the driver sees logical time, so replay never reads it"
 )]
 fn replica_owner(
-    mut r: Replica,
-    inbox: mpsc::Receiver<Task<Replica>>,
+    mut o: Owner,
+    inbox: mpsc::Receiver<Task<Owner>>,
     shared: &Arc<HaShared>,
-) -> ReplicaNode {
+) -> Owner {
     let mut peers = BTreeMap::new();
     let mut senders = Vec::new();
     for (dest, addr) in shared.cfg.peer_addrs.clone() {
-        let (tx, rx) = mpsc::sync_channel::<(u64, Request)>(PEER_QUEUE_CAP);
+        let (tx, rx) = mpsc::sync_channel::<Request>(PEER_QUEUE_CAP);
         let shared = Arc::clone(shared);
         senders.push(std::thread::spawn(move || {
             peer_sender(&shared, dest, &addr, &rx);
         }));
         peers.insert(dest, tx);
     }
+    let ship = |o: &mut Owner| {
+        let (frames, answers) = o.take_effects();
+        for (dest, req) in frames {
+            if let Some(tx) = peers.get(&dest) {
+                // non-blocking: a stalled peer's full queue drops the frame
+                tx.try_send(req).ok();
+            }
+        }
+        for (reply, resp) in answers {
+            reply.try_send(resp).ok();
+        }
+    };
     let mut next_tick = Instant::now() + shared.cfg.tick;
     while !shared.is_shutdown() {
         if let Ok(task) = inbox.recv_timeout(next_tick.saturating_duration_since(Instant::now())) {
-            task(&mut r);
+            task(&mut o);
         }
         if Instant::now() >= next_tick {
-            r.now += 1;
-            // a failed fold inside tick() leaves nothing to ship this round
-            for (dest, req) in r.node.tick(r.now).unwrap_or_default() {
-                if let Some(tx) = peers.get(&dest) {
-                    // non-blocking: a stalled peer's full queue drops the
-                    // frame; the next heartbeat interval re-ships from
-                    // the follower's acked position
-                    tx.try_send((r.now, req)).ok();
-                }
-            }
+            o.tick();
             next_tick = Instant::now() + shared.cfg.tick;
         }
-        r.answer_writes(false);
+        ship(&mut o);
     }
-    r.answer_writes(true);
+    o.shutdown();
+    ship(&mut o);
     // tasks still queued are dropped with the inbox, ending their waits
     drop(inbox);
     // closing the queues wakes the sender threads so they can exit
@@ -1217,29 +904,20 @@ fn replica_owner(
         )]
         s.join().ok();
     }
-    r.node
+    o
 }
 
-/// Own one peer's connection: drain its frame queue, ship each frame,
-/// and send the reply back to the owner. Connection failures are
-/// silence (exactly like the simulator's dropped frames); the thread
-/// reconnects on the next frame.
-fn peer_sender(shared: &HaShared, dest: u32, addr: &str, rx: &mpsc::Receiver<(u64, Request)>) {
+/// Own one peer's connection: ship its queue's frames and send each
+/// reply to the owner. A failed connection is silence until the next
+/// frame reconnects.
+fn peer_sender(shared: &HaShared, dest: u32, addr: &str, rx: &mpsc::Receiver<Request>) {
     let mut conn: Option<Client> = None;
-    loop {
-        let (now, req) = match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(x) => x,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if shared.is_shutdown() {
-                    return;
-                }
-                continue;
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => return,
+    while !shared.is_shutdown() {
+        let req = match rx.recv_timeout(Duration::from_millis(50)) {
+            Ok(req) if !shared.is_shutdown() => req,
+            Ok(_) | Err(mpsc::RecvTimeoutError::Disconnected) => return,
+            Err(mpsc::RecvTimeoutError::Timeout) => continue,
         };
-        if shared.is_shutdown() {
-            return;
-        }
         if conn.is_none() {
             conn = Client::connect(addr, shared.cfg.server.io_timeout).ok();
         }
@@ -1248,15 +926,11 @@ fn peer_sender(shared: &HaShared, dest: u32, addr: &str, rx: &mpsc::Receiver<(u6
         };
         match c.call_raw(&req) {
             Ok(resp) => {
-                let reply: Task<Replica> = Box::new(move |r| {
-                    r.node.on_reply(dest, &resp, now).ok();
-                });
+                let reply: Task<Owner> = Box::new(move |o| o.reply(dest, &resp));
                 shared.tasks.send(reply).ok();
             }
-            Err(_) => {
-                // broken connection; reconnect for the next frame
-                conn = None;
-            }
+            // broken connection; reconnect for the next frame
+            Err(_) => conn = None,
         }
     }
 }

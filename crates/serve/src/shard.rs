@@ -14,10 +14,10 @@
 //! The map itself is tiny, versioned, and durable ([`ShardMapStore`],
 //! written with the same write-tmp → fsync → rename → dir-fsync
 //! discipline as snapshots and election meta). A rebalance
-//! ([`ShardedSim::split`]) stages the moved range onto virgin members via
-//! the existing snapshot + catch-up protocol and only then writes the
-//! next map version as the *atomic cutover record*: a crash at any stage
-//! recovers to exactly the pre- or post-cutover topology, never between.
+//! ([`ShardedSim::split`]) stages the moved range onto virgin members
+//! through the daemon's own handlers and only then writes the next map
+//! version as the *atomic cutover record*: a crash at any stage recovers
+//! to exactly the pre- or post-cutover topology, never between.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -25,11 +25,12 @@ use std::path::{Path, PathBuf};
 use crh_core::persist::{crc32, Dec, Enc};
 use crh_core::value::Truth;
 
-use crate::core::{decode_chunk, ChunkClaim, ServeConfig, ServeCore};
+use crate::core::{decode_chunk, ChunkClaim, ServeConfig};
 use crate::error::ServeError;
 use crate::failover::{SimCluster, SimWrite};
 use crate::faults::{ShardFaultPlan, SplitCrash};
 use crate::proto::{decode_exact, Request, Response, Wire};
+use crate::replicate::ReplicaNode;
 use crate::vfs::Vfs;
 
 const MAP_MAGIC: [u8; 8] = *b"CRHSHMP1";
@@ -264,6 +265,20 @@ impl ShardMapStore {
         Ok(Some(ShardMap::decode(payload)?))
     }
 
+    /// The stored map, or `init()`'s, persisted first, when no cutover
+    /// record was ever written.
+    pub(crate) fn load_or_init(
+        &self,
+        init: impl FnOnce() -> Result<ShardMap, ServeError>,
+    ) -> Result<ShardMap, ServeError> {
+        if let Some(map) = self.load()? {
+            return Ok(map);
+        }
+        let map = init()?;
+        self.save(&map)?;
+        Ok(map)
+    }
+
     /// Durably replace the stored map. Returns only after the rename and
     /// the directory fsync, so a torn write can never surface as a
     /// half-cutover topology.
@@ -277,6 +292,40 @@ impl ShardMapStore {
         bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
         bytes.extend_from_slice(&payload);
         self.vfs.write_atomic(&self.path, &bytes)
+    }
+
+    /// Adopt `next` over `current` for a holder of shard `keep`: refuse a
+    /// table dropping `keep`, an older version or a rival at the same
+    /// version; persist a newer one (the cutover record) and return it.
+    pub(crate) fn adopt(
+        &self,
+        current: &ShardMap,
+        keep: u32,
+        next: ShardMap,
+    ) -> Result<ShardMap, ServeError> {
+        let refuse = |why| Err(ServeError::Protocol(why));
+        if !next.shard_ids().contains(&keep) {
+            let version = next.version;
+            return refuse(format!(
+                "route table v{version} drops this member's shard {keep}"
+            ));
+        }
+        if next.version < current.version {
+            return Err(ServeError::StaleShardMap {
+                got: next.version,
+                current: current.version,
+            });
+        }
+        if next.version == current.version && next.ranges() != current.ranges() {
+            return refuse(format!(
+                "conflicting route table at version {}",
+                next.version
+            ));
+        }
+        if next.version > current.version {
+            self.save(&next)?;
+        }
+        Ok(next)
     }
 }
 
@@ -359,16 +408,12 @@ pub struct ShardedSim {
 }
 
 impl ShardedSim {
-    /// Open (or recover) a topology. A store with no cutover record is a
-    /// fresh deployment: the uniform `initial_shards`-way map is written
-    /// first. A store *with* a record adopts it verbatim — after a
-    /// crashed split this lands on exactly the pre- or post-cutover
-    /// topology, and any partially-staged member directories of a shard
-    /// the adopted map does not name are wiped by the next split attempt
-    /// before re-staging.
-    ///
-    /// `serve_for(shard, node)` maps a member to its daemon config; each
-    /// member must use its own state directory.
+    /// Open (or recover) a topology: a store with no cutover record is a
+    /// fresh deployment, written first as a uniform `initial_shards`-way
+    /// map; a stored record is adopted verbatim — after a crashed split,
+    /// exactly the pre- or post-cutover topology (the next split attempt
+    /// wipes partially staged directories). `serve_for(shard, node)` maps
+    /// a member to its daemon config, each with its own state directory.
     pub fn open(
         initial_shards: u32,
         replicas: usize,
@@ -377,30 +422,27 @@ impl ShardedSim {
         plan: ShardFaultPlan,
     ) -> Result<Self, ServeError> {
         let store = ShardMapStore::new(store_path);
-        let map = match store.load()? {
-            Some(m) => m,
-            None => {
-                let m = ShardMap::uniform(initial_shards)?;
-                store.save(&m)?;
-                m
-            }
-        };
-        let serve_for: Box<dyn Fn(u32, u32) -> ServeConfig> = Box::new(serve_for);
-        let mut groups = BTreeMap::new();
-        for shard in map.shard_ids() {
-            let gplan = plan.plan_for(shard, replicas)?;
-            let f = &serve_for;
-            let group = SimCluster::new(replicas, move |id| f(shard, id), gplan)?;
-            groups.insert(shard, group);
-        }
-        Ok(Self {
-            map,
+        let mut sim = Self {
+            map: store.load_or_init(|| ShardMap::uniform(initial_shards))?,
             store,
-            groups,
+            groups: BTreeMap::new(),
             replicas,
-            serve_for,
+            serve_for: Box::new(serve_for),
             plan,
-        })
+        };
+        for shard in sim.map.shard_ids() {
+            let group = sim.open_group(shard)?;
+            sim.groups.insert(shard, group);
+        }
+        Ok(sim)
+    }
+
+    /// Open `shard`'s group; its members bootstrap from the current map.
+    fn open_group(&self, shard: u32) -> Result<SimCluster, ServeError> {
+        let plan = self.plan.plan_for(shard, self.replicas)?;
+        let serve_for = |id| (self.serve_for)(shard, id);
+        let member_shard = Some((shard, self.map.clone()));
+        SimCluster::group(self.replicas, serve_for, plan, member_shard)
     }
 
     /// The current shard map.
@@ -431,18 +473,6 @@ impl ShardedSim {
         self.groups.values().next().map_or(0, SimCluster::now)
     }
 
-    /// Partition `claims` by owning shard, preserving order within each
-    /// shard's sub-chunk.
-    pub fn route(&self, claims: &[ChunkClaim]) -> BTreeMap<u32, Vec<ChunkClaim>> {
-        let mut out: BTreeMap<u32, Vec<ChunkClaim>> = BTreeMap::new();
-        for c in claims {
-            out.entry(self.map.shard_of(c.object))
-                .or_default()
-                .push(c.clone());
-        }
-        out
-    }
-
     /// Submit one sub-chunk to `shard`'s current primary. Misrouted
     /// claims are refused before any state changes, mirroring the wire
     /// protocol's `WRONG_SHARD` check.
@@ -470,45 +500,37 @@ impl ShardedSim {
         self.groups.get(&shard).is_some_and(|g| g.acked(write))
     }
 
-    /// Read one cell's truth from its owning group (healthy primary
-    /// first, else any alive member on a healthy disk, else whatever
-    /// answers — see [`SimCluster::read_target`]) with the member's
-    /// staleness lag. A group with no alive member is the typed degraded
-    /// refusal — the single-shard strict form of the scatter-gather
-    /// contract.
+    /// Read one cell's truth, with the member's staleness lag, from its
+    /// owning group's [`read_target`](SimCluster::read_target); a group
+    /// with no alive member is the typed degraded refusal.
     pub fn truth(&self, object: u32, property: u32) -> Result<(Option<Truth>, u64), ServeError> {
         let shard = self.map.shard_of(object);
-        let Some(group) = self.groups.get(&shard) else {
-            return Err(ServeError::Degraded {
-                missing_shards: vec![shard],
-            });
-        };
-        let reader = group.read_target();
-        match reader.and_then(|i| group.node(i)) {
-            Some(n) => Ok((n.core().truth(object, property), n.lag())),
-            None => Err(ServeError::Degraded {
-                missing_shards: vec![shard],
-            }),
-        }
+        let node = self.reader(shard).ok_or(ServeError::Degraded {
+            missing_shards: vec![shard],
+        })?;
+        Ok((node.core().truth(object, property), node.lag()))
     }
 
-    /// Scatter-gather the per-shard folded-state digests: `(shard,
-    /// digest)` from every group that has an alive member, with
-    /// unreachable groups reported in `missing_shards` instead of
-    /// failing the whole read.
+    /// The member of `shard`'s group a read lands on, if any is alive.
+    fn reader(&self, shard: u32) -> Option<&ReplicaNode> {
+        let group = self.groups.get(&shard)?;
+        group.read_target().and_then(|i| group.node(i))
+    }
+
+    /// Scatter-gather `(shard, digest)` of the folded state from every
+    /// group with an alive member, naming the others in `missing_shards`.
     pub fn scatter_digests(&self) -> Sharded<Vec<(u32, u64)>> {
         let mut value = Vec::new();
-        let mut missing = Vec::new();
-        for (&shard, group) in &self.groups {
-            let reader = group.read_target();
-            match reader.and_then(|i| group.node(i)) {
+        let mut missing_shards = Vec::new();
+        for &shard in self.groups.keys() {
+            match self.reader(shard) {
                 Some(n) => value.push((shard, n.state_digest())),
-                None => missing.push(shard),
+                None => missing_shards.push(shard),
             }
         }
         Sharded {
             value,
-            missing_shards: missing,
+            missing_shards,
         }
     }
 
@@ -532,70 +554,58 @@ impl ShardedSim {
     /// Protocol, in strict order (each boundary is a [`SplitCrash`]
     /// point the fault plan can fire at):
     ///
-    /// 1. wipe any partial staging directories left by a crashed
-    ///    earlier attempt, then fetch a snapshot + committed catch-up
-    ///    records from the donor group's primary (the donor group keeps
-    ///    stepping — and keeps taking its planned faults — while the
-    ///    coordinator waits);
-    /// 2. seed every new-group member directory at the `ServeCore`
-    ///    level: install the snapshot, apply the records, all durable;
-    /// 3. write the next map version to the durable store — **the
+    /// 1. wipe partial staging directories of a crashed earlier attempt,
+    ///    then fetch the donor primary's snapshot and committed records
+    ///    with a `CatchUp` frame routed through the donor's fault plan
+    ///    (the donor group keeps stepping and taking its faults);
+    /// 2. stage every virgin member of the new group through the
+    ///    daemon's own `SplitStage` handler;
+    /// 3. adopt the next map version through the durable store — **the
     ///    atomic cutover record**;
-    /// 4. adopt the map in memory and open the new group over the
-    ///    seeded directories.
+    /// 4. adopt the map in memory and start stepping the new group.
     ///
-    /// A crash before step 3 recovers pre-cutover (the staged
-    /// directories are garbage to be wiped); a crash after it recovers
-    /// post-cutover (the directories are complete by ordering). There is
-    /// no intermediate observable state.
+    /// A crash before step 3 recovers pre-cutover (the staged directories
+    /// are garbage); after it, post-cutover (they are complete).
     pub fn split(&mut self, spec: SplitSpec) -> Result<SplitOutcome, ServeError> {
-        // pre-flight the new map first: an invalid spec must refuse
-        // before any I/O
+        // an invalid spec must refuse before any I/O
         let new_map = self.map.split(spec.source, spec.new_shard, spec.at)?;
-        if self.plan.split_crash == Some(SplitCrash::PreStage) {
+        let planned = self.plan.split_crash;
+        let crash = |point| planned == Some(point);
+        if crash(SplitCrash::PreStage) {
             return Ok(SplitOutcome::Crashed(SplitCrash::PreStage));
         }
-        // staging hygiene: a crashed earlier attempt may have left
-        // partial member directories; they are not named by the durable
-        // map, so they are dead weight to re-stage from scratch
+        // a crashed earlier attempt may have left partial directories
         for node in 0..self.replicas as u32 {
             let cfg = (self.serve_for)(spec.new_shard, node);
             let _ = cfg.vfs.remove_dir_all(&cfg.dir);
         }
         let (snapshot, records) = self.fetch_donor_state(spec.source)?;
+        let mut group = self.open_group(spec.new_shard)?;
         for node in 0..self.replicas {
-            if node == 1 && self.plan.split_crash == Some(SplitCrash::MidCatchUp) {
-                // one member fully staged, the rest untouched — the
-                // worst partial-staging state
+            if node == 1 && crash(SplitCrash::MidCatchUp) {
+                // one member staged, the rest untouched: the worst case
                 return Ok(SplitOutcome::Crashed(SplitCrash::MidCatchUp));
             }
-            let cfg = (self.serve_for)(spec.new_shard, node as u32);
-            let (mut core, _) = ServeCore::open(cfg)?;
-            if let Some(s) = &snapshot {
-                core.install_snapshot(s)?;
+            let stage = Request::SplitStage {
+                token: 0, // the simulator's members keep the default key
+                shard: spec.new_shard,
+                snapshot: snapshot.clone(),
+                records: records.clone(),
+            };
+            let staged = group.frame_to(node, stage);
+            if !matches!(staged, Some(Response::Ack { .. })) {
+                return Err(ServeError::Protocol(format!(
+                    "member {node} refused its split stage: {staged:?}"
+                )));
             }
-            for r in &records {
-                if let crate::core::ApplyOutcome::Gap { expected } = core.apply_replicated(r)? {
-                    return Err(ServeError::Protocol(format!(
-                        "donor catch-up records are not contiguous (expected seq {expected})"
-                    )));
-                }
-            }
-            // dropped here: the seeded state is durable (snapshot install
-            // and WAL appends both fsync), which is all staging needs
         }
-        // the atomic cutover record
-        self.store.save(&new_map)?;
-        if self.plan.split_crash == Some(SplitCrash::PostCutoverRecord) {
+        let new_map = self.store.adopt(&self.map, spec.source, new_map)?;
+        if crash(SplitCrash::PostCutoverRecord) {
             return Ok(SplitOutcome::Crashed(SplitCrash::PostCutoverRecord));
         }
-        let gplan = self.plan.plan_for(spec.new_shard, self.replicas)?;
-        let f = &self.serve_for;
-        let shard = spec.new_shard;
-        let group = SimCluster::new(self.replicas, move |id| f(shard, id), gplan)?;
         self.groups.insert(spec.new_shard, group);
         self.map = new_map;
-        if self.plan.split_crash == Some(SplitCrash::PreAck) {
+        if crash(SplitCrash::PreAck) {
             return Ok(SplitOutcome::Crashed(SplitCrash::PreAck));
         }
         Ok(SplitOutcome::Done {
@@ -603,52 +613,38 @@ impl ShardedSim {
         })
     }
 
-    /// Fetch a snapshot plus the committed record tail from the donor
-    /// group's primary, via the same catch-up frames a rejoining
-    /// follower uses. Bounded: if no primary becomes reachable within
-    /// [`SPLIT_PRIMARY_BUDGET`] steps the split aborts (pre-cutover).
+    /// Fetch the donor primary's snapshot and committed records with the
+    /// `CatchUp` frame a rejoining follower sends, once per step; give up
+    /// (pre-cutover) after [`SPLIT_PRIMARY_BUDGET`] steps.
     fn fetch_donor_state(&mut self, source: u32) -> Result<DonorState, ServeError> {
-        let Some(group) = self.groups.get_mut(&source) else {
-            return Err(ServeError::Protocol(format!(
-                "split source shard {source} has no group"
-            )));
-        };
+        let missing = || ServeError::Protocol(format!("split source shard {source} has no group"));
+        let group = self.groups.get_mut(&source).ok_or_else(missing)?;
         for _ in 0..SPLIT_PRIMARY_BUDGET {
-            // keep the donor group's chaos running while we wait: faults
-            // scheduled mid-split stay live
             group.step()?;
             let Some(p) = group.primary() else { continue };
-            let epoch = match group.node(p) {
-                Some(n) => n.epoch(),
-                None => continue,
-            };
-            let now = group.now();
+            let epoch = group.node(p).map_or(0, ReplicaNode::epoch);
             let req = Request::CatchUp {
                 token: 0,
                 epoch,
                 from: 0,
             };
-            let Some(node) = group.node_mut(p) else {
-                continue;
-            };
-            let resp = node.handle(p as u32, &req, now);
-            if let Response::CatchUpRecords {
-                commit,
-                snapshot,
-                records,
-                ..
-            } = resp
-            {
-                // only the committed prefix moves: records beyond the
-                // quorum commit could still be superseded by an election
-                let mut committed = Vec::with_capacity(records.len());
-                for r in records {
-                    let (seq, _) = decode_chunk(&r)?;
-                    if seq < commit {
-                        committed.push(r);
+            for resp in group.send_from_outside(p as u32, req) {
+                if let Response::CatchUpRecords {
+                    commit,
+                    snapshot,
+                    mut records,
+                    ..
+                } = resp
+                {
+                    // records past the quorum commit could still be
+                    // superseded by an election
+                    let mut committed = 0;
+                    for r in &records {
+                        committed += usize::from(decode_chunk(r)?.0 < commit);
                     }
+                    records.truncate(committed);
+                    return Ok((snapshot, records));
                 }
-                return Ok((snapshot, committed));
             }
         }
         Err(ServeError::RetriesExhausted {

@@ -325,7 +325,7 @@ fn scrubber_detects_bit_rot_and_read_repairs_from_quorum() {
     bytes[mid] ^= 0x04;
     std::fs::write(&snap, &bytes).unwrap();
 
-    let report = sim.node_mut(follower).unwrap().scrub_and_repair().unwrap();
+    let report = sim.scrub_and_repair(follower).unwrap().unwrap();
     assert_eq!(
         report.findings.len(),
         1,
@@ -351,7 +351,7 @@ fn scrubber_detects_bit_rot_and_read_repairs_from_quorum() {
     );
 
     // the repaired artifacts verify clean on a second scrub pass
-    let report = sim.node_mut(follower).unwrap().scrub_and_repair().unwrap();
+    let report = sim.scrub_and_repair(follower).unwrap().unwrap();
     assert!(
         report.findings.is_empty(),
         "artifacts still corrupt after read-repair: {:?}",
