@@ -1,9 +1,11 @@
-//! The write side of a checker over what the simulated chaos suites'
-//! clients were told. It shares no code with the replication layer: it
-//! reads only each submission's answer, the suites' marker cells
-//! (`object = 100 + i`) and each settled node's `chunks_seen`.
+//! The write side of a checker over what the chaos suites' clients were
+//! told, in the simulator and over TCP. It shares no code with the
+//! replication layer: it reads only each submission's answer, the
+//! suites' marker cells (`object = 100 + i`) and each settled node's
+//! `chunks_seen`.
 
-use crh_serve::SimWrite;
+use crh_serve::error::code;
+use crh_serve::{ServeError, SimWrite};
 
 /// What one chunk's client was told about it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,6 +27,34 @@ impl Told {
             None => Self::Refused,
             Some(w) if acked(w) => Self::Acked,
             Some(_) => Self::Indeterminate,
+        }
+    }
+}
+
+/// Classify a chunk from what a TCP client was told about it: `Ack` is
+/// acked; `NotPrimary`, `NotReplicated`, a timeout, a broken connection
+/// or an exhausted retry loop may follow staging (on any attempt), so it
+/// is indeterminate; any other typed refusal comes before staging.
+impl From<&Result<(u64, u64), ServeError>> for Told {
+    fn from(answer: &Result<(u64, u64), ServeError>) -> Self {
+        match answer {
+            Ok(_) => Self::Acked,
+            Err(
+                ServeError::NotPrimary { .. }
+                | ServeError::NotReplicated { .. }
+                | ServeError::DeadlineExceeded
+                | ServeError::Io(_)
+                | ServeError::RetriesExhausted { .. },
+            ) => Self::Indeterminate,
+            Err(ServeError::Remote { code: c, .. })
+                if matches!(
+                    *c,
+                    code::NOT_PRIMARY | code::NOT_REPLICATED | code::DEADLINE
+                ) =>
+            {
+                Self::Indeterminate
+            }
+            Err(_) => Self::Refused,
         }
     }
 }

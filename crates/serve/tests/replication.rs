@@ -391,7 +391,8 @@ fn tcp_cluster_fails_over_and_the_client_follows() {
     );
 
     // a quorum-acked write through whichever member the client hit first
-    let (seq, committed) = client.ingest(chunk(99, 0)).unwrap();
+    let first = client.ingest(chunk(99, 0));
+    let (seq, committed) = *first.as_ref().unwrap();
     assert_eq!(seq, 0);
     assert!(committed >= 1);
 
@@ -399,7 +400,8 @@ fn tcp_cluster_fails_over_and_the_client_follows() {
     drop(servers[p0].take());
 
     // the client keeps writing: transparent retry rides out the election
-    let (seq2, _) = client.ingest(chunk(99, 1)).unwrap();
+    let second = client.ingest(chunk(99, 1));
+    let (seq2, _) = *second.as_ref().unwrap();
     assert_eq!(seq2, 1, "the committed chunk survived the failover");
     let p1 = wait_for_primary(&servers).expect("a survivor takes over");
     assert_ne!(p1, p0);
@@ -430,6 +432,29 @@ fn tcp_cluster_fails_over_and_the_client_follows() {
             assert_eq!(s.state_digest(), digest, "node {i} diverged");
         }
     }
+
+    // the client history: what the client was told agrees with what
+    // each surviving member serves over the wire
+    let history: Vec<Told> = [&first, &second].into_iter().map(Told::from).collect();
+    let settled: Vec<Settled> = (0..servers.len())
+        .filter(|&i| servers[i].is_some())
+        .map(|i| {
+            let mut member = ClusterClient::new(
+                vec![(i as u32, addrs[i].clone())],
+                Duration::from_secs(2),
+                RetryPolicy::default(),
+            );
+            Settled {
+                chunks_seen: member.status().unwrap().0.chunks_seen,
+                markers: Some(
+                    (0..2)
+                        .map(|c| member.truth(100 + c, 0).unwrap().0.is_some())
+                        .collect(),
+                ),
+            }
+        })
+        .collect();
+    history::check(&history, &settled).unwrap_or_else(|e| panic!("{e} (history {history:?})"));
 
     for s in servers.into_iter().flatten() {
         s.shutdown();
